@@ -21,8 +21,8 @@ from .fixtures import fixture_text
 from .orders_io import emit_orders_text, read_orders_file, write_orders_file
 from .posets import BooleanLattice, SingletonPoset, build_poset
 from .realizers import RealizerFamily, build_bn_realizer, verify_local_realizer
-from .sat import (VarMap, encode, parse_model_text, solve_instance,
-                  ldim_certificate, write_dimacs)
+from .sat import (VarMap, decode_verified, encode, parse_model_text,
+                  solve_instance, ldim_certificate, write_dimacs)
 from .singletons import build_singleton_plan, singleton_frequency_bound
 
 
@@ -56,29 +56,26 @@ def _cmd_verify(args) -> int:
 
 def _cmd_build(args) -> int:
     P = build_poset(args.poset)
-    summary: list[str] = [f"poset: {P.kind}"]
     if isinstance(P, BooleanLattice):
         if args.d is not None:
             raise ParameterError("--d applies to singleton posets only")
         family = build_bn_realizer(P.n)
-        bound = ceil(5 * P.n / 7)
-        report = verify_local_realizer(P, family)
-        summary += [f"frequency: {report.frequency}", f"bound: {bound}",
-                    f"size: {report.size}"]
+        head, bound = [], f"bound: {ceil(5 * P.n / 7)}"
     elif isinstance(P, SingletonPoset):
         plan = build_singleton_plan(P.n, args.d)
         family = plan.family()
-        report = verify_local_realizer(P, family)
         fb = max(singleton_frequency_bound(P.n, plan.partition.d))
-        summary += [f"d: {plan.partition.d}", f"r: {plan.partition.r}",
-                    f"frequency: {report.frequency}",
-                    f"frequency-bound: {fb}", f"size: {report.size}"]
+        head = [f"d: {plan.partition.d}", f"r: {plan.partition.r}"]
+        bound = f"frequency-bound: {fb}"
     else:
         raise ParameterError(
             f"build supports boolean:<n> and singleton:<n>, got {P.kind}")
+    report = verify_local_realizer(P, family)
     if not report.accepted:
         raise ContractError(
             f"built family fails verification for {P.kind}")  # pragma: no cover
+    summary = [f"poset: {P.kind}", *head, f"frequency: {report.frequency}",
+               bound, f"size: {report.size}"]
     if args.out:
         write_orders_file(args.out, family)
         summary.append(f"orders: {args.out}")
@@ -104,17 +101,17 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-def _solve_output(args, report, family) -> None:
+def _solve_output(args, family) -> None:
     if args.format == "json":
-        payload = {"status": "sat", "frequency": report.frequency,
-                   "size": report.size,
+        payload = {"status": "sat", "frequency": family.frequency,
+                   "size": family.size,
                    "orders": [list(p) for p in family]}
         print(json.dumps(payload, indent=2))
         if args.out:
             write_orders_file(args.out, family)
         return
-    summary = [f"status: sat", f"frequency: {report.frequency}",
-               f"size: {report.size}"]
+    summary = [f"status: sat", f"frequency: {family.frequency}",
+               f"size: {family.size}"]
     if args.out:
         write_orders_file(args.out, family)
         summary.append(f"orders: {args.out}")
@@ -132,26 +129,17 @@ def _cmd_solve(args) -> int:
         if result is None:
             raise SolverProtocolError(
                 f"no solver status line found in {args.model}")
-        if result.status == "sat":
-            from .sat import decode_realizer
-            vm = VarMap(P, args.k)
-            family = decode_realizer(result.model, vm, P)
-            report = verify_local_realizer(P, family)
-            if not report.accepted or report.frequency > args.d:
-                raise DecodeError("decoded family fails verification")
-        else:
-            family = None
+        family = (decode_verified(result.model, VarMap(P, args.k), P, args.d)
+                  if result.status == "sat" else None)
     else:
         result, family = solve_instance(P, args.k, args.d, args.solver)
-        if family is not None:
-            report = verify_local_realizer(P, family)
     if result.status != "sat":
         if args.format == "json":
             print(json.dumps({"status": result.status}, indent=2))
         else:
             print(f"status: {result.status}")
         return 1
-    _solve_output(args, report, family)
+    _solve_output(args, family)
     return 0
 
 

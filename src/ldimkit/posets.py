@@ -141,12 +141,7 @@ class Poset:
         return self._leq_matrix
 
     def _build_leq_matrix(self) -> np.ndarray:
-        n = self.ground_size
-        mat = np.zeros((n, n), dtype=bool)
-        for i, a in enumerate(self.element_ids()):
-            for j, b in enumerate(self.element_ids()):
-                mat[i, j] = self.leq(a, b)
-        return mat
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<Poset {self.kind} ({self.ground_size} elements)>"

@@ -305,6 +305,10 @@ def lift_product(P: Poset, Q: Poset, family_p, family_q,
     secondarily by the canonical linear extension of Q; members of the
     Q-family lift symmetrically.  The result has size |F_P| + |F_Q| and
     frequency at most frequency(F_P) + frequency(F_Q).
+
+    With ``check_inputs`` (the default) both input families are verified
+    first and a failing one raises ContractError; pass False only for
+    families already known to be local realizers of their factor.
     """
     family_p, family_q = as_family(family_p), as_family(family_q)
     if check_inputs:
@@ -349,6 +353,10 @@ def build_bn_realizer(n: int) -> RealizerFamily:
     c in {0..3}) and composes a copies of the embedded 7-table, b copies of
     the embedded 4-table, and a standard realizer of the remainder via
     repeated product lifting; the realized frequency is 5a + 3b + c.
+
+    The result is not verified here: every factor is a fixed certificate or
+    a standard realizer, and each lifting step preserves the local-realizer
+    property, so callers verify the finished family once if they need to.
     """
     from .fixtures import b4_family, b7_family
 
@@ -366,6 +374,7 @@ def build_bn_realizer(n: int) -> RealizerFamily:
 
     poset, family = factors[0]
     for q_poset, q_family in factors[1:]:
-        family = lift_product(poset, q_poset, family, q_family)
+        family = lift_product(poset, q_poset, family, q_family,
+                              check_inputs=False)
         poset = product(poset, q_poset)
     return family

@@ -73,12 +73,6 @@ class VarMap:
             return 2 * (self._pair_index(ai, bi) * self.k + i - 1) + 1
         return 2 * (self._pair_index(bi, ai) * self.k + i - 1) + 2
 
-    def x(self, a: int, b: int, i: int) -> int:
-        return self.before(a, b, i)
-
-    def y(self, a: int, b: int, i: int) -> int:
-        return self.before(b, a, i)
-
     def z(self, a: int, i: int) -> int:
         self._check_order(i)
         return self.pair_block + self.P.index_of(a) * self.k + i
@@ -158,11 +152,15 @@ def _clauses(P: Poset, vm: VarMap, d: int) -> Iterator[list[int]]:
                 -vm.before(a, b, i), -vm.before(b, c, i), vm.before(a, c, i),
             ]
 
+    # pairs of (index, id); ids[j] sits at index j of the leq matrix
+    leq = P.leq_matrix().tolist()
+    pairs = list(combinations(enumerate(ids), 2))
+
     # comparable pairs: witnessed at least once, never reversed
-    for a, b in combinations(ids, 2):
-        if P.leq(a, b):
+    for (ai, a), (bi, b) in pairs:
+        if leq[ai][bi]:
             lo, hi = a, b
-        elif P.leq(b, a):
+        elif leq[bi][ai]:
             lo, hi = b, a
         else:
             continue
@@ -171,8 +169,8 @@ def _clauses(P: Poset, vm: VarMap, d: int) -> Iterator[list[int]]:
             yield [-vm.before(hi, lo, i)]
 
     # incomparable pairs: both orders occur
-    for a, b in combinations(ids, 2):
-        if not P.leq(a, b) and not P.leq(b, a):
+    for (ai, a), (bi, b) in pairs:
+        if not leq[ai][bi] and not leq[bi][ai]:
             yield [vm.before(a, b, i) for i in orders]
             yield [vm.before(b, a, i) for i in orders]
 
@@ -355,8 +353,7 @@ def run_solver(cnf_path, solver_command=None) -> SolverResult:
     return result
 
 
-def decode_realizer(model, varmap: VarMap, P: Poset,
-                    k: int | None = None) -> RealizerFamily:
+def decode_realizer(model, varmap: VarMap, P: Poset) -> RealizerFamily:
     """Rebuild the realizer family from the true variables of a model.
 
     Order i consists of the elements whose z variable is true, sorted by the
@@ -364,11 +361,8 @@ def decode_realizer(model, varmap: VarMap, P: Poset,
     total order.  Empty orders are dropped.
     """
     model = frozenset(model)
-    k = varmap.k if k is None else k
-    if k != varmap.k:
-        raise ParameterError(f"k={k} does not match the VarMap (k={varmap.k})")
     members = []
-    for i in range(1, k + 1):
+    for i in range(1, varmap.k + 1):
         used = [a for a in P.element_ids() if varmap.z(a, i) in model]
         ranked = sorted(
             used,
@@ -385,6 +379,22 @@ def decode_realizer(model, varmap: VarMap, P: Poset,
     return RealizerFamily(members)
 
 
+def decode_verified(model, varmap: VarMap, P: Poset, d: int) -> RealizerFamily:
+    """Decode a sat model and verify the family against P and frequency d.
+
+    A family that fails verification or exceeds frequency d raises
+    DecodeError, since it signals an encoding or solver inconsistency.
+    """
+    family = decode_realizer(model, varmap, P)
+    report = verify_local_realizer(P, family)
+    if not report.accepted:
+        raise DecodeError("decoded family fails verification")
+    if report.frequency > d:
+        raise DecodeError(
+            f"decoded family has frequency {report.frequency} > d={d}")
+    return family
+
+
 def solve_instance(P: Poset, k: int, d: int, solver_command=None,
                    workdir=None) -> tuple[SolverResult, RealizerFamily | None]:
     """Encode, solve, and decode on sat.
@@ -394,9 +404,8 @@ def solve_instance(P: Poset, k: int, d: int, solver_command=None,
     subprocess.  Otherwise the DIMACS file goes to a temporary directory
     under ``workdir`` and the external solver runs through run_solver.
 
-    The decoded family is re-verified before being returned; a family that
-    fails verification or exceeds frequency d raises DecodeError, since it
-    signals an encoding/solver inconsistency.
+    On sat the family comes from decode_verified, so it is a verified local
+    realizer of frequency at most d.
     """
     if solver_command is None and not os.environ.get(SOLVER_ENV_VAR):
         vm, clauses = iter_clauses(P, k, d)
@@ -411,14 +420,7 @@ def solve_instance(P: Poset, k: int, d: int, solver_command=None,
             result = run_solver(cnf_path, solver_command)
     if result.status != "sat":
         return result, None
-    family = decode_realizer(result.model, vm, P)
-    report = verify_local_realizer(P, family)
-    if not report.accepted:
-        raise DecodeError("decoded family fails verification")
-    if report.frequency > d:
-        raise DecodeError(
-            f"decoded family has frequency {report.frequency} > d={d}")
-    return result, family
+    return result, decode_verified(result.model, vm, P, d)
 
 
 def ldim_certificate(P: Poset, d_max: int | None = None, solver_command=None,

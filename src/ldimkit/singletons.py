@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .posets import SingletonPoset
 from .realizers import RealizerFamily
 
 
@@ -117,8 +116,3 @@ def build_singleton_realizer(n: int, d: int | None = None) -> RealizerFamily:
     SingletonPoset(n) with frequency at most max(2^d + 1, ceil(n/d) + 2).
     """
     return build_singleton_plan(n, d).family()
-
-
-def singleton_poset(n: int) -> SingletonPoset:
-    """Convenience constructor matching the realizer builders."""
-    return SingletonPoset(n)

@@ -149,6 +149,35 @@ def test_solve_offline_model(capsys, tmp_path):
     assert code == 3 and err.startswith("ERROR:environment:")
 
 
+def test_solve_offline_sat_model(capsys, tmp_path):
+    from ldimkit import BooleanLattice, decode_realizer, emit_orders_text
+    from ldimkit.cdcl import solve_clauses
+    from ldimkit.sat import iter_clauses
+
+    P = BooleanLattice(2)
+    vm, clauses = iter_clauses(P, 2, 2)
+    true_vars = solve_clauses(vm.variable_count, clauses)
+    model = tmp_path / "model.txt"
+    args = ("solve", "--poset", "boolean:2", "--k", "2", "--model", str(model))
+
+    def write_model(variables):
+        model.write_text("s SATISFIABLE\nv "
+                         + " ".join(map(str, sorted(variables))) + " 0\n")
+
+    write_model(true_vars)
+    code, out, err = run(capsys, *args, "--d", "2")
+    assert code == 0
+    assert out == emit_orders_text(decode_realizer(true_vars, vm, P))
+    assert err == "status: sat\nfrequency: 2\nsize: 2\n"
+    code, out, err = run(capsys, *args, "--d", "1")
+    assert code == 3
+    assert err.startswith("ERROR:internal: decoded family has frequency 2 > d=1")
+    # without its usage variables the model decodes to an empty family
+    write_model(v for v in true_vars if v <= vm.pair_block)
+    code, out, err = run(capsys, *args, "--d", "2")
+    assert code == 3 and err.startswith("ERROR:internal:") and out == ""
+
+
 def test_solver_environment_error(capsys):
     code, out, err = run(capsys, "solve", "--poset", "chain:2",
                          "--k", "1", "--d", "1",

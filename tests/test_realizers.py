@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ldimkit import realizers
 from ldimkit import (Antichain, BooleanLattice, Chain, ContractError,
                      RangeError, RealizerFamily, SingletonPoset, as_family,
                      b4_family, b7_family, build_bn_realizer,
@@ -172,3 +173,18 @@ def test_build_bn_realizer_small():
         assert rep.frequency <= ceil(5 * n / 7)
         ok, ofreq, _ = oracle.check_family(BooleanLattice(n), fam)
         assert ok and ofreq == rep.frequency
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_build_bn_realizer_does_not_self_verify(monkeypatch, n):
+    from math import ceil
+    expected = build_bn_realizer(n)
+    assert expected.frequency == ceil(5 * n / 7)
+    if n == 8:  # verifying boolean:12 takes seconds
+        assert verify_local_realizer(BooleanLattice(n), expected).accepted
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_bn_realizer verified a family")
+
+    monkeypatch.setattr(realizers, "verify_local_realizer", refuse)
+    assert build_bn_realizer(n) == expected

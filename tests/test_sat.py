@@ -30,8 +30,8 @@ def test_varmap_layout_and_bijection():
                 var = vm.before(a, b, i)
                 assert 1 <= var <= vm.pair_block
                 seen.add(var)
-                # aliasing: x(a,b,i) and y(b,a,i) are the same variable
-                assert vm.x(a, b, i) == vm.y(b, a, i) == var
+                # the reverse orientation is a variable of its own
+                assert vm.before(b, a, i) != var
     assert seen == set(range(1, vm.pair_block + 1))
     zs = {vm.z(a, i) for a in P.element_ids() for i in (1, 2)}
     assert zs == set(range(vm.pair_block + 1, vm.variable_count + 1))
@@ -46,9 +46,9 @@ def test_varmap_describe_inverse():
             assert b is None
             assert vm.z(a, i) == var
         elif role == "x":
-            assert vm.x(a, b, i) == var
+            assert vm.before(a, b, i) == var
         else:
-            assert vm.y(a, b, i) == var
+            assert vm.before(b, a, i) == var
     with pytest.raises(ParameterError):
         vm.describe(0)
     with pytest.raises(ParameterError):
