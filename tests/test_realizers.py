@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -188,3 +190,316 @@ def test_build_bn_realizer_does_not_self_verify(monkeypatch, n):
 
     monkeypatch.setattr(realizers, "verify_local_realizer", refuse)
     assert build_bn_realizer(n) == expected
+
+
+# ------------------------------------------------------------ golden reports
+#
+# Reports pinned from the dense verifier that preceded the bit-packed one:
+# any change to which violations are listed, their order or the JSON layout
+# shows here.  Every report is pinned by the SHA-256 of its to_json(indent=2)
+# text at caps 1, 3 and 100; the cap-1 texts are also spelled out.
+
+GOLDEN_CASES = (
+    "b4-swapped", "b4-dropped", "b4-repeated", "b4-shuffled",
+    "b7-swapped", "b7-dropped", "b7-repeated", "b7-shuffled",
+    "antichain30-empty", "chain4-reversed",
+)
+
+
+def _golden_case(name):
+    if name == "antichain30-empty":
+        return Antichain(30), []
+    if name == "chain4-reversed":
+        return Chain(4), [(3, 2, 1, 0)]
+    base, fault = name.split("-")
+    P, members = {"b4": (BooleanLattice(4), b4_family()),
+                  "b7": (BooleanLattice(7), b7_family())}[base]
+    members = [list(m) for m in members]
+    if fault == "swapped":  # first comparable pair of member 0, placed p < q
+        m = members[0]
+        p, q = next((p, q) for p in range(len(m)) for q in range(p + 1, len(m))
+                    if P.leq(m[p], m[q]))
+        m[p], m[q] = m[q], m[p]
+    elif fault == "dropped":
+        members.pop()
+    elif fault == "repeated":
+        members[1].append(members[1][2])
+    else:
+        rng = random.Random(7)
+        for m in members:
+            rng.shuffle(m)
+    return P, [tuple(m) for m in members]
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_golden_reports(name):
+    P, family = _golden_case(name)
+    for cap, digest in zip((1, 3, 100), GOLDEN_SHA256[name]):
+        text = verify_local_realizer(
+            P, family, max_violations_per_kind=cap).to_json(indent=2)
+        if cap == 1:
+            assert text == GOLDEN_CAP_1[name]
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (cap, text)
+
+
+GOLDEN_SHA256 = {
+    "b4-swapped": (
+        "a45320dc1a8b0605d52cfdf6cb05fc0c60c0123e1eab8f5f0eaecd7b604ab93e",
+        "a45320dc1a8b0605d52cfdf6cb05fc0c60c0123e1eab8f5f0eaecd7b604ab93e",
+        "a45320dc1a8b0605d52cfdf6cb05fc0c60c0123e1eab8f5f0eaecd7b604ab93e",
+    ),
+    "b4-dropped": (
+        "afa62ad099d12374efea393938d5c903af5877ff7724e5c741107a8b88b8063d",
+        "3860b6a59de656fe541a137e3ed5e1987826ddc81ec31eb448486b78f6637d12",
+        "570e19c47d89e25c4fa708e68f28ca0cf6b4c0bd8e035a89616dd80b2475933c",
+    ),
+    "b4-repeated": (
+        "8e5bf3e9142f6b6ea5e94c107dc05c1507d1e30e2aeb3056736ec5e696246dfd",
+        "8e5bf3e9142f6b6ea5e94c107dc05c1507d1e30e2aeb3056736ec5e696246dfd",
+        "8e5bf3e9142f6b6ea5e94c107dc05c1507d1e30e2aeb3056736ec5e696246dfd",
+    ),
+    "b4-shuffled": (
+        "cf47693215ad070aaa06dffde105d9a517cfac2ca8b18abb4772a9668f19e6a6",
+        "8b838969de06f1dfba155478097807aed8b4000c64f176c32df02444f9df2936",
+        "c6b4bd333434351c271f9dd4c7d09eaa2ba0923684d446383683d241abdeb950",
+    ),
+    "b7-swapped": (
+        "f742eb8b255be1d0241afdbc31fc182f8822a58837ba5a22d5d17263af970b10",
+        "e1c97fbca1fc7edefd75b9386de04ac951d1760652a2ceb806bd85f7d33f7751",
+        "e1c97fbca1fc7edefd75b9386de04ac951d1760652a2ceb806bd85f7d33f7751",
+    ),
+    "b7-dropped": (
+        "0c4fbdf700b1e5b32109e60565a581a91c79d679447bf0ff8057da7ef0fefb2e",
+        "14516b47437a11fc280968e934995f6869e51cb661b203e777e8c5f60bcf0cbc",
+        "785bd2716cad89b8a5ea641bfed97a41b5be98cfd367cc95acd910bb6261e802",
+    ),
+    "b7-repeated": (
+        "6e06f1e94171f878aa6fd0b7774f4a2b28d5070e0023ba4f626093efd315547a",
+        "6e06f1e94171f878aa6fd0b7774f4a2b28d5070e0023ba4f626093efd315547a",
+        "6e06f1e94171f878aa6fd0b7774f4a2b28d5070e0023ba4f626093efd315547a",
+    ),
+    "b7-shuffled": (
+        "3bed628139ab6892a41f82b731149d5c059ea437b00ac3e96c45e1ac2aa00ede",
+        "f31c335aa94cb0a679aecf668a1c6e81dd8cb37a6a9d6217e96910750cce3ba2",
+        "81a87b33c4fd3e649ac7c0f6b215f2b853ad51b752a843dd07f805728cdeb1b5",
+    ),
+    "antichain30-empty": (
+        "2677af37a9af13b93bbc02372eb22160c321d355c5c9c9f65e0c8f5c0168b5c7",
+        "69df0f2c9e9c29b2d44781a8ccc9231ba32a83df846eade69d12acefbb626ce9",
+        "0a99fd439ee6a8cfb719158e9fd0d42d235c8a6f826ba87b4b4572a035c3536e",
+    ),
+    "chain4-reversed": (
+        "b0f57303c353a8094b0d436fe6966e3b5da130f7f71f11f5ff572618d13a1fd1",
+        "e311edb3512387d1e0985879e2c86d64f308fe27dfa887278533e9e0036e1272",
+        "d1862da274ac91c3d3dad15248abc95dd19204e3b1e2075db4d5d51ddd85f2f7",
+    ),
+}
+
+GOLDEN_CAP_1 = {
+    "b4-swapped": """\
+{
+  "accepted": false,
+  "frequency": 3,
+  "size": 4,
+  "violations": [
+    {
+      "kind": "comparable-pair-reversed",
+      "a": 0,
+      "b": 8,
+      "ple": 0
+    },
+    {
+      "kind": "order-violation-in-ple",
+      "a": 0,
+      "b": 8,
+      "ple": 0
+    }
+  ]
+}""",
+    "b4-dropped": """\
+{
+  "accepted": false,
+  "frequency": 3,
+  "size": 3,
+  "violations": [
+    {
+      "kind": "incomparable-pair-one-sided",
+      "a": 1,
+      "b": 2,
+      "ple": null
+    }
+  ]
+}""",
+    "b4-repeated": """\
+{
+  "accepted": false,
+  "frequency": 3,
+  "size": 4,
+  "violations": [
+    {
+      "kind": "duplicate-in-ple",
+      "a": 5,
+      "b": 5,
+      "ple": 1
+    }
+  ]
+}""",
+    "b4-shuffled": """\
+{
+  "accepted": false,
+  "frequency": 3,
+  "size": 4,
+  "violations": [
+    {
+      "kind": "comparable-pair-never-witnessed",
+      "a": 0,
+      "b": 2,
+      "ple": null
+    },
+    {
+      "kind": "comparable-pair-reversed",
+      "a": 0,
+      "b": 1,
+      "ple": 2
+    },
+    {
+      "kind": "incomparable-pair-one-sided",
+      "a": 1,
+      "b": 10,
+      "ple": null
+    },
+    {
+      "kind": "order-violation-in-ple",
+      "a": 4,
+      "b": 14,
+      "ple": 0
+    }
+  ]
+}""",
+    "b7-swapped": """\
+{
+  "accepted": false,
+  "frequency": 5,
+  "size": 7,
+  "violations": [
+    {
+      "kind": "comparable-pair-reversed",
+      "a": 1,
+      "b": 33,
+      "ple": 0
+    },
+    {
+      "kind": "order-violation-in-ple",
+      "a": 1,
+      "b": 33,
+      "ple": 0
+    }
+  ]
+}""",
+    "b7-dropped": """\
+{
+  "accepted": false,
+  "frequency": 5,
+  "size": 6,
+  "violations": [
+    {
+      "kind": "comparable-pair-never-witnessed",
+      "a": 0,
+      "b": 2,
+      "ple": null
+    },
+    {
+      "kind": "incomparable-pair-one-sided",
+      "a": 2,
+      "b": 68,
+      "ple": null
+    }
+  ]
+}""",
+    "b7-repeated": """\
+{
+  "accepted": false,
+  "frequency": 5,
+  "size": 7,
+  "violations": [
+    {
+      "kind": "duplicate-in-ple",
+      "a": 34,
+      "b": 34,
+      "ple": 1
+    }
+  ]
+}""",
+    "b7-shuffled": """\
+{
+  "accepted": false,
+  "frequency": 5,
+  "size": 7,
+  "violations": [
+    {
+      "kind": "comparable-pair-never-witnessed",
+      "a": 0,
+      "b": 2,
+      "ple": null
+    },
+    {
+      "kind": "comparable-pair-reversed",
+      "a": 0,
+      "b": 2,
+      "ple": 6
+    },
+    {
+      "kind": "incomparable-pair-one-sided",
+      "a": 1,
+      "b": 30,
+      "ple": null
+    },
+    {
+      "kind": "order-violation-in-ple",
+      "a": 15,
+      "b": 31,
+      "ple": 0
+    }
+  ]
+}""",
+    "antichain30-empty": """\
+{
+  "accepted": false,
+  "frequency": 0,
+  "size": 0,
+  "violations": [
+    {
+      "kind": "pair-never-co-occurs",
+      "a": 0,
+      "b": 1,
+      "ple": null
+    }
+  ]
+}""",
+    "chain4-reversed": """\
+{
+  "accepted": false,
+  "frequency": 1,
+  "size": 1,
+  "violations": [
+    {
+      "kind": "comparable-pair-never-witnessed",
+      "a": 0,
+      "b": 1,
+      "ple": null
+    },
+    {
+      "kind": "comparable-pair-reversed",
+      "a": 0,
+      "b": 1,
+      "ple": 0
+    },
+    {
+      "kind": "order-violation-in-ple",
+      "a": 2,
+      "b": 3,
+      "ple": 0
+    }
+  ]
+}""",
+}
