@@ -167,8 +167,14 @@ class BooleanLattice(Poset):
         return a.bit_count()
 
     def _build_leq_matrix(self) -> np.ndarray:
+        # filled in row blocks: a whole-matrix uint32 temporary would be four
+        # times the size of the result
         ids = np.arange(self.ground_size, dtype=np.uint32)
-        return (ids[:, None] | ids[None, :]) == ids[None, :]
+        mat = np.empty((self.ground_size, self.ground_size), dtype=bool)
+        for start in range(0, self.ground_size, 256):
+            rows = ids[start:start + 256, None]
+            np.equal(rows | ids, ids, out=mat[start:start + 256])
+        return mat
 
 
 class SingletonPoset(Poset):

@@ -142,20 +142,55 @@ def size(family) -> int:
     return as_family(family).size
 
 
-def _argwhere_capped(mask: np.ndarray, cap: int) -> tuple[int, list[tuple[int, int]]]:
-    """Total count of true cells plus at most ``cap`` of their coordinates,
-    scanned in row-major order without materializing every coordinate."""
-    count = int(mask.sum())
-    coords: list[tuple[int, int]] = []
-    if count:
-        step = 2048
-        for start in range(0, mask.shape[0], step):
-            if len(coords) >= cap:
-                break
-            block = np.argwhere(mask[start:start + step])
-            for i, j in block[:cap - len(coords)]:
-                coords.append((int(i) + start, int(j)))
-    return count, coords
+_ONE = np.uint64(1)
+
+
+def _strict_up(leq: np.ndarray) -> np.ndarray:
+    """Rows of ``leq`` minus the diagonal, packed into uint64 words: column j
+    is bit j % 64 of word j // 64."""
+    n = leq.shape[0]
+    up = np.zeros((n, 8 * ((n + 63) // 64)), dtype=np.uint8)
+    up[:, :(n + 7) // 8] = np.packbits(leq, axis=1, bitorder="little")
+    up = up.view("<u8")
+    idx = np.arange(n)
+    up[idx, idx >> 6] &= ~(_ONE << (idx & 63).astype(np.uint64))
+    return up
+
+
+def _transpose_bits(rows: np.ndarray) -> np.ndarray:
+    """Transpose of a packed N x N bit matrix, done on 8 x 8 bit tiles held
+    in one uint64 each (row r, column c at bit 8r + c).  Packing ``leq.T``
+    instead strides through memory: 0.45 s against 0.1 s at N = 8191."""
+    n, words = rows.shape
+    size = 64 * words
+    tiles = np.zeros((size, words), dtype="<u8")
+    tiles[:n] = rows
+    tiles = np.ascontiguousarray(  # tile (i, j): byte column j of rows 8i..8i+7
+        tiles.view(np.uint8).reshape(size // 8, 8, -1).transpose(0, 2, 1))
+    tiles = tiles.view("<u8")[..., 0]
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                        (28, 0x00000000F0F0F0F0)):
+        t = (tiles ^ (tiles >> np.uint64(shift))) & np.uint64(mask)
+        tiles ^= t ^ (t << np.uint64(shift))
+    out = tiles.view(np.uint8).reshape(size // 8, -1, 8).transpose(1, 2, 0)
+    return np.ascontiguousarray(out).reshape(size, -1).view("<u8")[:n]
+
+
+def _placed_so_far(arr: np.ndarray, words: int) -> np.ndarray:
+    """Row q: the packed set of elements arr[0..q]."""
+    placed = np.zeros((arr.size, words), dtype=np.uint64)
+    placed[np.arange(arr.size), arr >> 6] = _ONE << (arr & 63).astype(np.uint64)
+    return np.bitwise_or.accumulate(placed, axis=0, out=placed)
+
+
+def _set_bits(mask: np.ndarray, cap: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Number of set bits in a packed matrix, plus the (row, column) of every
+    set bit in its first ``cap`` nonzero rows, in row-major order."""
+    rows = np.flatnonzero(mask.any(axis=1))[:cap]
+    bits = np.unpackbits(mask[rows].astype("<u8", copy=False).view(np.uint8),
+                         axis=1, bitorder="little")
+    r, cols = np.nonzero(bits)
+    return int(np.bitwise_count(mask).sum()), rows[r], cols
 
 
 class _ViolationLog:
@@ -181,31 +216,29 @@ class _ViolationLog:
             key=lambda v: (v.kind, v.a, v.b, -1 if v.ple is None else v.ple)))
 
 
-def _check_member(P: Poset, leq: np.ndarray, ple: Ple, i: int,
-                  log: _ViolationLog) -> np.ndarray:
-    """Validate one member; returns its element indices (deduplicated,
-    in placement order) for aggregate bookkeeping."""
+def _scan_member(P: Poset, up: np.ndarray, ple: Ple, i: int,
+                 log: _ViolationLog) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one member against the packed strict up-sets ``up``; returns
+    its element indices (deduplicated, in placement order) and their
+    ``_placed_so_far`` rows."""
     arr = P.indices_of(np.asarray(ple, dtype=np.int64))
-    if arr.size == 0:
-        return arr
-    uniq, first_pos = np.unique(arr, return_index=True)
-    if uniq.size != arr.size:
-        counts = np.bincount(arr, minlength=P.ground_size)
-        for idx in np.flatnonzero(counts > 1):
-            a = P.id_at(int(idx))
-            log.add(DUPLICATE_IN_PLE, a, a, i)
-        arr = arr[np.sort(first_pos)]
-    if arr.size >= 2:
-        sub = leq[np.ix_(arr, arr)]
-        # position p < q means arr[p] placed first; arr[q] <= arr[p] in P is
-        # a reversal (strictness is automatic: diagonal is excluded and
-        # duplicates were removed above)
-        count, coords = _argwhere_capped(np.tril(sub, -1), log.cap)
-        for q, p in coords:
-            log.add(ORDER_VIOLATION_IN_PLE,
-                    P.id_at(int(arr[q])), P.id_at(int(arr[p])), i)
-        log.totals[ORDER_VIOLATION_IN_PLE] += count - len(coords)
-    return arr
+    uniq, first_pos, counts = np.unique(arr, return_index=True,
+                                        return_counts=True)
+    for idx in uniq[counts > 1]:
+        a = P.id_at(int(idx))
+        log.add(DUPLICATE_IN_PLE, a, a, i)
+    arr = arr[np.sort(first_pos)]
+    placed = _placed_so_far(arr, up.shape[1])
+    # b placed before arr[q] although arr[q] < b in P
+    count, q, b = _set_bits(placed & up[arr], log.cap)
+    order = np.argsort(arr)
+    p = order[np.searchsorted(arr, b, sorter=order)]
+    listed = np.lexsort((p, q))[:log.cap]
+    for k in listed:
+        log.add(ORDER_VIOLATION_IN_PLE, P.id_at(int(arr[q[k]])),
+                P.id_at(int(b[k])), i)
+    log.totals[ORDER_VIOLATION_IN_PLE] += count - listed.size
+    return arr, placed
 
 
 def _first_reversing_member(P: Poset, family: RealizerFamily,
@@ -224,7 +257,7 @@ def validate_ple(P: Poset, ple: Sequence[int],
     ple = tuple(ple)
     log = _ViolationLog(max_violations_per_kind)
     if ple:
-        _check_member(P, P.leq_matrix(), ple, 0, log)
+        _scan_member(P, _strict_up(P.leq_matrix()), ple, 0, log)
     return VerificationReport(
         accepted=log.clean,
         frequency=1 if ple else 0,
@@ -244,49 +277,71 @@ def verify_local_realizer(P: Poset, family,
     orders across the family, and (iv) every strictly comparable pair is
     witnessed in order and never reversed.  Violations are reported per kind,
     canonically sorted, capped at ``max_violations_per_kind`` each.
+
+    Pair bookkeeping is bit-packed: a set of elements is a row of
+    W = ceil(N/64) uint64 words, element index j at bit j % 64 of word
+    j // 64, so each N-row matrix below takes N*W*8 bytes instead of N*N.
+    ``up`` holds each element's strict up-set, packed once from
+    ``P.leq_matrix()``; its bit transpose gives the strict down-sets, and
+    both give the incomparable pairs.  Each member is scanned once: OR-
+    accumulating one-hot rows of its deduplicated placements gives, for
+    each position q, the elements placed at or before q; AND-ed with the
+    up-set of the element at q, that is q's order violations.  The same
+    rows are OR-ed into ``earlier`` (placed before x in some member) and
+    their complement within the member into ``later``.  The pair checks
+    are then word operations (never witnessed ``up & ~later``, reversed
+    ``up & earlier``, never co-occurring ``incomparable & ~(earlier |
+    later)``, one-sided ``incomparable & (earlier ^ later)``), and
+    coordinates are decoded only from nonzero rows.
+
+    The capped violations listed for each kind are the first ones in this
+    order: duplicates by member, then element index; order violations by
+    member, then the position of the later-placed element, then that of the
+    earlier one; pair violations by element index (a, then b).  Only listed
+    reversed pairs are traced back to the first member that reverses them.
+    The listed violations are then sorted by (kind, a, b, ple).
     """
     family = as_family(family)
     N = P.ground_size
     leq = P.leq_matrix()
     log = _ViolationLog(max_violations_per_kind)
 
-    before = np.zeros((N, N), dtype=bool)
+    up = _strict_up(leq)
+    # the same scan over all elements in index order: row i holds 0..i
+    triangle = _placed_so_far(np.arange(N), up.shape[1])
+    # incomparable pairs, deduplicated to index-ascending orientation
+    incomparable = triangle[-1] & ~triangle & ~(up | _transpose_bits(up))
+    del triangle
+    earlier = np.zeros_like(up)
+    later = np.zeros_like(up)
     occurrences = np.zeros(N, dtype=np.int64)
     for i, ple in enumerate(family.ples):
-        arr = _check_member(P, leq, ple, i, log)
+        arr, placed = _scan_member(P, up, ple, i, log)
         if arr.size == 0:
             continue
         occurrences[arr] += 1
-        if arr.size >= 2:
-            placed = np.triu(np.ones((arr.size, arr.size), dtype=bool), 1)
-            before[np.ix_(arr, arr)] |= placed
+        earlier[arr] |= placed  # sets the diagonal too, which no mask reads
+        later[arr] |= placed[-1] & ~placed
 
     if N == 1:
         lone = P.id_at(0)
         if occurrences[0] == 0:
             log.add(PAIR_NEVER_CO_OCCURS, lone, lone)
     else:
-        eye = np.eye(N, dtype=bool)
-        strict = leq & ~eye
-        co_occurs = before | before.T
-
         def report_pairs(kind: str, mask: np.ndarray, with_member: bool = False):
-            count, coords = _argwhere_capped(mask, max_violations_per_kind)
-            for ai, bi in coords:
-                a, b = P.id_at(ai), P.id_at(bi)
+            count, rows, cols = _set_bits(mask, log.cap)
+            rows, cols = rows[:log.cap], cols[:log.cap]
+            for ai, bi in zip(rows, cols):
+                a, b = P.id_at(int(ai)), P.id_at(int(bi))
                 member = _first_reversing_member(P, family, a, b) if with_member else None
                 log.add(kind, a, b, member)
-            log.totals[kind] += count - len(coords)
+            log.totals[kind] += count - rows.size
 
-        # comparable pairs, oriented a < b in P by construction of `strict`
-        report_pairs(COMPARABLE_PAIR_NEVER_WITNESSED, strict & ~before)
-        report_pairs(COMPARABLE_PAIR_REVERSED, strict & before.T, with_member=True)
-
-        # incomparable pairs, deduplicated to index-ascending orientation
-        incomparable = np.triu(~(leq | leq.T), 1)
-        report_pairs(PAIR_NEVER_CO_OCCURS, incomparable & ~co_occurs)
-        report_pairs(INCOMPARABLE_PAIR_ONE_SIDED,
-                     incomparable & co_occurs & ~(before & before.T))
+        # comparable pairs, oriented a < b in P by construction of `up`
+        report_pairs(COMPARABLE_PAIR_NEVER_WITNESSED, up & ~later)
+        report_pairs(COMPARABLE_PAIR_REVERSED, up & earlier, with_member=True)
+        report_pairs(PAIR_NEVER_CO_OCCURS, incomparable & ~(earlier | later))
+        report_pairs(INCOMPARABLE_PAIR_ONE_SIDED, incomparable & (earlier ^ later))
 
     return VerificationReport(
         accepted=log.clean,

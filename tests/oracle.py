@@ -79,3 +79,56 @@ def brute_max_independent(n: int, edges) -> int:
 
 def brute_leq_boolean(a: int, b: int) -> bool:
     return (a | b) == b
+
+
+def violations(P, family) -> dict[str, list[tuple]]:
+    """Every violation of each kind as (a, b, ple), by brute force over
+    positions, in the order whose first entries a capped report lists:
+    duplicates by member, then id; order violations by member, then the
+    position of the later-placed element, then the earlier one; pair
+    violations by (a, b).  Repeated elements count at their first position."""
+    found: dict[str, list[tuple]] = {k: [] for k in (
+        "duplicate-in-ple", "order-violation-in-ple", "pair-never-co-occurs",
+        "comparable-pair-reversed", "comparable-pair-never-witnessed",
+        "incomparable-pair-one-sided")}
+    members = [list(m) for m in family]
+    firsts = []
+    for i, member in enumerate(members):
+        for a in sorted(set(member)):
+            if member.count(a) > 1:
+                found["duplicate-in-ple"].append((a, a, i))
+        seen: list[int] = []
+        for a in member:
+            if a not in seen:
+                seen.append(a)
+        for q, a in enumerate(seen):
+            for b in seen[:q]:
+                if P.leq(a, b):
+                    found["order-violation-in-ple"].append((a, b, i))
+        firsts.append({a: pos for pos, a in enumerate(seen)})
+
+    ids = list(P.element_ids())
+    if len(ids) == 1:
+        if not any(ids[0] in pos for pos in firsts):
+            found["pair-never-co-occurs"].append((ids[0], ids[0], None))
+        return found
+    for a in ids:
+        for b in ids:
+            if a == b:
+                continue
+            ab = any(a in pos and b in pos and pos[a] < pos[b] for pos in firsts)
+            ba = any(a in pos and b in pos and pos[b] < pos[a] for pos in firsts)
+            if P.leq(a, b):
+                if not ab:
+                    found["comparable-pair-never-witnessed"].append((a, b, None))
+                if ba:  # the first member with some b before some a
+                    first = next(i for i, m in enumerate(members)
+                                 if any(x == b and a in m[k + 1:]
+                                        for k, x in enumerate(m)))
+                    found["comparable-pair-reversed"].append((a, b, first))
+            elif a < b and not P.leq(b, a):
+                if not (ab or ba):
+                    found["pair-never-co-occurs"].append((a, b, None))
+                elif not (ab and ba):
+                    found["incomparable-pair-one-sided"].append((a, b, None))
+    return found

@@ -72,6 +72,16 @@ def test_malformed_orders_is_usage_error(capsys, tmp_path):
     assert code == 2 and err.startswith("ERROR:usage:")
 
 
+def test_oversize_poset_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "b16.orders"
+    path.write_text("0 1\n")
+    code, out, err = run(capsys, "verify", "--poset", "boolean:16",
+                         "--orders", str(path))
+    assert code == 2 and out == ""
+    assert err == ("ERROR:usage: boolean:16: comparability matrix would "
+                   "need 4294967296 cells\n")
+
+
 def test_out_of_range_orders_is_input_error(capsys, tmp_path):
     path = tmp_path / "bad.orders"
     path.write_text("0 9\n")

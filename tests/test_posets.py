@@ -101,6 +101,14 @@ def test_leq_matrix_agrees_with_scalar():
                 assert M[i, j] == P.leq(a, b), (P.kind, a, b)
 
 
+def test_boolean_leq_matrix_row_blocks():
+    # 512 elements span two of the row blocks the matrix is filled in
+    ids = np.arange(512)
+    M = BooleanLattice(9).leq_matrix()
+    assert M.dtype == bool and M.shape == (512, 512)
+    assert np.array_equal(M, (ids[:, None] | ids[None, :]) == ids[None, :])
+
+
 def test_product_structure():
     P = product(BooleanLattice(2), Chain(3))
     assert P.ground_size == 12

@@ -1,19 +1,26 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldimkit import realizers
+import numpy as np
 from ldimkit import (Antichain, BooleanLattice, Chain, ContractError,
-                     RangeError, RealizerFamily, SingletonPoset, as_family,
-                     b4_family, b7_family, build_bn_realizer,
-                     build_standard_realizer, frequency, lift_product,
-                     product, size, validate_ple, verify_local_realizer)
+                     ParameterError, Poset, RangeError, RealizerFamily,
+                     SingletonPoset, as_family, b4_family, b7_family,
+                     build_bn_realizer, build_poset, build_singleton_realizer,
+                     build_standard_realizer, canonical_linear_extension,
+                     frequency, lift_product, product, size, validate_ple,
+                     verify_local_realizer)
 from ldimkit.realizers import (COMPARABLE_PAIR_NEVER_WITNESSED,
                                COMPARABLE_PAIR_REVERSED, DUPLICATE_IN_PLE,
                                INCOMPARABLE_PAIR_ONE_SIDED,
-                               ORDER_VIOLATION_IN_PLE, PAIR_NEVER_CO_OCCURS)
+                               ORDER_VIOLATION_IN_PLE, PAIR_NEVER_CO_OCCURS,
+                               Violation)
 
 from tests import oracle
 
@@ -190,6 +197,127 @@ def test_build_bn_realizer_does_not_self_verify(monkeypatch, n):
 
     monkeypatch.setattr(realizers, "verify_local_realizer", refuse)
     assert build_bn_realizer(n) == expected
+
+
+def test_oversize_poset_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError):
+            verify_local_realizer(BooleanLattice(16), [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_bit_transpose():
+    rng = np.random.default_rng(5)
+    for n in (1, 7, 64, 65, 200):
+        M = rng.random((n, n)) < 0.3
+        packed = realizers._strict_up(M)
+        assert np.array_equal(realizers._transpose_bits(packed),
+                              realizers._strict_up(M.T))
+
+
+# ------------------------------------------------- property test vs. oracle
+
+
+class _Relabelled(Poset):
+    """A poset with its ids permuted, so that id order is no longer a linear
+    extension (it is one for every built-in kind)."""
+
+    def __init__(self, base: Poset):
+        self.kind = f"relabelled-{base.kind}"
+        self.ground_size, self.id_offset = base.ground_size, base.id_offset
+        ids = list(base.element_ids())
+        self.to_base = dict(zip(ids, random.Random(3).sample(ids, len(ids))))
+        self.base = base
+
+    def leq(self, a, b):
+        return self.base.leq(self.to_base[a], self.to_base[b])
+
+    def rank_key(self, a):
+        return self.base.rank_key(self.to_base[a])
+
+    def _build_leq_matrix(self):
+        idx = [self.base.index_of(self.to_base[a]) for a in self.element_ids()]
+        return self.base.leq_matrix()[np.ix_(idx, idx)]
+
+
+PROPERTY_POSETS = ("chain:1", "chain:4", "antichain:1", "antichain:5",
+                   "boolean:2", "boolean:3", "boolean:4", "singleton:3",
+                   "singleton:4", "multiset-singleton:2:3",
+                   "relabelled-boolean:3", "relabelled-singleton:4")
+MUTATIONS = ("drop-member", "omit", "reverse", "swap", "repeat")
+
+
+def _base_family(P):
+    """A local realizer where one is at hand, so that mutations land near
+    valid families; two opposite-within-rank orders otherwise."""
+    if isinstance(P, BooleanLattice):
+        return build_standard_realizer(P.n)
+    if isinstance(P, SingletonPoset):
+        return build_singleton_realizer(P.n)
+    canon = canonical_linear_extension(P)
+    return [canon, sorted(canon, key=lambda a: (P.rank_key(a), -a))]
+
+
+@st.composite
+def families(draw):
+    spec = draw(st.sampled_from(PROPERTY_POSETS))
+    if spec.startswith("relabelled-"):
+        P = _Relabelled(build_poset(spec.removeprefix("relabelled-")))
+    else:
+        P = build_poset(spec)
+    ids = list(P.element_ids())
+    members = [list(m) for m in _base_family(P)] if draw(st.booleans()) else []
+    members += draw(st.lists(st.permutations(ids), max_size=2))
+    members += draw(st.lists(st.lists(st.sampled_from(ids),
+                                      max_size=len(ids) + 2), max_size=2))
+    for op, x, y in draw(st.lists(st.tuples(
+            st.sampled_from(MUTATIONS), st.integers(0, 99), st.integers(0, 99)),
+            max_size=4)):
+        if not members:
+            break
+        m = members[x % len(members)]
+        if op == "drop-member":
+            members.remove(m)
+        elif op == "reverse":
+            m.reverse()
+        elif m and op == "omit":
+            del m[y % len(m)]
+        elif m and op == "swap":
+            j, k = y % len(m), x % len(m)
+            m[j], m[k] = m[k], m[j]
+        elif m and op == "repeat":
+            m.insert(y % (len(m) + 1), m[x % len(m)])
+    cap = draw(st.sampled_from((1, 3, 100)))
+    return P, [tuple(m) for m in members], cap
+
+
+def _expected(found, kinds, cap):
+    return tuple(sorted(
+        (Violation(kind, a, b, ple) for kind in kinds
+         for a, b, ple in found[kind][:cap]),
+        key=lambda v: (v.kind, v.a, v.b, -1 if v.ple is None else v.ple)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_verifier_matches_oracle(case):
+    P, family, cap = case
+    rep = verify_local_realizer(P, family, max_violations_per_kind=cap)
+    assert (rep.accepted, rep.frequency, rep.size) == oracle.check_family(P, family)
+    found = oracle.violations(P, family)
+    assert rep.violations == _expected(found, found, cap)
+    assert rep.accepted == (not any(found.values()))
+
+    member = family[0] if family else tuple(P.element_ids())[::-1]
+    rep = validate_ple(P, member, max_violations_per_kind=cap)
+    found = oracle.violations(P, [member])
+    scan = (DUPLICATE_IN_PLE, ORDER_VIOLATION_IN_PLE)
+    assert rep.violations == _expected(found, scan, cap)
+    assert rep.accepted == (not any(found[k] for k in scan))
 
 
 # ------------------------------------------------------------ golden reports
