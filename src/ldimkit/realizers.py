@@ -160,7 +160,8 @@ def _strict_up(leq: np.ndarray) -> np.ndarray:
 def _transpose_bits(rows: np.ndarray) -> np.ndarray:
     """Transpose of a packed N x N bit matrix, done on 8 x 8 bit tiles held
     in one uint64 each (row r, column c at bit 8r + c).  Packing ``leq.T``
-    instead strides through memory: 0.45 s against 0.1 s at N = 8191."""
+    instead reads the bool matrix column-wise, which is several times
+    slower from N = 8191 on."""
     n, words = rows.shape
     size = 64 * words
     tiles = np.zeros((size, words), dtype="<u8")
@@ -186,11 +187,14 @@ def _placed_so_far(arr: np.ndarray, words: int) -> np.ndarray:
 def _set_bits(mask: np.ndarray, cap: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Number of set bits in a packed matrix, plus the (row, column) of every
     set bit in its first ``cap`` nonzero rows, in row-major order."""
+    count = int(np.bitwise_count(mask).sum())
+    if not count:
+        return 0, np.empty(0, np.intp), np.empty(0, np.intp)
     rows = np.flatnonzero(mask.any(axis=1))[:cap]
     bits = np.unpackbits(mask[rows].astype("<u8", copy=False).view(np.uint8),
                          axis=1, bitorder="little")
     r, cols = np.nonzero(bits)
-    return int(np.bitwise_count(mask).sum()), rows[r], cols
+    return count, rows[r], cols
 
 
 class _ViolationLog:
@@ -231,13 +235,14 @@ def _scan_member(P: Poset, up: np.ndarray, ple: Ple, i: int,
     placed = _placed_so_far(arr, up.shape[1])
     # b placed before arr[q] although arr[q] < b in P
     count, q, b = _set_bits(placed & up[arr], log.cap)
-    order = np.argsort(arr)
-    p = order[np.searchsorted(arr, b, sorter=order)]
-    listed = np.lexsort((p, q))[:log.cap]
-    for k in listed:
-        log.add(ORDER_VIOLATION_IN_PLE, P.id_at(int(arr[q[k]])),
-                P.id_at(int(b[k])), i)
-    log.totals[ORDER_VIOLATION_IN_PLE] += count - listed.size
+    if count:
+        order = np.argsort(arr)
+        p = order[np.searchsorted(arr, b, sorter=order)]
+        listed = np.lexsort((p, q))[:log.cap]
+        for k in listed:
+            log.add(ORDER_VIOLATION_IN_PLE, P.id_at(int(arr[q[k]])),
+                    P.id_at(int(b[k])), i)
+        log.totals[ORDER_VIOLATION_IN_PLE] += count - listed.size
     return arr, placed
 
 
