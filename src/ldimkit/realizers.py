@@ -145,15 +145,15 @@ def size(family) -> int:
 _ONE = np.uint64(1)
 
 
-def _strict_up(leq: np.ndarray) -> np.ndarray:
-    """Rows of ``leq`` minus the diagonal, packed into uint64 words: column j
-    is bit j % 64 of word j // 64."""
-    n = leq.shape[0]
-    up = np.zeros((n, 8 * ((n + 63) // 64)), dtype=np.uint8)
-    up[:, :(n + 7) // 8] = np.packbits(leq, axis=1, bitorder="little")
+def _strict_up(leq: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Rows ``leq[rows]`` minus the diagonal, packed into uint64 words:
+    column j is bit j % 64 of word j // 64."""
+    n = leq.shape[1]
+    idx = np.arange(n)[rows]
+    up = np.zeros((idx.size, 8 * ((n + 63) // 64)), dtype=np.uint8)
+    up[:, :(n + 7) // 8] = np.packbits(leq[rows], axis=1, bitorder="little")
     up = up.view("<u8")
-    idx = np.arange(n)
-    up[idx, idx >> 6] &= ~(_ONE << (idx & 63).astype(np.uint64))
+    up[np.arange(idx.size), idx >> 6] &= ~(_ONE << (idx & 63).astype(np.uint64))
     return up
 
 
@@ -220,11 +220,11 @@ class _ViolationLog:
             key=lambda v: (v.kind, v.a, v.b, -1 if v.ple is None else v.ple)))
 
 
-def _scan_member(P: Poset, up: np.ndarray, ple: Ple, i: int,
+def _scan_member(P: Poset, up_rows, ple: Ple, i: int,
                  log: _ViolationLog) -> tuple[np.ndarray, np.ndarray]:
-    """Validate one member against the packed strict up-sets ``up``; returns
-    its element indices (deduplicated, in placement order) and their
-    ``_placed_so_far`` rows."""
+    """Validate one member; ``up_rows(arr)`` gives the packed strict up-sets
+    of the elements arr.  Returns its element indices (deduplicated, in
+    placement order) and their ``_placed_so_far`` rows."""
     arr = P.indices_of(np.asarray(ple, dtype=np.int64))
     uniq, first_pos, counts = np.unique(arr, return_index=True,
                                         return_counts=True)
@@ -232,9 +232,10 @@ def _scan_member(P: Poset, up: np.ndarray, ple: Ple, i: int,
         a = P.id_at(int(idx))
         log.add(DUPLICATE_IN_PLE, a, a, i)
     arr = arr[np.sort(first_pos)]
+    up = up_rows(arr)
     placed = _placed_so_far(arr, up.shape[1])
     # b placed before arr[q] although arr[q] < b in P
-    count, q, b = _set_bits(placed & up[arr], log.cap)
+    count, q, b = _set_bits(placed & up, log.cap)
     if count:
         order = np.argsort(arr)
         p = order[np.searchsorted(arr, b, sorter=order)]
@@ -262,7 +263,8 @@ def validate_ple(P: Poset, ple: Sequence[int],
     ple = tuple(ple)
     log = _ViolationLog(max_violations_per_kind)
     if ple:
-        _scan_member(P, _strict_up(P.leq_matrix()), ple, 0, log)
+        leq = P.leq_matrix()
+        _scan_member(P, lambda arr: _strict_up(leq, arr), ple, 0, log)
     return VerificationReport(
         accepted=log.clean,
         frequency=1 if ple else 0,
@@ -321,7 +323,7 @@ def verify_local_realizer(P: Poset, family,
     later = np.zeros_like(up)
     occurrences = np.zeros(N, dtype=np.int64)
     for i, ple in enumerate(family.ples):
-        arr, placed = _scan_member(P, up, ple, i, log)
+        arr, placed = _scan_member(P, up.__getitem__, ple, i, log)
         if arr.size == 0:
             continue
         occurrences[arr] += 1
