@@ -232,10 +232,9 @@ def _scan_member(P: Poset, up_rows, ple: Ple, i: int,
         a = P.id_at(int(idx))
         log.add(DUPLICATE_IN_PLE, a, a, i)
     arr = arr[np.sort(first_pos)]
-    up = up_rows(arr)
-    placed = _placed_so_far(arr, up.shape[1])
+    placed = _placed_so_far(arr, (P.ground_size + 63) // 64)
     # b placed before arr[q] although arr[q] < b in P
-    count, q, b = _set_bits(placed & up, log.cap)
+    count, q, b = _set_bits(placed & up_rows(arr), log.cap)
     if count:
         order = np.argsort(arr)
         p = order[np.searchsorted(arr, b, sorter=order)]
