@@ -23,9 +23,17 @@ import numpy as np
 
 from .errors import ParameterError, RangeError
 
-# Refuse to materialize comparability matrices above ~1G cells; everything
-# this toolkit builds at desk scale stays well below (8191^2 is ~67M).
+# Refuse to materialize comparability matrices above ~1G cells.  Only the SAT
+# encoder, the tests and the packed-row fallback of the kinds without
+# structural rows read the dense matrix; the verifier does not.
 _MATRIX_CELL_LIMIT = 1 << 30
+
+# Packed order rows: a set of elements is a row of W = ceil(N/64) uint64
+# words, element index j at bit j % 64 of word j // 64.  One array of rows
+# may take at most 256 MB: the verifier holds three N x W arrays, 128 MB each
+# on boolean:15; boolean:16 would need 512 MB each.
+_PACKED_BYTE_LIMIT = 1 << 28
+_ONE = np.uint64(1)
 
 
 def id_to_set(eid: int) -> frozenset[int]:
@@ -43,6 +51,52 @@ def set_to_id(elems) -> int:
             raise ParameterError(f"set elements must be >= 1, got {x}")
         mask |= 1 << (x - 1)
     return mask
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Rows of a 2-D bool array packed into uint64 words."""
+    n = bits.shape[1]
+    out = np.zeros((bits.shape[0], 8 * ((n + 63) // 64)), dtype=np.uint8)
+    out[:, :(n + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def _clear_diagonal(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Drop bit idx[r] from row r, in place."""
+    rows[np.arange(idx.size), idx >> 6] &= ~(_ONE << (idx & 63).astype(np.uint64))
+    return rows
+
+
+def _strict_up(leq: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Rows ``leq[rows]`` minus the diagonal, packed into uint64 words."""
+    return _clear_diagonal(_pack(leq[rows]), np.arange(leq.shape[1])[rows])
+
+
+def _transpose_bits(rows: np.ndarray) -> np.ndarray:
+    """Transpose of a packed N x N bit matrix, done on 8 x 8 bit tiles held
+    in one uint64 each (row r, column c at bit 8r + c).  Packing ``leq.T``
+    instead reads the bool matrix column-wise, which is several times
+    slower from N = 8191 on."""
+    n, words = rows.shape
+    size = 64 * words
+    tiles = np.zeros((size, words), dtype="<u8")
+    tiles[:n] = rows
+    tiles = np.ascontiguousarray(  # tile (i, j): byte column j of rows 8i..8i+7
+        tiles.view(np.uint8).reshape(size // 8, 8, -1).transpose(0, 2, 1))
+    tiles = tiles.view("<u8")[..., 0]
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                        (28, 0x00000000F0F0F0F0)):
+        t = (tiles ^ (tiles >> np.uint64(shift))) & np.uint64(mask)
+        tiles ^= t ^ (t << np.uint64(shift))
+    out = tiles.view(np.uint8).reshape(size // 8, -1, 8).transpose(1, 2, 0)
+    return np.ascontiguousarray(out).reshape(size, -1).view("<u8")[:n]
+
+
+def _index_prefix(idx: np.ndarray, n: int) -> np.ndarray:
+    """Packed rows of {j : j < i} for each i in idx, over n columns."""
+    k = np.clip(idx[:, None] - 64 * np.arange((n + 63) // 64), 0, 64)
+    return np.where(k == 64, ~np.uint64(0),
+                    (_ONE << (k & 63).astype(np.uint64)) - _ONE)
 
 
 @dataclass(frozen=True)
@@ -143,6 +197,38 @@ class Poset:
     def _build_leq_matrix(self) -> np.ndarray:
         raise NotImplementedError
 
+    def up_rows(self, idx=None) -> np.ndarray:
+        """Packed strict up-sets of the elements at indices ``idx`` (all of
+        them by default): bit j of row r is set iff id_at(idx[r]) <
+        id_at(j).  Refused with ParameterError above the packed-byte budget,
+        before anything is allocated."""
+        return self._up_rows(self._packed_indices(idx))
+
+    def down_rows(self, idx=None) -> np.ndarray:
+        """Packed strict down-sets, laid out as in ``up_rows``."""
+        return self._down_rows(self._packed_indices(idx))
+
+    def _packed_indices(self, idx) -> np.ndarray:
+        rows = self.ground_size if idx is None else len(idx)
+        need = rows * 8 * ((self.ground_size + 63) // 64)
+        if need > _PACKED_BYTE_LIMIT:
+            raise ParameterError(
+                f"{self.kind}: packed order rows would need {need} bytes")
+        if idx is None:
+            return np.arange(self.ground_size)
+        return np.asarray(idx, dtype=np.int64)
+
+    # Fallback for kinds without structural rows: pack the dense matrix.
+    def _up_rows(self, idx: np.ndarray) -> np.ndarray:
+        return _strict_up(self.leq_matrix(), idx)
+
+    def _down_rows(self, idx: np.ndarray) -> np.ndarray:
+        return self._packed_down[idx]
+
+    @cached_property
+    def _packed_down(self) -> np.ndarray:
+        return _transpose_bits(_strict_up(self.leq_matrix()))
+
     def __repr__(self) -> str:
         return f"<Poset {self.kind} ({self.ground_size} elements)>"
 
@@ -175,6 +261,35 @@ class BooleanLattice(Poset):
             rows = ids[start:start + 256, None]
             np.equal(rows | ids, ids, out=mat[start:start + 256])
         return mat
+
+    def _up_rows(self, idx: np.ndarray) -> np.ndarray:
+        return self._inclusion_rows(idx, up=True)
+
+    def _down_rows(self, idx: np.ndarray) -> np.ndarray:
+        return self._inclusion_rows(idx, up=False)
+
+    def _inclusion_rows(self, idx: np.ndarray, up: bool) -> np.ndarray:
+        """Column y = 64 w + b lies above x iff x >> 6 is a subset of w and
+        x & 63 of b, so word w of x's up row is a 64-entry table at x & 63
+        when x >> 6 is a subset of w, and 0 otherwise; down rows swap the
+        roles."""
+        def subset(a, b):
+            return (a & b) == a
+
+        b = np.arange(64)
+        # the smallest dtype that holds a word index keeps the R x W
+        # temporaries a quarter of the result's size or less
+        words = np.arange((self.ground_size + 63) // 64)
+        words = words.astype(np.min_scalar_type(words[-1]))
+        hi = (idx >> 6).astype(words.dtype)[:, None]
+        if up:
+            table, keep = subset(b[:, None], b), subset(hi, words)
+        else:
+            table, keep = subset(b, b[:, None]), subset(words, hi)
+        rows = np.where(keep, _pack(table)[idx & 63], np.uint64(0))
+        if self.ground_size < 64:
+            rows &= (_ONE << np.uint64(self.ground_size)) - _ONE
+        return _clear_diagonal(rows, idx)
 
 
 class SingletonPoset(Poset):
@@ -213,6 +328,28 @@ class SingletonPoset(Poset):
             s = 1 << x
             mat[s - 1] |= ((ids & s) != 0) & big
         return mat
+
+    def _up_rows(self, idx: np.ndarray) -> np.ndarray:
+        # only a singleton's up-set is nonempty: the larger sets holding it
+        rows = np.zeros((idx.size, (self.ground_size + 63) // 64), np.uint64)
+        ids = idx + 1
+        single = np.flatnonzero((ids & (ids - 1)) == 0)
+        if single.size:
+            every = np.arange(1, self.ground_size + 1)
+            big = (every & (every - 1)) != 0
+            rows[single] = _pack(((every & ids[single, None]) != 0) & big)
+        return rows
+
+    def _down_rows(self, idx: np.ndarray) -> np.ndarray:
+        # a set of two or more elements lies above its singletons only
+        rows = np.zeros((idx.size, (self.ground_size + 63) // 64), np.uint64)
+        ids = idx + 1
+        big = (ids & (ids - 1)) != 0
+        for x in range(self.n):
+            col = (1 << x) - 1
+            held = ((ids >> x) & 1).astype(bool) & big
+            rows[:, col >> 6] |= held.astype(np.uint64) << np.uint64(col & 63)
+        return rows
 
 
 class MultisetLattice(Poset):
@@ -324,6 +461,13 @@ class Chain(Poset):
         ids = np.arange(self.ground_size)
         return ids[:, None] <= ids[None, :]
 
+    def _up_rows(self, idx: np.ndarray) -> np.ndarray:
+        n = self.ground_size
+        return _index_prefix(np.array([n]), n) & ~_index_prefix(idx + 1, n)
+
+    def _down_rows(self, idx: np.ndarray) -> np.ndarray:
+        return _index_prefix(idx, self.ground_size)
+
 
 class Antichain(Poset):
     """k pairwise incomparable elements."""
@@ -345,6 +489,11 @@ class Antichain(Poset):
 
     def _build_leq_matrix(self) -> np.ndarray:
         return np.eye(self.ground_size, dtype=bool)
+
+    def _up_rows(self, idx: np.ndarray) -> np.ndarray:
+        return np.zeros((idx.size, (self.ground_size + 63) // 64), np.uint64)
+
+    _down_rows = _up_rows
 
 
 class ProductPoset(Poset):

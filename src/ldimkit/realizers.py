@@ -19,7 +19,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .posets import BooleanLattice, Poset, canonical_linear_extension, product
+from .posets import (BooleanLattice, Chain, Poset, canonical_linear_extension,
+                     product)
+from .posets import _strict_up, _transpose_bits  # noqa: F401  (tests use them from here)
 
 Ple = tuple[int, ...]
 PartialLinearExtension = Ple  # exported alias; a PLE is just an id sequence
@@ -144,53 +146,29 @@ def size(family) -> int:
 
 _ONE = np.uint64(1)
 
-
-def _strict_up(leq: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """Rows ``leq[rows]`` minus the diagonal, packed into uint64 words:
-    column j is bit j % 64 of word j // 64."""
-    n = leq.shape[1]
-    idx = np.arange(n)[rows]
-    up = np.zeros((idx.size, 8 * ((n + 63) // 64)), dtype=np.uint8)
-    up[:, :(n + 7) // 8] = np.packbits(leq[rows], axis=1, bitorder="little")
-    up = up.view("<u8")
-    up[np.arange(idx.size), idx >> 6] &= ~(_ONE << (idx & 63).astype(np.uint64))
-    return up
+# Rows per block in the member scan and the pair checks, so that the only
+# whole N x W arrays the verifier holds are ``up``, ``earlier`` and ``later``.
+_ROW_BLOCK = 256
 
 
-def _transpose_bits(rows: np.ndarray) -> np.ndarray:
-    """Transpose of a packed N x N bit matrix, done on 8 x 8 bit tiles held
-    in one uint64 each (row r, column c at bit 8r + c).  Packing ``leq.T``
-    instead reads the bool matrix column-wise, which is several times
-    slower from N = 8191 on."""
-    n, words = rows.shape
-    size = 64 * words
-    tiles = np.zeros((size, words), dtype="<u8")
-    tiles[:n] = rows
-    tiles = np.ascontiguousarray(  # tile (i, j): byte column j of rows 8i..8i+7
-        tiles.view(np.uint8).reshape(size // 8, 8, -1).transpose(0, 2, 1))
-    tiles = tiles.view("<u8")[..., 0]
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
-                        (28, 0x00000000F0F0F0F0)):
-        t = (tiles ^ (tiles >> np.uint64(shift))) & np.uint64(mask)
-        tiles ^= t ^ (t << np.uint64(shift))
-    out = tiles.view(np.uint8).reshape(size // 8, -1, 8).transpose(1, 2, 0)
-    return np.ascontiguousarray(out).reshape(size, -1).view("<u8")[:n]
-
-
-def _placed_so_far(arr: np.ndarray, words: int) -> np.ndarray:
-    """Row q: the packed set of elements arr[0..q]."""
-    placed = np.zeros((arr.size, words), dtype=np.uint64)
+def _placed_so_far(arr: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """Row q: the packed set of elements arr[0..q], plus the set ``carry``."""
+    placed = np.zeros((arr.size, carry.size), dtype=np.uint64)
     placed[np.arange(arr.size), arr >> 6] = _ONE << (arr & 63).astype(np.uint64)
+    placed[0] |= carry
     return np.bitwise_or.accumulate(placed, axis=0, out=placed)
 
 
 def _set_bits(mask: np.ndarray, cap: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Number of set bits in a packed matrix, plus the (row, column) of every
-    set bit in its first ``cap`` nonzero rows, in row-major order."""
-    count = int(np.bitwise_count(mask).sum())
-    if not count:
-        return 0, np.empty(0, np.intp), np.empty(0, np.intp)
-    rows = np.flatnonzero(mask.any(axis=1))[:cap]
+    set bit in its first nonzero rows, in row-major order: as many rows as
+    it takes to hold ``cap`` bits."""
+    per_row = np.bitwise_count(mask).sum(axis=1)
+    count = int(per_row.sum())
+    if not count or cap <= 0:
+        return count, np.empty(0, np.intp), np.empty(0, np.intp)
+    rows = np.flatnonzero(per_row)
+    rows = rows[:np.searchsorted(np.cumsum(per_row[rows]), cap) + 1]
     bits = np.unpackbits(mask[rows].astype("<u8", copy=False).view(np.uint8),
                          axis=1, bitorder="little")
     r, cols = np.nonzero(bits)
@@ -220,40 +198,68 @@ class _ViolationLog:
             key=lambda v: (v.kind, v.a, v.b, -1 if v.ple is None else v.ple)))
 
 
-def _scan_member(P: Poset, up_rows, ple: Ple, i: int,
-                 log: _ViolationLog) -> tuple[np.ndarray, np.ndarray]:
-    """Validate one member; ``up_rows(arr)`` gives the packed strict up-sets
-    of the elements arr.  Returns its element indices (deduplicated, in
-    placement order) and their ``_placed_so_far`` rows."""
+def _member_indices(P: Poset, ple: Ple, i: int,
+                    log: _ViolationLog) -> np.ndarray:
+    """Element indices of member i, deduplicated, in placement order; each
+    repeated element is logged once."""
     arr = P.indices_of(np.asarray(ple, dtype=np.int64))
     uniq, first_pos, counts = np.unique(arr, return_index=True,
                                         return_counts=True)
     for idx in uniq[counts > 1]:
         a = P.id_at(int(idx))
         log.add(DUPLICATE_IN_PLE, a, a, i)
-    arr = arr[np.sort(first_pos)]
-    placed = _placed_so_far(arr, (P.ground_size + 63) // 64)
-    # b placed before arr[q] although arr[q] < b in P
-    count, q, b = _set_bits(placed & up_rows(arr), log.cap)
-    if count:
-        order = np.argsort(arr)
-        p = order[np.searchsorted(arr, b, sorter=order)]
-        listed = np.lexsort((p, q))[:log.cap]
-        for k in listed:
-            log.add(ORDER_VIOLATION_IN_PLE, P.id_at(int(arr[q[k]])),
-                    P.id_at(int(b[k])), i)
-        log.totals[ORDER_VIOLATION_IN_PLE] += count - listed.size
-    return arr, placed
+    return arr[np.sort(first_pos)]
 
 
-def _first_reversing_member(P: Poset, family: RealizerFamily,
-                            a: int, b: int) -> int | None:
-    """Index of the first member placing b before a (ids, a < b in P)."""
-    pos_a = dict(family.occurrence_index.get(a, ()))
-    for i, pos in family.occurrence_index.get(b, ()):
-        if i in pos_a and pos < pos_a[i]:
-            return i
-    return None
+def _scan_member(P: Poset, up_rows, arr: np.ndarray, i: int,
+                 log: _ViolationLog):
+    """Scan member i's deduplicated placements ``arr`` in row blocks;
+    ``up_rows(block)`` gives the packed strict up-sets of a block's elements.
+    Logs the block's order violations, then yields the block and its
+    ``_placed_so_far`` rows, which carry over from the previous block."""
+    carry = np.zeros((P.ground_size + 63) // 64, dtype=np.uint64)
+    order = None
+    for start in range(0, arr.size, _ROW_BLOCK):
+        block = arr[start:start + _ROW_BLOCK]
+        placed = _placed_so_far(block, carry)
+        # b placed before block[q] although block[q] < b in P
+        room = max(log.cap - log.totals[ORDER_VIOLATION_IN_PLE], 0)
+        count, q, b = _set_bits(placed & up_rows(block), room)
+        if q.size:
+            if order is None:
+                order = np.argsort(arr)
+            p = order[np.searchsorted(arr, b, sorter=order)]
+            listed = np.lexsort((p, q))[:room]
+            for k in listed:
+                log.add(ORDER_VIOLATION_IN_PLE, P.id_at(int(block[q[k]])),
+                        P.id_at(int(b[k])), i)
+            count -= listed.size
+        log.totals[ORDER_VIOLATION_IN_PLE] += count
+        yield block, placed
+        carry = placed[-1]
+
+
+def _first_reversing_members(P: Poset, family: RealizerFamily,
+                             pairs: list[tuple[int, int]]) -> list[int]:
+    """For each index pair (a, b), a < b in P, the first member that places
+    some occurrence of b before some occurrence of a."""
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    found = np.full(a.size, -1)
+    for i, ple in enumerate(family.ples):
+        open_ = found < 0
+        if not open_.any():
+            break
+        arr = P.indices_of(np.asarray(ple, dtype=np.int64))
+        if arr.size < 2:
+            continue
+        uniq, first = np.unique(arr, return_index=True)
+        last = arr.size - 1 - np.unique(arr[::-1], return_index=True)[1]
+        ia = np.searchsorted(uniq, a).clip(max=uniq.size - 1)
+        ib = np.searchsorted(uniq, b).clip(max=uniq.size - 1)
+        hit = (open_ & (uniq[ia] == a) & (uniq[ib] == b)
+               & (first[ib] < last[ia]))
+        found[hit] = i
+    return found.tolist()
 
 
 def validate_ple(P: Poset, ple: Sequence[int],
@@ -262,8 +268,9 @@ def validate_ple(P: Poset, ple: Sequence[int],
     ple = tuple(ple)
     log = _ViolationLog(max_violations_per_kind)
     if ple:
-        leq = P.leq_matrix()
-        _scan_member(P, lambda arr: _strict_up(leq, arr), ple, 0, log)
+        arr = _member_indices(P, ple, 0, log)
+        for _ in _scan_member(P, P.up_rows, arr, 0, log):
+            pass
     return VerificationReport(
         accepted=log.clean,
         frequency=1 if ple else 0,
@@ -286,19 +293,21 @@ def verify_local_realizer(P: Poset, family,
 
     Pair bookkeeping is bit-packed: a set of elements is a row of
     W = ceil(N/64) uint64 words, element index j at bit j % 64 of word
-    j // 64, so each N-row matrix below takes N*W*8 bytes instead of N*N.
-    ``up`` holds each element's strict up-set, packed once from
-    ``P.leq_matrix()``; its bit transpose gives the strict down-sets, and
-    both give the incomparable pairs.  Each member is scanned once: OR-
-    accumulating one-hot rows of its deduplicated placements gives, for
-    each position q, the elements placed at or before q; AND-ed with the
-    up-set of the element at q, that is q's order violations.  The same
-    rows are OR-ed into ``earlier`` (placed before x in some member) and
-    their complement within the member into ``later``.  The pair checks
-    are then word operations (never witnessed ``up & ~later``, reversed
-    ``up & earlier``, never co-occurring ``incomparable & ~(earlier |
-    later)``, one-sided ``incomparable & (earlier ^ later)``), and
-    coordinates are decoded only from nonzero rows.
+    j // 64, so each N-row matrix below takes N*W*8 bytes.  ``up`` holds
+    each element's strict up-set, from ``P.up_rows()``, which the built-in
+    kinds pack straight from their structure.  Each member is scanned once,
+    in blocks of rows: OR-accumulating one-hot rows of its deduplicated
+    placements gives, for each position q, the elements placed at or before
+    q; AND-ed with the up-set of the element at q, that is q's order
+    violations.  The same rows are OR-ed into ``earlier`` (placed before x
+    in some member) and their complement within the member into ``later``.
+    These three are the only N-row matrices.  The pair checks then run on
+    blocks of rows as word operations (never witnessed ``up & ~later``,
+    reversed ``up & earlier``, never co-occurring ``incomparable & ~(earlier
+    | later)``, one-sided ``incomparable & (earlier ^ later)``), where a
+    block's incomparable pairs a < b in index order come from its rows of
+    ``P.down_rows()`` and ``up``; coordinates are decoded only from nonzero
+    rows.
 
     The capped violations listed for each kind are the first ones in this
     order: duplicates by member, then element index; order violations by
@@ -309,45 +318,61 @@ def verify_local_realizer(P: Poset, family,
     """
     family = as_family(family)
     N = P.ground_size
-    leq = P.leq_matrix()
     log = _ViolationLog(max_violations_per_kind)
 
-    up = _strict_up(leq)
-    # the same scan over all elements in index order: row i holds 0..i
-    triangle = _placed_so_far(np.arange(N), up.shape[1])
-    # incomparable pairs, deduplicated to index-ascending orientation
-    incomparable = triangle[-1] & ~triangle & ~(up | _transpose_bits(up))
-    del triangle
+    up = P.up_rows()
     earlier = np.zeros_like(up)
     later = np.zeros_like(up)
     occurrences = np.zeros(N, dtype=np.int64)
     for i, ple in enumerate(family.ples):
-        arr, placed = _scan_member(P, up.__getitem__, ple, i, log)
-        if arr.size == 0:
-            continue
+        arr = _member_indices(P, ple, i, log)
         occurrences[arr] += 1
-        earlier[arr] |= placed  # sets the diagonal too, which no mask reads
-        later[arr] |= placed[-1] & ~placed
+        member = np.zeros(up.shape[1], dtype=np.uint64)
+        np.bitwise_or.at(member, arr >> 6, _ONE << (arr & 63).astype(np.uint64))
+        for block, placed in _scan_member(P, up.__getitem__, arr, i, log):
+            earlier[block] |= placed  # sets the diagonal too, which no mask reads
+            later[block] |= member & ~placed
 
     if N == 1:
         lone = P.id_at(0)
         if occurrences[0] == 0:
             log.add(PAIR_NEVER_CO_OCCURS, lone, lone)
     else:
-        def report_pairs(kind: str, mask: np.ndarray, with_member: bool = False):
-            count, rows, cols = _set_bits(mask, log.cap)
-            rows, cols = rows[:log.cap], cols[:log.cap]
-            for ai, bi in zip(rows, cols):
-                a, b = P.id_at(int(ai)), P.id_at(int(bi))
-                member = _first_reversing_member(P, family, a, b) if with_member else None
-                log.add(kind, a, b, member)
-            log.totals[kind] += count - rows.size
+        # per pair kind: the (a, b) indices listed so far, and the count
+        listed = {kind: [] for kind in (
+            COMPARABLE_PAIR_NEVER_WITNESSED, COMPARABLE_PAIR_REVERSED,
+            PAIR_NEVER_CO_OCCURS, INCOMPARABLE_PAIR_ONE_SIDED)}
+        counts = dict.fromkeys(listed, 0)
 
-        # comparable pairs, oriented a < b in P by construction of `up`
-        report_pairs(COMPARABLE_PAIR_NEVER_WITNESSED, up & ~later)
-        report_pairs(COMPARABLE_PAIR_REVERSED, up & earlier, with_member=True)
-        report_pairs(PAIR_NEVER_CO_OCCURS, incomparable & ~(earlier | later))
-        report_pairs(INCOMPARABLE_PAIR_ONE_SIDED, incomparable & (earlier ^ later))
+        def collect(kind: str, start: int, mask: np.ndarray) -> None:
+            room = max(log.cap - len(listed[kind]), 0)
+            count, rows, cols = _set_bits(mask, room)
+            listed[kind] += zip((rows[:room] + start).tolist(), cols[:room].tolist())
+            counts[kind] += count
+
+        index_order = Chain(N)  # its strict up-sets: the pairs a < b by index
+        for start in range(0, N, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, N)
+            up_b, earlier_b, later_b = (up[start:stop], earlier[start:stop],
+                                        later[start:stop])
+            rows = np.arange(start, stop)
+            incomparable = index_order.up_rows(rows) & ~(up_b | P.down_rows(rows))
+            # comparable pairs, oriented a < b in P by construction of `up`
+            collect(COMPARABLE_PAIR_NEVER_WITNESSED, start, up_b & ~later_b)
+            collect(COMPARABLE_PAIR_REVERSED, start, up_b & earlier_b)
+            collect(PAIR_NEVER_CO_OCCURS, start,
+                    incomparable & ~(earlier_b | later_b))
+            collect(INCOMPARABLE_PAIR_ONE_SIDED, start,
+                    incomparable & (earlier_b ^ later_b))
+
+        reversing = _first_reversing_members(
+            P, family, listed[COMPARABLE_PAIR_REVERSED])
+        for kind, pairs in listed.items():
+            members = (reversing if kind == COMPARABLE_PAIR_REVERSED
+                       else [None] * len(pairs))
+            for (ai, bi), member in zip(pairs, members):
+                log.add(kind, P.id_at(ai), P.id_at(bi), member)
+            log.totals[kind] += counts[kind] - len(pairs)
 
     return VerificationReport(
         accepted=log.clean,

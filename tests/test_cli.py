@@ -78,8 +78,8 @@ def test_oversize_poset_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--poset", "boolean:16",
                          "--orders", str(path))
     assert code == 2 and out == ""
-    assert err == ("ERROR:usage: boolean:16: comparability matrix would "
-                   "need 4294967296 cells\n")
+    assert err == ("ERROR:usage: boolean:16: packed order rows would "
+                   "need 536870912 bytes\n")
 
 
 def test_out_of_range_orders_is_input_error(capsys, tmp_path):

@@ -109,6 +109,22 @@ def test_boolean_leq_matrix_row_blocks():
     assert np.array_equal(M, (ids[:, None] | ids[None, :]) == ids[None, :])
 
 
+def test_structural_rows_match_packed_matrix():
+    from ldimkit.posets import _strict_up
+    posets = [BooleanLattice(n) for n in range(1, 11)]
+    posets += [SingletonPoset(n) for n in range(1, 11)]
+    posets += [Chain(1), Chain(4), Antichain(1), Antichain(5)]
+    rng = np.random.default_rng(11)
+    for P in posets:
+        leq = P.leq_matrix()
+        up, down = _strict_up(leq), _strict_up(leq.T)
+        assert np.array_equal(P.up_rows(), up), P.kind
+        assert np.array_equal(P.down_rows(), down), P.kind
+        idx = rng.integers(0, P.ground_size, 9)
+        assert np.array_equal(P.up_rows(idx), up[idx]), P.kind
+        assert np.array_equal(P.down_rows(idx), down[idx]), P.kind
+
+
 def test_product_structure():
     P = product(BooleanLattice(2), Chain(3))
     assert P.ground_size == 12

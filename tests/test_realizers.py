@@ -219,6 +219,52 @@ def test_bit_transpose():
                               realizers._strict_up(M.T))
 
 
+def _faulty_variants(family):
+    """The family as it is, without its last member, and with its first
+    member reversed and one of its elements repeated."""
+    members = [list(m) for m in family]
+    first = members[0][::-1] + [members[0][1]]
+    return [family, members[:-1], [first] + members[1:]]
+
+
+@pytest.mark.parametrize("spec", ["boolean:12", "singleton:12"])
+def test_verify_reads_no_dense_matrix(monkeypatch, spec):
+    P = build_poset(spec)
+    family = (build_bn_realizer(12) if isinstance(P, BooleanLattice)
+              else build_singleton_realizer(12))
+    variants = _faulty_variants(family)
+
+    def reports(P):
+        return ([verify_local_realizer(P, f).to_json() for f in variants]
+                + [validate_ple(P, f[0]).to_json() for f in variants])
+
+    with monkeypatch.context() as m:  # the dense-matrix fallback rows
+        m.setattr(type(P), "_up_rows", Poset._up_rows)
+        m.setattr(type(P), "_down_rows", Poset._down_rows)
+        expected = reports(build_poset(spec))
+    assert json.loads(expected[0])["accepted"]
+    assert not json.loads(expected[2])["accepted"]
+
+    def refuse(self):
+        raise AssertionError("the verifier read the dense matrix")
+
+    monkeypatch.setattr(Poset, "leq_matrix", refuse)
+    assert reports(P) == expected
+
+
+def test_verify_peak_memory():
+    P = SingletonPoset(12)
+    family = build_singleton_realizer(12)
+    matrix_bytes = P.ground_size * 8 * ((P.ground_size + 63) // 64)
+    tracemalloc.start()
+    try:
+        assert verify_local_realizer(P, family).accepted
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * matrix_bytes
+
+
 # ------------------------------------------------- property test vs. oracle
 
 
@@ -368,6 +414,14 @@ def test_golden_reports(name):
         if cap == 1:
             assert text == GOLDEN_CAP_1[name]
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (cap, text)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_row_blocks(monkeypatch, block):
+    monkeypatch.setattr(realizers, "_ROW_BLOCK", block)
+    for name in GOLDEN_CASES:
+        test_golden_reports(name)
+    test_verifier_matches_oracle()
 
 
 GOLDEN_SHA256 = {
