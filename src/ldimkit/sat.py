@@ -13,20 +13,34 @@ A < B by id) an x variable ("A before B in L_i") and a y variable ("B before
 A in L_i"); for each element A a z variable ("A used in L_i").  Lookups
 accept either pair orientation, so there are N(N-1)k pair variables plus Nk
 usage variables.
+
+``VarMap`` alone knows that layout.  Besides the checked scalar lookups
+``before`` and ``z`` it gives the same variables as int64 tables indexed by
+element index and order (``before_table``, ``z_table``).  The clause
+generator gathers each clause family from those tables as one int64 block
+and hands its rows on as lists, about a thousand at a time, so a solver fed
+by ``iter_clauses`` never holds a whole family as Python lists.  The decoder
+reads a model into a bool array over the variables and ranks each order's
+used elements from the gathered before-matrix.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import chain, combinations
 from math import comb
 from pathlib import Path
+
+import numpy as np
 
 from .cdcl import solve_clauses
 from .errors import (BoundExceededError, DecodeError, FormatError,
@@ -44,6 +58,10 @@ class VarMap:
     Pair block first: for pair index p and order i, variable 2(pk + i - 1) + 1
     is x(A, B, i) and the following even id is y(A, B, i).  Usage block after:
     z(A, i) = N(N-1)k + index(A)*k + i.
+
+    ``before_table[index(A), index(B), i - 1]`` is before(A, B, i), 0 where
+    A = B, and ``z_table[index(A), i - 1]`` is z(A, i): read-only int64
+    arrays of shape N x N x k and N x k, built on first use.
     """
 
     def __init__(self, P: Poset, k: int):
@@ -55,9 +73,14 @@ class VarMap:
         self.pair_block = self.n * (self.n - 1) * k
         self.variable_count = self.pair_block + self.n * k
 
-    def _pair_index(self, ai: int, bi: int) -> int:
-        # lexicographic rank of (ai, bi) with ai < bi among index pairs
-        return ai * (2 * self.n - ai - 1) // 2 + (bi - ai - 1)
+    def _pair_var(self, lo, hi, i0, reverse):
+        # x (reverse 0) or y (reverse 1) of index pair lo < hi in 0-based
+        # order i0; ints or broadcasting int64 arrays alike
+        p = lo * (2 * self.n - lo - 1) // 2 + (hi - lo - 1)
+        return 2 * (p * self.k + i0) + 1 + reverse
+
+    def _z_var(self, ai, i0):
+        return self.pair_block + ai * self.k + i0 + 1
 
     def _check_order(self, i: int) -> None:
         if not 1 <= i <= self.k:
@@ -70,12 +93,29 @@ class VarMap:
         if ai == bi:
             raise ParameterError(f"pair variables need distinct elements, got {a}")
         if ai < bi:
-            return 2 * (self._pair_index(ai, bi) * self.k + i - 1) + 1
-        return 2 * (self._pair_index(bi, ai) * self.k + i - 1) + 2
+            return self._pair_var(ai, bi, i - 1, 0)
+        return self._pair_var(bi, ai, i - 1, 1)
 
     def z(self, a: int, i: int) -> int:
         self._check_order(i)
-        return self.pair_block + self.P.index_of(a) * self.k + i
+        return self._z_var(self.P.index_of(a), i - 1)
+
+    @cached_property
+    def before_table(self) -> np.ndarray:
+        idx = np.arange(self.n, dtype=np.int64)
+        a, b = idx[:, None, None], idx[None, :, None]
+        table = self._pair_var(np.minimum(a, b), np.maximum(a, b),
+                               np.arange(self.k, dtype=np.int64), a > b)
+        table[idx, idx] = 0
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def z_table(self) -> np.ndarray:
+        table = self._z_var(np.arange(self.n, dtype=np.int64)[:, None],
+                            np.arange(self.k, dtype=np.int64))
+        table.flags.writeable = False
+        return table
 
     def describe(self, var: int) -> tuple[str, int, int | None, int]:
         """(role, A, B or None, i) for a variable id."""
@@ -139,57 +179,85 @@ def iter_clauses(P: Poset, k: int,
     return vm, _clauses(P, vm, d)
 
 
+# rows handed on as lists at a time: enough to amortize tolist, few enough
+# that a streaming consumer never holds a whole family as Python lists
+_CHUNK_ROWS = 1024
+
+
 def _clauses(P: Poset, vm: VarMap, d: int) -> Iterator[list[int]]:
-    ids = list(P.element_ids())
-    orders = range(1, vm.k + 1)
+    n, k = vm.n, vm.k
+    before, z = vm.before_table, vm.z_table
+    # one Python int per literal, indexed by the literal itself (negative
+    # literals wrap to the end), so the clause lists share them rather than
+    # each holding an int object per literal
+    v = vm.variable_count
+    literal = np.concatenate((np.arange(v + 1), np.arange(-v, 0))).astype(object)
+
+    def lists(block: np.ndarray) -> list:
+        return literal[block].tolist()
+
+    def rows(block: np.ndarray) -> Iterator[list[int]]:
+        for start in range(0, len(block), _CHUNK_ROWS):
+            yield from lists(block[start:start + _CHUNK_ROWS])
 
     # each used triple is ordered transitively (covers both chain directions,
-    # since the reversed triple contributes the mirrored clause)
-    for i in orders:
-        for a, b, c in permutations(ids, 3):
-            yield [
-                -vm.z(a, i), -vm.z(b, i), -vm.z(c, i),
-                -vm.before(a, b, i), -vm.before(b, c, i), vm.before(a, c, i),
-            ]
+    # since the reversed triple contributes the mirrored clause); triples of
+    # distinct indices in itertools.permutations order
+    a, b, c = np.indices((n, n, n)).reshape(3, -1)
+    distinct = (a != b) & (b != c) & (a != c)
+    a, b, c = a[distinct], b[distinct], c[distinct]
+    for i in range(k):
+        zi, bi = z[:, i], before[:, :, i]
+        yield from rows(np.stack((-zi[a], -zi[b], -zi[c], -bi[a, b],
+                                  -bi[b, c], bi[a, c]), axis=1))
 
-    # pairs of (index, id); ids[j] sits at index j of the leq matrix
-    leq = P.leq_matrix().tolist()
-    pairs = list(combinations(enumerate(ids), 2))
+    # index pairs lo < hi in itertools.combinations order
+    lo, hi = np.triu_indices(n, 1)
+    leq = P.leq_matrix()
+    up, down = leq[lo, hi], leq[hi, lo]
+    comparable = up | down
 
     # comparable pairs: witnessed at least once, never reversed
-    for (ai, a), (bi, b) in pairs:
-        if leq[ai][bi]:
-            lo, hi = a, b
-        elif leq[bi][ai]:
-            lo, hi = b, a
-        else:
-            continue
-        yield [vm.before(lo, hi, i) for i in orders]
-        for i in orders:
-            yield [-vm.before(hi, lo, i)]
+    low = np.where(up, lo, hi)[comparable]
+    high = np.where(up, hi, lo)[comparable]
+    witness, reverse = before[low, high], -before[high, low, :, None]
+    step = max(1, _CHUNK_ROWS // (k + 1))
+    for s in range(0, len(low), step):
+        for w, units in zip(lists(witness[s:s + step]),
+                            lists(reverse[s:s + step])):
+            yield w
+            yield from units
 
     # incomparable pairs: both orders occur
-    for (ai, a), (bi, b) in pairs:
-        if not leq[ai][bi] and not leq[bi][ai]:
-            yield [vm.before(a, b, i) for i in orders]
-            yield [vm.before(b, a, i) for i in orders]
+    a, b = lo[~comparable], hi[~comparable]
+    yield from rows(np.stack((before[a, b], before[b, a]), axis=1)
+                    .reshape(-1, k))
 
-    # coupling between pair variables and usage variables
-    for a, b in combinations(ids, 2):
-        for i in orders:
-            x, y = vm.before(a, b, i), vm.before(b, a, i)
-            za, zb = vm.z(a, i), vm.z(b, i)
-            yield from ([-x, za], [-x, zb], [-y, za], [-y, zb],
-                        [-za, -zb, x, y], [-x, -y])
+    # coupling between pair variables and usage variables, per pair and order
+    x, y = before[lo, hi].ravel(), before[hi, lo].ravel()
+    za, zb = z[lo].ravel(), z[hi].ravel()
+    twos = np.stack((-x, za, -x, zb, -y, za, -y, zb), axis=1).reshape(-1, 4, 2)
+    fours = np.stack((-za, -zb, x, y), axis=1)
+    pairs = np.stack((-x, -y), axis=1)
+    step = _CHUNK_ROWS // 6
+    for s in range(0, len(x), step):
+        for two, four, pair in zip(lists(twos[s:s + step]),
+                                   lists(fours[s:s + step]),
+                                   lists(pairs[s:s + step])):
+            yield from two
+            yield four
+            yield pair
 
     # frequency cap: no element is used in d+1 distinct orders
-    for a in ids:
-        for combo in combinations(orders, d + 1):
-            yield [-vm.z(a, c) for c in combo]
+    combos = np.fromiter(chain.from_iterable(combinations(range(k), d + 1)),
+                         dtype=np.int64, count=comb(k, d + 1) * (d + 1))
+    combos = combos.reshape(-1, d + 1)
+    for usage in z:
+        yield from rows(-usage[combos])
 
     # a one-element ground set has no pairs, so require the element directly
-    if len(ids) == 1:
-        yield [vm.z(ids[0], i) for i in orders]
+    if n == 1:
+        yield lists(z[0])
 
 
 def expected_clause_count(N: int, n_comparable: int, n_incomparable: int,
@@ -213,6 +281,14 @@ def _open_sink(sink, opened: list):
     return sink
 
 
+class _ClauseTemplates(dict):
+    """DIMACS line format by clause length: "%d %d 0\n" for two literals."""
+
+    def __missing__(self, length: int) -> str:
+        template = self[length] = " ".join(["%d"] * length) + " 0\n"
+        return template
+
+
 def write_dimacs(formula: CnfFormula, varmap: VarMap | None = None,
                  out=None, map_out=None) -> None:
     """Write standard DIMACS CNF to ``out``; if ``map_out`` is given (and a
@@ -224,8 +300,11 @@ def write_dimacs(formula: CnfFormula, varmap: VarMap | None = None,
     try:
         handle = _open_sink(out, opened)
         handle.write(f"p cnf {formula.variable_count} {formula.clause_count}\n")
-        for clause in formula.clauses:
-            handle.write(" ".join(str(lit) for lit in clause) + " 0\n")
+        templates = _ClauseTemplates()
+        for start in range(0, formula.clause_count, _CHUNK_ROWS):
+            handle.write("".join([
+                templates[len(clause)] % tuple(clause)
+                for clause in formula.clauses[start:start + _CHUNK_ROWS]]))
         if map_out is not None:
             if varmap is None:
                 raise ParameterError("a VarMap is required to write a map file")
@@ -279,10 +358,10 @@ def parse_dimacs(source) -> CnfFormula:
 
 def parse_model_text(text: str) -> SolverResult | None:
     """Parse solver output in the standard 's'/'v' line format; returns None
-    when no status line is present."""
+    when no status line is present.  A 'v' line token that is not an
+    integer raises SolverProtocolError."""
     status = None
-    literals: list[int] = []
-    saw_values = False
+    values: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("s ") or line == "s":
@@ -294,19 +373,35 @@ def parse_model_text(text: str) -> SolverResult | None:
             else:
                 status = "unknown"
         elif line.startswith("v ") or line == "v":
-            saw_values = True
-            for token in line[1:].split():
-                literals.append(int(token))
+            values.append(line[1:])
+    literals = _parse_literals(" ".join(values)) if values else None
     if status is None:
         return None
     model = None
-    if saw_values:
-        model = frozenset(lit for lit in literals if lit > 0)
+    if literals is not None:
+        model = frozenset(literals[literals > 0].tolist())
     if status == "sat" and model is None:
         raise SolverProtocolError("solver reported SAT without 'v' model lines")
     if status != "sat":
         model = None
     return SolverResult(status, model)
+
+
+def _parse_literals(text: str) -> np.ndarray:
+    """The integers of whitespace-separated text in one numpy parse.  numpy
+    clips a literal beyond int64 to its limits, where it names no variable
+    either way."""
+    try:
+        with warnings.catch_warnings():
+            # numpy before 2.3 warns and stops at a token it cannot read
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.fromstring(text, dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        pass
+    # numpy's separators are the ASCII whitespace characters
+    tokens = filter(None, re.split(r"[ \t\n\v\f\r]+", text))
+    bad = next((t for t in tokens if not re.fullmatch(r"[+-]?[0-9]+", t)), "")
+    raise SolverProtocolError(f"model value {bad!r} is not an integer literal")
 
 
 def resolve_solver_command(solver_command=None) -> list[str]:
@@ -358,24 +453,26 @@ def decode_realizer(model, varmap: VarMap, P: Poset) -> RealizerFamily:
 
     Order i consists of the elements whose z variable is true, sorted by the
     pairwise before-variables; raises DecodeError if those do not induce a
-    total order.  Empty orders are dropped.
+    total order.  Empty orders are dropped.  Variables outside
+    1..variable_count are ignored.
     """
-    model = frozenset(model)
+    literals = np.fromiter(model, dtype=np.int64)
+    true = np.zeros(varmap.variable_count + 1, dtype=bool)
+    true[literals[(literals > 0) & (literals <= varmap.variable_count)]] = True
+    used_in, before = true[varmap.z_table], true[varmap.before_table]
+    ids = np.asarray(P.element_ids())
     members = []
-    for i in range(1, varmap.k + 1):
-        used = [a for a in P.element_ids() if varmap.z(a, i) in model]
-        ranked = sorted(
-            used,
-            key=lambda a: -sum(1 for b in used
-                               if b != a and varmap.before(a, b, i) in model))
-        for p in range(len(ranked)):
-            for q in range(p + 1, len(ranked)):
-                if varmap.before(ranked[p], ranked[q], i) not in model:
-                    raise DecodeError(
-                        f"order {i}: before-relation on used elements is not "
-                        f"a total order")
-        if ranked:
-            members.append(tuple(ranked))
+    for i in range(varmap.k):
+        used = np.flatnonzero(used_in[:, i])
+        rel = before[used[:, None], used, i]
+        # most elements after it first; ties keep id order, like sorted()
+        rank = np.argsort(-rel.sum(axis=1), kind="stable")
+        if np.triu(~rel[rank[:, None], rank], 1).any():
+            raise DecodeError(
+                f"order {i + 1}: before-relation on used elements is not "
+                f"a total order")
+        if used.size:
+            members.append(tuple(ids[used[rank]].tolist()))
     return RealizerFamily(members)
 
 

@@ -2,12 +2,15 @@
 
 Everything here is deliberately naive and quadratic: position dictionaries,
 pairwise loops, exhaustive subset scans.  None of it shares code with the
-vectorized implementations under test.
+vectorized implementations under test; the SAT encoder and decoder here go
+through VarMap's checked scalar lookups, one variable at a time.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
+
+from ldimkit import DecodeError, RealizerFamily
 
 
 def check_family(P, family) -> tuple[bool, int, int]:
@@ -132,3 +135,79 @@ def violations(P, family) -> dict[str, list[tuple]]:
                 elif not (ab and ba):
                     found["incomparable-pair-one-sided"].append((a, b, None))
     return found
+
+
+def clauses(P, vm, d):
+    """The clauses of encode(P, vm.k, d) in encode's order."""
+    ids = list(P.element_ids())
+    orders = range(1, vm.k + 1)
+
+    # each used triple is ordered transitively (covers both chain directions,
+    # since the reversed triple contributes the mirrored clause)
+    for i in orders:
+        for a, b, c in permutations(ids, 3):
+            yield [
+                -vm.z(a, i), -vm.z(b, i), -vm.z(c, i),
+                -vm.before(a, b, i), -vm.before(b, c, i), vm.before(a, c, i),
+            ]
+
+    # pairs of (index, id); ids[j] sits at index j of the leq matrix
+    leq = P.leq_matrix().tolist()
+    pairs = list(combinations(enumerate(ids), 2))
+
+    # comparable pairs: witnessed at least once, never reversed
+    for (ai, a), (bi, b) in pairs:
+        if leq[ai][bi]:
+            lo, hi = a, b
+        elif leq[bi][ai]:
+            lo, hi = b, a
+        else:
+            continue
+        yield [vm.before(lo, hi, i) for i in orders]
+        for i in orders:
+            yield [-vm.before(hi, lo, i)]
+
+    # incomparable pairs: both orders occur
+    for (ai, a), (bi, b) in pairs:
+        if not leq[ai][bi] and not leq[bi][ai]:
+            yield [vm.before(a, b, i) for i in orders]
+            yield [vm.before(b, a, i) for i in orders]
+
+    # coupling between pair variables and usage variables
+    for a, b in combinations(ids, 2):
+        for i in orders:
+            x, y = vm.before(a, b, i), vm.before(b, a, i)
+            za, zb = vm.z(a, i), vm.z(b, i)
+            yield from ([-x, za], [-x, zb], [-y, za], [-y, zb],
+                        [-za, -zb, x, y], [-x, -y])
+
+    # frequency cap: no element is used in d+1 distinct orders
+    for a in ids:
+        for combo in combinations(orders, d + 1):
+            yield [-vm.z(a, c) for c in combo]
+
+    # a one-element ground set has no pairs, so require the element directly
+    if len(ids) == 1:
+        yield [vm.z(ids[0], i) for i in orders]
+
+
+def decode_realizer(model, varmap, P):
+    """The family decode_realizer(model, varmap, P) returns, or its
+    DecodeError."""
+    model = frozenset(model)
+    members = []
+    for i in range(1, varmap.k + 1):
+        used = [a for a in P.element_ids() if varmap.z(a, i) in model]
+        ranked = sorted(
+            used,
+            key=lambda a: -sum(1 for b in used
+                               if b != a and varmap.before(a, b, i) in model))
+        for p in range(len(ranked)):
+            for q in range(p + 1, len(ranked)):
+                if varmap.before(ranked[p], ranked[q], i) not in model:
+                    raise DecodeError(
+                        f"order {i}: before-relation on used elements is not "
+                        f"a total order")
+        if ranked:
+            members.append(tuple(ranked))
+    return RealizerFamily(members)

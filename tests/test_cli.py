@@ -188,6 +188,15 @@ def test_solve_offline_sat_model(capsys, tmp_path):
     assert code == 3 and err.startswith("ERROR:internal:") and out == ""
 
 
+def test_solve_model_with_non_integer_literal(capsys, tmp_path):
+    model = tmp_path / "model.txt"
+    model.write_text("s SATISFIABLE\nv 1 x 0\n")
+    code, out, err = run(capsys, "solve", "--poset", "chain:2",
+                         "--k", "1", "--d", "1", "--model", str(model))
+    assert code == 3 and out == ""
+    assert err == "ERROR:environment: model value 'x' is not an integer literal\n"
+
+
 def test_solver_environment_error(capsys):
     code, out, err = run(capsys, "solve", "--poset", "chain:2",
                          "--k", "1", "--d", "1",

@@ -1,20 +1,26 @@
+import hashlib
 import io
+import random
 import shlex
 import subprocess
 import sys
+import tracemalloc
+from itertools import islice
 
 import pytest
 
 from ldimkit import (Antichain, BooleanLattice, Chain, DecodeError,
                      ParameterError, SingletonPoset, SolverEnvironmentError,
-                     SolverProtocolError, VarMap, decode_realizer, encode,
+                     SolverProtocolError, VarMap, b7_family, build_bn_realizer,
+                     build_poset, decode_realizer, encode,
                      expected_clause_count, ldim_certificate, ldim_exact,
                      parse_dimacs, parse_model_text, resolve_solver_command,
                      run_solver, solve_instance, verify_local_realizer,
                      write_dimacs)
-from ldimkit.sat import SOLVER_ENV_VAR
+from ldimkit.sat import SOLVER_ENV_VAR, iter_clauses
 
 from tests import oracle
+from tests.test_realizers import _Relabelled
 
 
 def test_varmap_layout_and_bijection():
@@ -269,3 +275,143 @@ def test_ldim_d_max_exhausted():
     from ldimkit import BoundExceededError
     with pytest.raises(BoundExceededError):
         ldim_certificate(Antichain(2), d_max=1)
+
+
+# ------------------------------------ table-built encoder and decoder vs. oracle
+
+
+def test_varmap_tables_match_scalar_lookups():
+    for P, k in ((Chain(1), 2), (Chain(3), 2), (BooleanLattice(3), 3),
+                 (_Relabelled(SingletonPoset(3)), 2)):
+        vm = VarMap(P, k)
+        before, z = vm.before_table, vm.z_table
+        assert before.shape == (P.ground_size, P.ground_size, k)
+        assert z.shape == (P.ground_size, k)
+        for x, a in enumerate(P.element_ids()):
+            for i in range(1, k + 1):
+                assert z[x, i - 1] == vm.z(a, i)
+                for y, b in enumerate(P.element_ids()):
+                    want = 0 if a == b else vm.before(a, b, i)
+                    assert before[x, y, i - 1] == want
+        assert not before.flags.writeable and not z.flags.writeable
+
+
+def _poset(spec):
+    if spec.startswith("relabelled-"):
+        return _Relabelled(build_poset(spec.removeprefix("relabelled-")))
+    return build_poset(spec)
+
+
+@pytest.mark.parametrize("spec,k,d", [
+    ("chain:1", 2, 1), ("chain:1", 1, 1), ("chain:2", 2, 1), ("chain:4", 3, 2),
+    ("antichain:3", 3, 2), ("boolean:2", 4, 2), ("boolean:3", 12, 3),
+    ("boolean:3", 24, 3), ("boolean:3", 4, 5), ("boolean:4", 16, 2),
+    ("singleton:3", 6, 2), ("multiset-singleton:2:3", 6, 2),
+    ("relabelled-boolean:3", 6, 2)])
+def test_encode_matches_oracle(spec, k, d):
+    P = _poset(spec)
+    formula, vm = encode(P, k, d)
+    assert formula.variable_count == vm.variable_count
+    assert formula.clauses == list(oracle.clauses(P, VarMap(P, k), d))
+
+
+# SHA-256 of the DIMACS text, as the scalar encoder and writer produced it
+@pytest.mark.parametrize("spec,k,d,digest", [
+    ("boolean:3", 24, 3,
+     "c5889ddf606e2efa128af34bff0506e08a594974d85ccf6a41e1225276c94a5f"),
+    ("boolean:4", 16, 2,
+     "3cd7b31c4d6c2abe27345dbf709110310211ea612f6c902207c6c83536c33193")])
+def test_dimacs_bytes_pinned(spec, k, d, digest):
+    formula, vm = encode(build_poset(spec), k, d)
+    buf = io.StringIO()
+    write_dimacs(formula, vm, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_iter_clauses_streams():
+    # the whole list for this instance is 3.3M clauses and hundreds of MB
+    tracemalloc.start()
+    try:
+        vm, clauses = iter_clauses(BooleanLattice(4), 48, 3)
+        first = list(islice(clauses, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == list(islice(oracle.clauses(vm.P, vm, 3), 1000))
+    assert peak < 4 * 2**20
+
+
+def _true_variables(vm, members):
+    """Member i-1 placed in order i: its z variables and the before
+    variables of its pairs in member order."""
+    true = set()
+    for i, member in enumerate(members, start=1):
+        for p, a in enumerate(member):
+            true.add(vm.z(a, i))
+            true.update(vm.before(a, b, i) for b in member[p + 1:])
+    return true
+
+
+@pytest.mark.parametrize("spec,k,family", [
+    ("boolean:7", 7, b7_family), ("boolean:8", 8, lambda: build_bn_realizer(8))])
+def test_decode_matches_oracle_on_solver_models(spec, k, family):
+    P = build_poset(spec)
+    vm = VarMap(P, k)
+    members = [tuple(m) for m in family()]
+    true = _true_variables(vm, members)
+    # a full assignment in solver output format, every variable signed
+    model = parse_model_text("s SATISFIABLE\nv " + " ".join(
+        str(v if v in true else -v) for v in range(1, vm.variable_count + 1))
+        + " 0\n").model
+    assert model == true
+    decoded = decode_realizer(model, vm, P)
+    assert list(decoded) == members
+    assert decoded == oracle.decode_realizer(model, vm, P)
+    # variables above variable_count name nothing and change nothing
+    beyond = model | {vm.variable_count + 1, 2**40}
+    assert decode_realizer(beyond, vm, P) == decoded
+    assert oracle.decode_realizer(beyond, vm, P) == decoded
+
+
+def _decoded_or_error(decode, model, vm, P):
+    try:
+        return decode(model, vm, P)
+    except DecodeError as exc:
+        return str(exc)
+
+
+def test_decode_matches_oracle_on_random_models():
+    rng = random.Random(20261018)
+    P = BooleanLattice(3)
+    vm = VarMap(P, 5)
+    ids = list(P.element_ids())
+    raised = {"valid": 0, "pair-dropped": 0, "random": 0}
+    for trial in range(60):
+        kind = ("valid", "pair-dropped", "random")[trial % 3]
+        members = [rng.sample(ids, rng.randint(2 if i == 0 else 0, len(ids)))
+                   for i in range(vm.k)]
+        model = _true_variables(vm, members)
+        if kind == "valid":
+            # before variables of unused elements and variables beyond the
+            # last are not read
+            for i, member in enumerate(members, start=1):
+                unused = [a for a in ids if a not in member]
+                if member and unused:
+                    model.add(vm.before(rng.choice(unused), member[0], i))
+            model.add(vm.variable_count + rng.randint(1, 99))
+        elif kind == "pair-dropped":
+            p, q = sorted(rng.sample(range(len(members[0])), 2))
+            model.discard(vm.before(members[0][p], members[0][q], 1))
+        else:
+            # a pair of the first order set both ways: whether that decodes
+            # turns on the ranking's tie-break
+            a, b = rng.sample(members[0], 2)
+            model.add(vm.before(a, b, 1))
+            model.add(vm.before(b, a, 1))
+        got = _decoded_or_error(decode_realizer, model, vm, P)
+        assert got == _decoded_or_error(oracle.decode_realizer, model, vm, P)
+        raised[kind] += isinstance(got, str)
+        if kind == "valid":
+            assert list(got) == [tuple(m) for m in members if m]
+    assert raised["pair-dropped"] == 20
+    assert 0 < raised["random"] < 20
