@@ -12,16 +12,32 @@ order index i in [k]: for each unordered pair {A, B} (canonically oriented
 A < B by id) an x variable ("A before B in L_i") and a y variable ("B before
 A in L_i"); for each element A a z variable ("A used in L_i").  Lookups
 accept either pair orientation, so there are N(N-1)k pair variables plus Nk
-usage variables.
+usage variables.  Two auxiliary roles follow them:
+
+* s(A, i, j), "at least j of z(A, 1..i) are true", for i < k and j <= d:
+  the frequency cap is Sinz's sequential counter (LTseq, CP 2005) over
+  each element's usage row, 2kd + k - 3d - 1 clauses per element, where a
+  binomial cap would take C(k, d+1).  With d >= k there is no cap and no s.
+* e(i, j), "orders i and i+1 use the same elements among the first j
+  element indices", for i < k and 1 <= j < N: a lex-leader chain
+  (Crawford, Ginsberg, Luks & Roy, KR 1996) orders the usage columns
+  z(., 1) >= z(., 2) >= ... lexicographically, element index 0 most
+  significant, in 3N - 2 clauses per pair of neighbours.  With the units
+  z(A0, 1) and -z(A0, i) for i > d (A0 the element at index 0) it removes
+  the k! relabellings of the orders, so an unsat d is refuted once.
 
 ``VarMap`` alone knows that layout.  Besides the checked scalar lookups
-``before`` and ``z`` it gives the same variables as int64 tables indexed by
-element index and order (``before_table``, ``z_table``).  The clause
-generator gathers each clause family from those tables as one int64 block
-and hands its rows on as lists, about a thousand at a time, so a solver fed
-by ``iter_clauses`` never holds a whole family as Python lists.  The decoder
-reads a model into a bool array over the variables and ranks each order's
-used elements from the gathered before-matrix.
+``before``, ``z``, ``s`` and ``e`` it gives the same variables as int64
+tables indexed by element index and order (``before_table``, ``z_table``,
+``s_table``, ``e_table``).  The clause generator gathers each clause family
+from those tables as one int64 block and hands its rows on as lists, about
+a thousand at a time, so a solver fed by ``iter_clauses`` never holds a
+whole family as Python lists.  The decoder reads a model into a bool array
+over the variables and ranks each order's used elements from the gathered
+before-matrix; it reads no auxiliary variable.  A map file has one line per
+variable, ``role A B i var``: ``x``/``y`` give the pair A, B; ``z`` has
+``-`` for B; ``s`` gives A and the count j as B; ``e`` has ``-`` for A and
+the index bound j as B.
 """
 
 from __future__ import annotations
@@ -36,8 +52,7 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
-from math import comb
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -59,19 +74,39 @@ class VarMap:
     is x(A, B, i) and the following even id is y(A, B, i).  Usage block after:
     z(A, i) = N(N-1)k + index(A)*k + i.
 
+    ``VarMap(P, k, d)`` adds the auxiliary variables of encode(P, k, d)
+    after the usage block, which ends at ``z_block``; ``VarMap(P, k)`` has
+    none, and its x, y and z ids are those of every d.  Counter block, only
+    when d < k: s(A, i, j) = "at least j of z(A, 1..i) are true" for i < k
+    and j <= d is z_block + (index(A)*(k-1) + i - 1)*d + j.  Lex block
+    last, after ``s_block``: e(i, j) = "orders i and i+1 use the same
+    elements among indices < j" for i < k and 1 <= j < N is
+    s_block + (i - 1)*(N-1) + j.
+
     ``before_table[index(A), index(B), i - 1]`` is before(A, B, i), 0 where
-    A = B, and ``z_table[index(A), i - 1]`` is z(A, i): read-only int64
-    arrays of shape N x N x k and N x k, built on first use.
+    A = B; ``z_table[index(A), i - 1]`` is z(A, i);
+    ``s_table[index(A), i - 1, j - 1]`` is s(A, i, j) and
+    ``e_table[i - 1, j - 1]`` is e(i, j).  They are read-only int64 arrays
+    of shape N x N x k, N x k, N x (k-1) x w and (k-1) x m, built on first
+    use, where w is d (0 without a counter) and m is N-1 (0 without d).
     """
 
-    def __init__(self, P: Poset, k: int):
+    def __init__(self, P: Poset, k: int, d: int | None = None):
         if k < 1:
             raise ParameterError(f"need k >= 1, got {k}")
+        if d is not None and d < 1:
+            raise ParameterError(f"need d >= 1, got {d}")
         self.P = P
         self.k = k
+        self.d = d
         self.n = P.ground_size
         self.pair_block = self.n * (self.n - 1) * k
-        self.variable_count = self.pair_block + self.n * k
+        self.z_block = self.pair_block + self.n * k
+        # j ranges of s (a cap of d >= k orders needs no counter) and of e
+        self.counter_width = d if d is not None and d < k else 0
+        self.lex_width = self.n - 1 if d is not None else 0
+        self.s_block = self.z_block + self.n * (k - 1) * self.counter_width
+        self.variable_count = self.s_block + (k - 1) * self.lex_width
 
     def _pair_var(self, lo, hi, i0, reverse):
         # x (reverse 0) or y (reverse 1) of index pair lo < hi in 0-based
@@ -82,9 +117,24 @@ class VarMap:
     def _z_var(self, ai, i0):
         return self.pair_block + ai * self.k + i0 + 1
 
+    def _s_var(self, ai, i0, j0):
+        return (self.z_block + (ai * (self.k - 1) + i0) * self.counter_width
+                + j0 + 1)
+
+    def _e_var(self, i0, j0):
+        return self.s_block + i0 * self.lex_width + j0 + 1
+
     def _check_order(self, i: int) -> None:
         if not 1 <= i <= self.k:
             raise ParameterError(f"order index {i} not in [1, {self.k}]")
+
+    def _check_aux(self, role: str, i: int, j: int, width: int) -> None:
+        if not width:
+            raise ParameterError(
+                f"VarMap(k={self.k}, d={self.d}) has no {role} variables")
+        if not (1 <= i < self.k and 1 <= j <= width):
+            raise ParameterError(f"{role}(i={i}, j={j}) needs 1 <= i <= "
+                                 f"{self.k - 1} and 1 <= j <= {width}")
 
     def before(self, a: int, b: int, i: int) -> int:
         """Variable for 'a placed before b in L_i' (either orientation)."""
@@ -100,6 +150,17 @@ class VarMap:
         self._check_order(i)
         return self._z_var(self.P.index_of(a), i - 1)
 
+    def s(self, a: int, i: int, j: int) -> int:
+        """Counter variable 'at least j of z(a, 1..i) are true'."""
+        self._check_aux("s", i, j, self.counter_width)
+        return self._s_var(self.P.index_of(a), i - 1, j - 1)
+
+    def e(self, i: int, j: int) -> int:
+        """Lex variable 'orders i and i+1 use the same elements among the
+        first j element indices'."""
+        self._check_aux("e", i, j, self.lex_width)
+        return self._e_var(i - 1, j - 1)
+
     @cached_property
     def before_table(self) -> np.ndarray:
         idx = np.arange(self.n, dtype=np.int64)
@@ -107,18 +168,29 @@ class VarMap:
         table = self._pair_var(np.minimum(a, b), np.maximum(a, b),
                                np.arange(self.k, dtype=np.int64), a > b)
         table[idx, idx] = 0
-        table.flags.writeable = False
-        return table
+        return _read_only(table)
 
     @cached_property
     def z_table(self) -> np.ndarray:
-        table = self._z_var(np.arange(self.n, dtype=np.int64)[:, None],
-                            np.arange(self.k, dtype=np.int64))
-        table.flags.writeable = False
-        return table
+        return _read_only(self._z_var(
+            np.arange(self.n, dtype=np.int64)[:, None],
+            np.arange(self.k, dtype=np.int64)))
 
-    def describe(self, var: int) -> tuple[str, int, int | None, int]:
-        """(role, A, B or None, i) for a variable id."""
+    @cached_property
+    def s_table(self) -> np.ndarray:
+        ai, i0, j0 = np.indices((self.n, self.k - 1, self.counter_width),
+                                dtype=np.int64)
+        return _read_only(self._s_var(ai, i0, j0))
+
+    @cached_property
+    def e_table(self) -> np.ndarray:
+        i0, j0 = np.indices((self.k - 1, self.lex_width), dtype=np.int64)
+        return _read_only(self._e_var(i0, j0))
+
+    def describe(self, var: int) -> tuple[str, int | None, int | None, int]:
+        """(role, A, B, i) for a variable id: B is the second element of an
+        x or y variable, the count j of s(A, i, j) or the index bound j of
+        e(i, j), and None for z; A is None for e."""
         if not 1 <= var <= self.variable_count:
             raise ParameterError(f"variable {var} not in [1, {self.variable_count}]")
         if var <= self.pair_block:
@@ -127,9 +199,15 @@ class VarMap:
             slot, i = divmod(t // 2, self.k)
             ai, bi = self._pairs[slot]
             return role, self.P.id_at(ai), self.P.id_at(bi), i + 1
-        t = var - self.pair_block - 1
-        ai, i = divmod(t, self.k)
-        return "z", self.P.id_at(ai), None, i + 1
+        if var <= self.z_block:
+            ai, i = divmod(var - self.pair_block - 1, self.k)
+            return "z", self.P.id_at(ai), None, i + 1
+        if var <= self.s_block:
+            t, j = divmod(var - self.z_block - 1, self.counter_width)
+            ai, i = divmod(t, self.k - 1)
+            return "s", self.P.id_at(ai), j + 1, i + 1
+        i, j = divmod(var - self.s_block - 1, self.lex_width)
+        return "e", None, j + 1, i + 1
 
     @property
     def _pairs(self) -> list[tuple[int, int]]:
@@ -140,10 +218,15 @@ class VarMap:
         return cached
 
     def iter_entries(self):
-        """Yield (role, A, B or None, i, var) for every variable, ascending."""
+        """Yield (role, A, B, i, var) for every variable, ascending."""
         for var in range(1, self.variable_count + 1):
             role, a, b, i = self.describe(var)
             yield role, a, b, i, var
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 @dataclass
@@ -175,7 +258,7 @@ def iter_clauses(P: Poset, k: int,
     encode's order, so a solver can take them without a list of lists."""
     if k < 1 or d < 1:
         raise ParameterError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
-    vm = VarMap(P, k)
+    vm = VarMap(P, k, d)
     return vm, _clauses(P, vm, d)
 
 
@@ -248,12 +331,47 @@ def _clauses(P: Poset, vm: VarMap, d: int) -> Iterator[list[int]]:
             yield four
             yield pair
 
-    # frequency cap: no element is used in d+1 distinct orders
-    combos = np.fromiter(chain.from_iterable(combinations(range(k), d + 1)),
-                         dtype=np.int64, count=comb(k, d + 1) * (d + 1))
-    combos = combos.reshape(-1, d + 1)
-    for usage in z:
-        yield from rows(-usage[combos])
+    # frequency cap: no element is used in d+1 distinct orders, by Sinz's
+    # sequential counter (LTseq) over each element's usage row
+    if vm.counter_width:
+        cnt = vm.s_table
+        # z(a, i) -> s(a, i, 1)
+        yield from rows(np.stack((-z[:, :-1], cnt[:, :, 0]), axis=-1)
+                        .reshape(-1, 2))
+        # s(a, i-1, j) -> s(a, i, j)
+        yield from rows(np.stack((-cnt[:, :-1], cnt[:, 1:]), axis=-1)
+                        .reshape(-1, 2))
+        # z(a, i) and s(a, i-1, j-1) -> s(a, i, j)
+        zi = np.broadcast_to(z[:, 1:-1, None], cnt[:, 1:, 1:].shape)
+        yield from rows(np.stack((-zi, -cnt[:, :-1, :-1], cnt[:, 1:, 1:]),
+                                 axis=-1).reshape(-1, 3))
+        # z(a, i) -> not s(a, i-1, d): no (d+1)-th use
+        yield from rows(np.stack((-z[:, 1:], -cnt[:, :, -1]), axis=-1)
+                        .reshape(-1, 2))
+        # one order counts at most one use
+        yield from rows(-cnt[:, 0, 1:].reshape(-1, 1))
+
+    # symmetry break: usage columns z(., i) >= z(., i+1) in lex order, the
+    # element at index 0 most significant; e(i, j) holds while the columns
+    # agree on indices < j
+    col, nxt, e = z[:, :-1].T, z[:, 1:].T, vm.e_table
+    # index 0: column i holds a0 if column i+1 does; they agree on it
+    # unless column i holds it alone
+    first = [(col[:, 0], -nxt[:, 0])]
+    if n > 1:
+        first += [(col[:, 0], e[:, 0]), (-nxt[:, 0], e[:, 0])]
+    yield from rows(np.array(first, dtype=np.int64).transpose(2, 0, 1)
+                    .reshape(-1, 2))
+    # index j >= 1, under e(i, j): the same, with e(i, j+1) for agreement
+    yield from rows(np.stack((-e, col[:, 1:], -nxt[:, 1:]), axis=-1)
+                    .reshape(-1, 3))
+    yield from rows(np.stack((-e[:, :-1], col[:, 1:-1], e[:, 1:],
+                              -e[:, :-1], -nxt[:, 1:-1], e[:, 1:]), axis=-1)
+                    .reshape(-1, 3))
+    # ... which puts the orders using the element at index 0 first, and at
+    # most d of them
+    yield from rows(z[:1, :1])
+    yield from rows(-z[0, d:, None])
 
     # a one-element ground set has no pairs, so require the element directly
     if n == 1:
@@ -267,7 +385,10 @@ def expected_clause_count(N: int, n_comparable: int, n_incomparable: int,
     total += n_comparable * (1 + k)            # comparable obligations
     total += 2 * n_incomparable                # incomparable obligations
     total += 3 * N * (N - 1) * k               # coupling (6 per unordered pair)
-    total += N * comb(k, d + 1)                # frequency cap
+    if d < k:
+        total += N * (2 * k * d + k - 3 * d - 1)   # sequential counter
+    total += (k - 1) * (3 * N - 2)             # lex chain on usage columns
+    total += 1 + max(0, k - d)                 # first element's usage units
     if N == 1:
         total += 1                             # lone-element coverage
     return total
@@ -293,7 +414,7 @@ def write_dimacs(formula: CnfFormula, varmap: VarMap | None = None,
                  out=None, map_out=None) -> None:
     """Write standard DIMACS CNF to ``out``; if ``map_out`` is given (and a
     varmap supplied), also write one line per variable:
-    ``x|y|z <A> <B|-> <i> <varid>``."""
+    ``x|y|z|s|e <A|-> <B|j|-> <i> <varid>`` (see ``VarMap.describe``)."""
     if out is None:
         raise ParameterError("write_dimacs needs an output path or file object")
     opened: list = []
@@ -310,47 +431,58 @@ def write_dimacs(formula: CnfFormula, varmap: VarMap | None = None,
                 raise ParameterError("a VarMap is required to write a map file")
             map_handle = _open_sink(map_out, opened)
             for role, a, b, i, var in varmap.iter_entries():
+                a_text = "-" if a is None else str(a)
                 b_text = "-" if b is None else str(b)
-                map_handle.write(f"{role} {a} {b_text} {i} {var}\n")
+                map_handle.write(f"{role} {a_text} {b_text} {i} {var}\n")
     finally:
         for handle in opened:
             handle.close()
 
 
+# a line whose first non-blank character is 'c' (comment) or 'p' (header),
+# with the newline before it: a leading literal lets the regex engine skip
+# to each newline instead of trying every position
+_DIMACS_LINE = re.compile(r"\n[ \t\v\f\r]*([cp])[^\n]*")
+
+
 def parse_dimacs(source) -> CnfFormula:
-    """Read a DIMACS CNF file (path, file object, or text)."""
+    """Read a DIMACS CNF file (path, file object, or text).
+
+    Comment and header lines are cut out and the remaining tokens are read
+    in one numpy parse; a clause may span lines, and a last clause without
+    its 0 still counts.  A missing or malformed header, a clause count that
+    differs from the header's, or a token that is not an integer raises
+    FormatError."""
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         text = Path(source).read_text(encoding="utf-8")
     elif hasattr(source, "read"):
         text = source.read()
     else:
         text = str(source)
-    variable_count = None
-    declared_clauses = None
-    clauses: list[list[int]] = []
-    current: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise FormatError(f"bad DIMACS header: {raw!r}")
+    text = "\n" + text
+    variable_count = declared_clauses = None
+    body, end = [], 0
+    for line in _DIMACS_LINE.finditer(text):
+        body.append(text[end:line.start()])
+        end = line.end()
+        if line[1] == "p":
+            parts = line[0].split()
+            if (len(parts) != 4 or parts[1] != "cnf"
+                    or not (parts[2].isdigit() and parts[3].isdigit())):
+                raise FormatError(f"bad DIMACS header: {line[0][1:]!r}")
             variable_count, declared_clauses = int(parts[2]), int(parts[3])
-            continue
-        for token in line.split():
-            lit = int(token)
-            if lit == 0:
-                clauses.append(current)
-                current = []
-            else:
-                current.append(lit)
-    if current:
-        clauses.append(current)
+    body.append(text[end:])
     if variable_count is None:
         raise FormatError("missing DIMACS 'p cnf' header")
-    if declared_clauses is not None and declared_clauses != len(clauses):
+    literals = _parse_literals(" ".join(body), lambda token: (
+        FormatError(f"DIMACS token {token!r} is not an integer literal")))
+    flat = literals.tolist()
+    ends = np.flatnonzero(literals == 0).tolist()
+    if flat and flat[-1] != 0:
+        ends.append(len(flat))
+    starts = [0] + [end + 1 for end in ends[:-1]]
+    clauses = [flat[start:end] for start, end in zip(starts, ends)]
+    if declared_clauses != len(clauses):
         raise FormatError(
             f"header declares {declared_clauses} clauses, found {len(clauses)}")
     return CnfFormula(variable_count, clauses)
@@ -374,7 +506,11 @@ def parse_model_text(text: str) -> SolverResult | None:
                 status = "unknown"
         elif line.startswith("v ") or line == "v":
             values.append(line[1:])
-    literals = _parse_literals(" ".join(values)) if values else None
+    literals = None
+    if values:
+        literals = _parse_literals(" ".join(values), lambda token: (
+            SolverProtocolError(
+                f"model value {token!r} is not an integer literal")))
     if status is None:
         return None
     model = None
@@ -387,10 +523,14 @@ def parse_model_text(text: str) -> SolverResult | None:
     return SolverResult(status, model)
 
 
-def _parse_literals(text: str) -> np.ndarray:
-    """The integers of whitespace-separated text in one numpy parse.  numpy
+def _parse_literals(text: str, bad_token) -> np.ndarray:
+    """The integers of whitespace-separated text in one numpy parse; raises
+    ``bad_token(token)`` for the first token that is not an integer.  numpy
     clips a literal beyond int64 to its limits, where it names no variable
     either way."""
+    if text.isspace():
+        # numpy reads blank text as one 0
+        return np.zeros(0, dtype=np.int64)
     try:
         with warnings.catch_warnings():
             # numpy before 2.3 warns and stops at a token it cannot read
@@ -400,8 +540,8 @@ def _parse_literals(text: str) -> np.ndarray:
         pass
     # numpy's separators are the ASCII whitespace characters
     tokens = filter(None, re.split(r"[ \t\n\v\f\r]+", text))
-    bad = next((t for t in tokens if not re.fullmatch(r"[+-]?[0-9]+", t)), "")
-    raise SolverProtocolError(f"model value {bad!r} is not an integer literal")
+    raise bad_token(next(
+        (t for t in tokens if not re.fullmatch(r"[+-]?[0-9]+", t)), ""))
 
 
 def resolve_solver_command(solver_command=None) -> list[str]:
@@ -530,6 +670,17 @@ def ldim_certificate(P: Poset, d_max: int | None = None, solver_command=None,
     members of a frequency-d realizer leaves a realizer; each remaining
     member holds at least two of the at most d*N element occurrences.  For
     N = 1 one order suffices.
+
+    The symmetry break keeps every answer.  Take a realizer of frequency at
+    most d with at most k members, pad it with empty orders to k and sort
+    the orders by usage column, lex-descending with element index 0 most
+    significant.  The padded family is still a realizer of frequency at most
+    d, so the counter holds; consecutive columns are in lex order, so the
+    lex chain holds; some order uses the element A0 at index 0 (it lies in
+    some pair, or it is the only element), and the sort puts the at most d
+    orders that use it first, so z(A0, 1) and -z(A0, i) for i > d hold.  Hence the instance with the
+    break is satisfiable whenever the instance without it is, and an unsat
+    answer stands for every order of the members.
     """
     limit = P.ground_size if d_max is None else d_max
     if limit < 1:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from ldimkit import DecodeError, RealizerFamily
+from ldimkit import DecodeError, RealizerFamily, VarMap
 
 
 def check_family(P, family) -> tuple[bool, int, int]:
@@ -138,9 +138,13 @@ def violations(P, family) -> dict[str, list[tuple]]:
 
 
 def clauses(P, vm, d):
-    """The clauses of encode(P, vm.k, d) in encode's order."""
+    """The clauses of encode(P, vm.k, d) in encode's order.  ``vm`` may be
+    VarMap(P, k) or VarMap(P, k, d): x, y and z ids are the same in both,
+    and the auxiliary ids come from VarMap(P, k, d)."""
+    vm = VarMap(P, vm.k, d)
     ids = list(P.element_ids())
-    orders = range(1, vm.k + 1)
+    k = vm.k
+    orders = range(1, k + 1)
 
     # each used triple is ordered transitively (covers both chain directions,
     # since the reversed triple contributes the mirrored clause)
@@ -181,10 +185,50 @@ def clauses(P, vm, d):
             yield from ([-x, za], [-x, zb], [-y, za], [-y, zb],
                         [-za, -zb, x, y], [-x, -y])
 
-    # frequency cap: no element is used in d+1 distinct orders
-    for a in ids:
-        for combo in combinations(orders, d + 1):
-            yield [-vm.z(a, c) for c in combo]
+    # frequency cap, when d < k: Sinz's sequential counter, s(a, i, j) for
+    # "at least j of z(a, 1..i)", one kind of clause at a time, element by
+    # element
+    if d < k:
+        s = vm.s
+        for a in ids:                       # z(a, i) counts: s(a, i, 1)
+            for i in range(1, k):
+                yield [-vm.z(a, i), s(a, i, 1)]
+        for a in ids:                       # a count carries forward
+            for i in range(2, k):
+                for j in range(1, d + 1):
+                    yield [-s(a, i - 1, j), s(a, i, j)]
+        for a in ids:                       # z(a, i) raises a count by one
+            for i in range(2, k):
+                for j in range(2, d + 1):
+                    yield [-vm.z(a, i), -s(a, i - 1, j - 1), s(a, i, j)]
+        for a in ids:                       # no z(a, i) after a count of d
+            for i in range(2, k + 1):
+                yield [-vm.z(a, i), -s(a, i - 1, d)]
+        for a in ids:                       # one order counts at most one
+            for j in range(2, d + 1):
+                yield [-s(a, 1, j)]
+
+    # symmetry break: column i of z (element ids in index order, the first
+    # most significant) is lexicographically >= column i + 1, with e(i, j)
+    # for "the columns agree on the first j elements"
+    a0 = ids[0]
+    for i in range(1, k):
+        x0, y0 = vm.z(a0, i), vm.z(a0, i + 1)
+        yield [x0, -y0]
+        if len(ids) > 1:
+            yield [x0, vm.e(i, 1)]
+            yield [-y0, vm.e(i, 1)]
+    for i in range(1, k):
+        for j, a in enumerate(ids[1:], start=1):
+            yield [-vm.e(i, j), vm.z(a, i), -vm.z(a, i + 1)]
+    for i in range(1, k):
+        for j, a in enumerate(ids[1:-1], start=1):
+            yield [-vm.e(i, j), vm.z(a, i), vm.e(i, j + 1)]
+            yield [-vm.e(i, j), -vm.z(a, i + 1), vm.e(i, j + 1)]
+    # so the orders that use the first element come first, at most d of them
+    yield [vm.z(a0, 1)]
+    for i in range(d + 1, k + 1):
+        yield [-vm.z(a0, i)]
 
     # a one-element ground set has no pairs, so require the element directly
     if len(ids) == 1:
@@ -211,3 +255,36 @@ def decode_realizer(model, varmap, P):
         if ranked:
             members.append(tuple(ranked))
     return RealizerFamily(members)
+
+
+def parse_dimacs(text):
+    """(variable_count, clauses) of DIMACS text, line by line and token by
+    token with int(); raises ValueError where parse_dimacs raises
+    FormatError."""
+    variable_count = declared_clauses = None
+    clauses, current = [], []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise ValueError(f"bad DIMACS header: {raw!r}")
+            variable_count, declared_clauses = int(parts[2]), int(parts[3])
+            continue
+        for token in line.split():
+            lit = int(token)
+            if lit == 0:
+                clauses.append(current)
+                current = []
+            else:
+                current.append(lit)
+    if current:
+        clauses.append(current)
+    if variable_count is None:
+        raise ValueError("missing DIMACS 'p cnf' header")
+    if declared_clauses != len(clauses):
+        raise ValueError(
+            f"header declares {declared_clauses} clauses, found {len(clauses)}")
+    return variable_count, clauses

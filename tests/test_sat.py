@@ -5,18 +5,21 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
-from itertools import islice
+from itertools import islice, product
 
+import numpy as np
 import pytest
 
 from ldimkit import (Antichain, BooleanLattice, Chain, DecodeError,
                      ParameterError, SingletonPoset, SolverEnvironmentError,
-                     SolverProtocolError, VarMap, b7_family, build_bn_realizer,
+                     SolverProtocolError, VarMap, b4_family, b7_family,
+                     build_bn_realizer,
                      build_poset, decode_realizer, encode,
                      expected_clause_count, ldim_certificate, ldim_exact,
                      parse_dimacs, parse_model_text, resolve_solver_command,
                      run_solver, solve_instance, verify_local_realizer,
                      write_dimacs)
+from ldimkit.cdcl import solve_clauses
 from ldimkit.sat import SOLVER_ENV_VAR, iter_clauses
 
 from tests import oracle
@@ -44,29 +47,65 @@ def test_varmap_layout_and_bijection():
 
 
 def test_varmap_describe_inverse():
-    P = Chain(3)
-    vm = VarMap(P, 2)
-    for var in range(1, vm.variable_count + 1):
-        role, a, b, i = vm.describe(var)
-        if role == "z":
-            assert b is None
-            assert vm.z(a, i) == var
-        elif role == "x":
-            assert vm.before(a, b, i) == var
-        else:
-            assert vm.before(b, a, i) == var
+    # without d, with a counter (d < k) and with the lex chain alone (d >= k)
+    for P, k, d in ((Chain(3), 2, None), (Chain(3), 4, 2), (Chain(3), 2, 2),
+                    (_Relabelled(SingletonPoset(3)), 3, 1)):
+        vm = VarMap(P, k, d)
+        roles = set()
+        for var in range(1, vm.variable_count + 1):
+            role, a, b, i = vm.describe(var)
+            roles.add(role)
+            if role == "z":
+                assert b is None
+                assert vm.z(a, i) == var
+            elif role == "x":
+                assert vm.before(a, b, i) == var
+            elif role == "y":
+                assert vm.before(b, a, i) == var
+            elif role == "s":
+                assert vm.s(a, i, b) == var
+            else:
+                assert role == "e" and a is None
+                assert vm.e(i, b) == var
+        assert roles == {"x", "y", "z"} | ({"s"} if vm.counter_width else set()) \
+            | ({"e"} if d is not None else set())
+        with pytest.raises(ParameterError):
+            vm.describe(0)
+        with pytest.raises(ParameterError):
+            vm.describe(vm.variable_count + 1)
+        with pytest.raises(ParameterError):
+            vm.before(1, 1, 1)
+        with pytest.raises(ParameterError):
+            vm.z(0, 5)
+        for bad in ((0, 1), (k, 1), (1, 0), (1, (d or 0) + 1)):
+            with pytest.raises(ParameterError):
+                vm.s(P.element_ids()[0], *bad)
+        for bad in ((0, 1), (k, 1), (1, 0), (1, P.ground_size)):
+            with pytest.raises(ParameterError):
+                vm.e(*bad)
     with pytest.raises(ParameterError):
-        vm.describe(0)
-    with pytest.raises(ParameterError):
-        vm.before(1, 1, 1)
-    with pytest.raises(ParameterError):
-        vm.z(0, 5)
+        VarMap(Chain(3), 2, 0)
+
+
+def test_varmap_without_d_keeps_its_layout():
+    # encode(P, k, d) adds its auxiliary variables after the usage block,
+    # so VarMap(P, k) reads the same x, y and z ids for every d
+    P = BooleanLattice(3)
+    plain = VarMap(P, 6)
+    assert plain.variable_count == 8 * 7 * 6 + 8 * 6
+    for d in (1, 3, 6, 9):
+        vm = VarMap(P, 6, d)
+        assert (vm.before_table == plain.before_table).all()
+        assert (vm.z_table == plain.z_table).all()
+        counter = 8 * 5 * d if d < 6 else 0
+        assert vm.variable_count == plain.variable_count + counter + 5 * 7
+        assert vm.variable_count == encode(P, 6, d)[0].variable_count
 
 
 def test_encode_counts():
     P = BooleanLattice(2)
     formula, vm = encode(P, 2, 2)
-    assert formula.variable_count == 32
+    assert formula.variable_count == 35
     n_comp = sum(1 for a in P.element_ids() for b in P.element_ids()
                  if a < b and (P.leq(a, b) or P.leq(b, a)))
     n_inc = 6 - n_comp
@@ -94,7 +133,7 @@ def test_dimacs_round_trip(tmp_path):
     lines = map_path.read_text().splitlines()
     assert len(lines) == formula.variable_count
     assert lines[0].split() == ["x", "0", "1", "1", "1"]
-    assert lines[-1].split()[0] == "z"
+    assert lines[-1].split()[0] == "e"
 
     buf = io.StringIO()
     write_dimacs(formula, vm, buf)
@@ -281,19 +320,34 @@ def test_ldim_d_max_exhausted():
 
 
 def test_varmap_tables_match_scalar_lookups():
-    for P, k in ((Chain(1), 2), (Chain(3), 2), (BooleanLattice(3), 3),
-                 (_Relabelled(SingletonPoset(3)), 2)):
-        vm = VarMap(P, k)
-        before, z = vm.before_table, vm.z_table
+    for P, k, d in ((Chain(1), 2, 1), (Chain(3), 2, None),
+                    (BooleanLattice(3), 3, 2), (BooleanLattice(3), 3, 3),
+                    (_Relabelled(SingletonPoset(3)), 4, 2)):
+        vm = VarMap(P, k, d)
+        before, z, s, e = vm.before_table, vm.z_table, vm.s_table, vm.e_table
+        width = d if d is not None and d < k else 0
         assert before.shape == (P.ground_size, P.ground_size, k)
         assert z.shape == (P.ground_size, k)
+        assert s.shape == (P.ground_size, k - 1, width)
+        assert e.shape == (k - 1, P.ground_size - 1 if d is not None else 0)
         for x, a in enumerate(P.element_ids()):
             for i in range(1, k + 1):
                 assert z[x, i - 1] == vm.z(a, i)
                 for y, b in enumerate(P.element_ids()):
                     want = 0 if a == b else vm.before(a, b, i)
                     assert before[x, y, i - 1] == want
-        assert not before.flags.writeable and not z.flags.writeable
+            for i in range(1, k):
+                for j in range(1, width + 1):
+                    assert s[x, i - 1, j - 1] == vm.s(a, i, j)
+        for i in range(1, k):
+            for j in range(1, e.shape[1] + 1):
+                assert e[i - 1, j - 1] == vm.e(i, j)
+        # the tables cover every variable once
+        ids = np.concatenate([t.ravel() for t in (before, z, s, e)])
+        assert sorted(ids[ids > 0].tolist()) == list(
+            range(1, vm.variable_count + 1))
+        for table in (before, z, s, e):
+            assert not table.flags.writeable
 
 
 def _poset(spec):
@@ -302,12 +356,15 @@ def _poset(spec):
     return build_poset(spec)
 
 
-@pytest.mark.parametrize("spec,k,d", [
+_ORACLE_INSTANCES = [
     ("chain:1", 2, 1), ("chain:1", 1, 1), ("chain:2", 2, 1), ("chain:4", 3, 2),
     ("antichain:3", 3, 2), ("boolean:2", 4, 2), ("boolean:3", 12, 3),
     ("boolean:3", 24, 3), ("boolean:3", 4, 5), ("boolean:4", 16, 2),
     ("singleton:3", 6, 2), ("multiset-singleton:2:3", 6, 2),
-    ("relabelled-boolean:3", 6, 2)])
+    ("relabelled-boolean:3", 6, 2)]
+
+
+@pytest.mark.parametrize("spec,k,d", _ORACLE_INSTANCES)
 def test_encode_matches_oracle(spec, k, d):
     P = _poset(spec)
     formula, vm = encode(P, k, d)
@@ -315,12 +372,23 @@ def test_encode_matches_oracle(spec, k, d):
     assert formula.clauses == list(oracle.clauses(P, VarMap(P, k), d))
 
 
-# SHA-256 of the DIMACS text, as the scalar encoder and writer produced it
+@pytest.mark.parametrize("spec,k,d", _ORACLE_INSTANCES)
+def test_expected_clause_count_matches_encode(spec, k, d):
+    P = _poset(spec)
+    leq = P.leq_matrix()
+    lo, hi = np.triu_indices(P.ground_size, 1)
+    comparable = int((leq[lo, hi] | leq[hi, lo]).sum())
+    assert encode(P, k, d)[0].clause_count == expected_clause_count(
+        P.ground_size, comparable, len(lo) - comparable, k, d)
+
+
+# SHA-256 of the DIMACS text, as the encoder with the sequential counter
+# and the lex chain writes it
 @pytest.mark.parametrize("spec,k,d,digest", [
     ("boolean:3", 24, 3,
-     "c5889ddf606e2efa128af34bff0506e08a594974d85ccf6a41e1225276c94a5f"),
+     "f61bfbe0cd65bc99ede2874649f29ea9a65a0411653ad30147c777b72fb8117a"),
     ("boolean:4", 16, 2,
-     "3cd7b31c4d6c2abe27345dbf709110310211ea612f6c902207c6c83536c33193")])
+     "99cff02284f955b117f4460a4c67b5436a8c1a1a81e2972ee294571b626a0535")])
 def test_dimacs_bytes_pinned(spec, k, d, digest):
     formula, vm = encode(build_poset(spec), k, d)
     buf = io.StringIO()
@@ -415,3 +483,176 @@ def test_decode_matches_oracle_on_random_models():
             assert list(got) == [tuple(m) for m in members if m]
     assert raised["pair-dropped"] == 20
     assert 0 < raised["random"] < 20
+
+
+# ------------------------------------------- sequential counter and lex chain
+
+
+def test_counter_caps_one_usage_row():
+    # element 1 of boolean:1: the counter clauses over its z row, with the
+    # row's values as units, are satisfiable exactly when at most d are true
+    P = BooleanLattice(1)
+    for k in range(2, 7):
+        for d in range(1, k):
+            formula, vm = encode(P, k, d)
+            own = set(vm.s_table[1].ravel().tolist())
+            counter = [c for c in formula.clauses
+                       if any(abs(lit) in own for lit in c)]
+            assert len(counter) == 2 * k * d + k - 3 * d - 1
+            row = vm.z_table[1].tolist()
+            for bits in product((0, 1), repeat=k):
+                units = [[v if bit else -v] for v, bit in zip(row, bits)]
+                model = solve_clauses(vm.variable_count, counter + units)
+                assert (model is not None) == (sum(bits) <= d), (k, d, bits)
+
+
+def _propagated(formula, true, assigned):
+    """Values of every variable: ``assigned`` fixed (true if in ``true``),
+    the rest forced by unit propagation, then false."""
+    value = {v: v in true for v in assigned}
+    pending = [c for c in formula.clauses
+               if any(abs(lit) not in value for lit in c)]
+    changed = True
+    while changed:
+        changed = False
+        for clause in pending:
+            if any(value.get(abs(lit)) == (lit > 0) for lit in clause):
+                continue
+            open_ = [lit for lit in clause if abs(lit) not in value]
+            if len(open_) == 1:
+                value[abs(open_[0])] = open_[0] > 0
+                changed = True
+    return lambda lit: value.get(abs(lit), False) == (lit > 0)
+
+
+def _broken_clauses(formula, vm, members):
+    # member i-1 in order i; x, y and z variables that it leaves unset are
+    # false, and the counter and lex variables are propagated
+    true = _true_variables(vm, members)
+    holds = _propagated(formula, true, range(1, vm.z_block + 1))
+    return [c for c in formula.clauses if not any(map(holds, c))]
+
+
+def _standard(n):
+    """Order i puts the sets without element i below those with it."""
+    canon = sorted(range(1 << n), key=lambda a: (a.bit_count(), a))
+    return [tuple([a for a in canon if not a >> i & 1]
+                  + [a for a in canon if a >> i & 1]) for i in range(n)]
+
+
+@pytest.mark.parametrize("spec,k,family", [
+    ("boolean:4", 8, lambda: [tuple(m) for m in b4_family()]),
+    ("boolean:3", 12, lambda: _standard(3))])
+def test_lex_sorted_padded_family_satisfies_encoding(spec, k, family):
+    P = build_poset(spec)
+    formula, vm = encode(P, k, 3)
+    index = {a: x for x, a in enumerate(P.element_ids())}
+    members = family()
+    members += [()] * (k - len(members))
+
+    def column(member):
+        used = {index[a] for a in member}
+        return [x in used for x in range(P.ground_size)]
+
+    ranked = sorted(members, key=column, reverse=True)
+    assert _broken_clauses(formula, vm, ranked) == []
+    lex_vars = set(vm.e_table.ravel().tolist())
+    first = [vm.z(P.element_ids()[0], i) for i in range(1, k + 1)]
+
+    def is_lex(clause):
+        return (any(abs(lit) in lex_vars for lit in clause)
+                or clause in ([x, -y] for x, y in zip(first, first[1:])))
+
+    # swapping two neighbours with different columns breaks the chain,
+    # wherever the columns first differ
+    swaps = 0
+    for i in range(k - 1):
+        if column(ranked[i]) != column(ranked[i + 1]):
+            other = list(ranked)
+            other[i:i + 2] = other[i + 1], other[i]
+            assert any(map(is_lex, _broken_clauses(formula, vm, other)))
+            swaps += 1
+    assert swaps > 0
+    # the b4 fixture's own order puts a smaller column before a larger one
+    if members != ranked:
+        assert any(map(is_lex, _broken_clauses(formula, vm, members)))
+
+
+def test_frozen_ldim_boolean4():
+    # d = 2 at k = 16 is unsat by the in-process solver; that answer is
+    # trusted as it stands, no proof of it is checked yet
+    P = BooleanLattice(4)
+    d, fam = ldim_certificate(P)
+    assert d == 3
+    rep = verify_local_realizer(P, fam)
+    assert rep.accepted and rep.frequency == 3
+
+
+# ------------------------------------------------------------ DIMACS reading
+
+
+def _random_dimacs(rng):
+    """DIMACS text with comments between and inside clause runs, clauses
+    split across lines and blank, indented and CRLF lines."""
+    v = rng.randint(1, 30)
+    clauses = [[rng.choice((-1, 1)) * rng.randint(1, v)
+                for _ in range(rng.randint(0, 6))] for _ in range(rng.randint(0, 40))]
+    tokens = [str(lit) for clause in clauses for lit in clause + [0]]
+    if tokens and rng.random() < 0.3:
+        tokens.pop()        # a last clause without its 0
+        if clauses[-1] == []:
+            clauses.pop()
+    lines, line = ["c random", f"p cnf {v} {len(clauses)}"], []
+    for token in tokens:
+        line.append(token)
+        if rng.random() < 0.25:
+            lines.append(" ".join(line))
+            line = []
+            if rng.random() < 0.2:
+                lines.append(rng.choice(("c between", "   c indented", "",
+                                         "\t", "c")))
+    lines.append(" ".join(line))
+    eol = rng.choice(("\n", "\r\n"))
+    return eol.join(lines) + rng.choice(("", eol)), v, clauses
+
+
+def test_parse_dimacs_matches_line_loop():
+    rng = random.Random(8)
+    for _ in range(300):
+        text, v, clauses = _random_dimacs(rng)
+        want = oracle.parse_dimacs(text)
+        assert want == (v, clauses)
+        formula = parse_dimacs(text)
+        assert (formula.variable_count, formula.clauses) == want
+    formula, vm = encode(BooleanLattice(3), 12, 3)
+    buf = io.StringIO()
+    write_dimacs(formula, vm, buf)
+    assert oracle.parse_dimacs(buf.getvalue()) == (
+        formula.variable_count, parse_dimacs(buf.getvalue()).clauses)
+
+
+def test_parse_dimacs_names_a_bad_token(tmp_path):
+    from ldimkit import FormatError, satshim
+    for text, token in (("p cnf 2 1\n1 x 0\n", "'x'"),
+                        ("p cnf 2 1\n1 2 0 %\n", "'%'"),
+                        ("p cnf 2 1\n1.5 0\n", "'1.5'")):
+        with pytest.raises(FormatError, match=token):
+            parse_dimacs(text)
+        path = tmp_path / "bad.cnf"
+        path.write_text(text)
+        assert satshim.main([str(path)]) == 3
+    with pytest.raises(FormatError, match="header"):
+        parse_dimacs("p cnf two 1\n1 0\n")
+
+
+def test_map_lines_name_every_role():
+    formula, vm = encode(Chain(2), 3, 1)
+    buf = io.StringIO()
+    write_dimacs(formula, vm, io.StringIO(), buf)
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == vm.variable_count == 18
+    assert lines[:2] == ["x 0 1 1 1", "y 0 1 1 2"]
+    assert lines[6:8] == ["z 0 - 1 7", "z 0 - 2 8"]
+    # s(A, i, j) as "s A j i", e(i, j) as "e - j i"
+    assert lines[12:] == ["s 0 1 1 13", "s 0 1 2 14", "s 1 1 1 15",
+                          "s 1 1 2 16", "e - 1 1 17", "e - 1 2 18"]
