@@ -19,17 +19,23 @@ usage variables.  Two auxiliary roles follow them:
   each element's usage row, 2kd + k - 3d - 1 clauses per element, where a
   binomial cap would take C(k, d+1).  With d >= k there is no cap and no s.
 * e(i, j), "orders i and i+1 use the same elements among the first j
-  element indices", for i < k and 1 <= j < N: a lex-leader chain
-  (Crawford, Ginsberg, Luks & Roy, KR 1996) orders the usage columns
-  z(., 1) >= z(., 2) >= ... lexicographically, element index 0 most
-  significant, in 3N - 2 clauses per pair of neighbours.  With the units
-  z(A0, 1) and -z(A0, i) for i > d (A0 the element at index 0) it removes
-  the k! relabellings of the orders, so an unsat d is refuted once.
+  element indices", for i < k and 1 <= j < N, only with the symmetry
+  break: a lex-leader chain (Crawford, Ginsberg, Luks & Roy, KR 1996)
+  orders the usage columns z(., 1) >= z(., 2) >= ... lexicographically,
+  element index 0 most significant, in 3N - 2 clauses per pair of
+  neighbours.  With the units z(A0, 1) and -z(A0, i) for i > d (A0 the
+  element at index 0) it removes the k! relabellings of the orders, so an
+  unsat d is refuted once.  ``solve_instance`` and ``ldim_certificate``
+  always break the symmetry; ``encode`` and ``iter_clauses`` do when asked,
+  since a realizer whose members are not in the lex-leader order is then
+  no model.
 
-``VarMap`` alone knows that layout.  Besides the checked scalar lookups
-``before``, ``z``, ``s`` and ``e`` it gives the same variables as int64
-tables indexed by element index and order (``before_table``, ``z_table``,
-``s_table``, ``e_table``).  The clause generator gathers each clause family
+``VarMap`` alone knows that layout: ``variable_count`` counts the x, y
+and z variables, which name a family, and ``total_count`` every variable
+of the formula.  Besides the checked scalar lookups ``before``, ``z``,
+``s`` and ``e`` it gives the same variables as int64 tables indexed by
+element index and order (``before_table``, ``z_table``, ``s_table``,
+``e_table``).  The clause generator gathers each clause family
 from those tables as one int64 block and hands its rows on as lists, about
 a thousand at a time, so a solver fed by ``iter_clauses`` never holds a
 whole family as Python lists.  The decoder reads a model into a bool array
@@ -68,30 +74,34 @@ SOLVER_ENV_VAR = "LDIMKIT_SAT_SOLVER"
 
 
 class VarMap:
-    """Bijection between SAT variables 1..V and their roles.
+    """Bijection between SAT variables and their roles.
 
     Pair block first: for pair index p and order i, variable 2(pk + i - 1) + 1
     is x(A, B, i) and the following even id is y(A, B, i).  Usage block after:
-    z(A, i) = N(N-1)k + index(A)*k + i.
+    z(A, i) = N(N-1)k + index(A)*k + i.  ``variable_count`` (= ``z_block``)
+    counts these, the variables that name a family; they are the same for
+    every d and break.
 
-    ``VarMap(P, k, d)`` adds the auxiliary variables of encode(P, k, d)
-    after the usage block, which ends at ``z_block``; ``VarMap(P, k)`` has
-    none, and its x, y and z ids are those of every d.  Counter block, only
-    when d < k: s(A, i, j) = "at least j of z(A, 1..i) are true" for i < k
-    and j <= d is z_block + (index(A)*(k-1) + i - 1)*d + j.  Lex block
-    last, after ``s_block``: e(i, j) = "orders i and i+1 use the same
-    elements among indices < j" for i < k and 1 <= j < N is
-    s_block + (i - 1)*(N-1) + j.
+    ``VarMap(P, k, d, symmetry_break)`` adds the auxiliary variables of
+    encode(P, k, d, symmetry_break) above them, up to ``total_count``, the
+    formula's variable count; ``VarMap(P, k)`` has none.  Counter block,
+    only when d < k: s(A, i, j) = "at least j of z(A, 1..i) are true" for
+    i < k and j <= d is z_block + (index(A)*(k-1) + i - 1)*d + j.  Lex
+    block last, after ``s_block`` and only with the break: e(i, j) =
+    "orders i and i+1 use the same elements among indices < j" for i < k
+    and 1 <= j < N is s_block + (i - 1)*(N-1) + j.
 
     ``before_table[index(A), index(B), i - 1]`` is before(A, B, i), 0 where
     A = B; ``z_table[index(A), i - 1]`` is z(A, i);
     ``s_table[index(A), i - 1, j - 1]`` is s(A, i, j) and
     ``e_table[i - 1, j - 1]`` is e(i, j).  They are read-only int64 arrays
     of shape N x N x k, N x k, N x (k-1) x w and (k-1) x m, built on first
-    use, where w is d (0 without a counter) and m is N-1 (0 without d).
+    use, where w is d (0 without a counter) and m is N-1 (0 without the
+    break).
     """
 
-    def __init__(self, P: Poset, k: int, d: int | None = None):
+    def __init__(self, P: Poset, k: int, d: int | None = None,
+                 symmetry_break: bool = False):
         if k < 1:
             raise ParameterError(f"need k >= 1, got {k}")
         if d is not None and d < 1:
@@ -99,14 +109,15 @@ class VarMap:
         self.P = P
         self.k = k
         self.d = d
+        self.symmetry_break = symmetry_break
         self.n = P.ground_size
         self.pair_block = self.n * (self.n - 1) * k
-        self.z_block = self.pair_block + self.n * k
+        self.z_block = self.variable_count = self.pair_block + self.n * k
         # j ranges of s (a cap of d >= k orders needs no counter) and of e
         self.counter_width = d if d is not None and d < k else 0
-        self.lex_width = self.n - 1 if d is not None else 0
+        self.lex_width = self.n - 1 if symmetry_break else 0
         self.s_block = self.z_block + self.n * (k - 1) * self.counter_width
-        self.variable_count = self.s_block + (k - 1) * self.lex_width
+        self.total_count = self.s_block + (k - 1) * self.lex_width
 
     def _pair_var(self, lo, hi, i0, reverse):
         # x (reverse 0) or y (reverse 1) of index pair lo < hi in 0-based
@@ -131,7 +142,8 @@ class VarMap:
     def _check_aux(self, role: str, i: int, j: int, width: int) -> None:
         if not width:
             raise ParameterError(
-                f"VarMap(k={self.k}, d={self.d}) has no {role} variables")
+                f"VarMap(k={self.k}, d={self.d}, symmetry_break="
+                f"{self.symmetry_break}) has no {role} variables")
         if not (1 <= i < self.k and 1 <= j <= width):
             raise ParameterError(f"{role}(i={i}, j={j}) needs 1 <= i <= "
                                  f"{self.k - 1} and 1 <= j <= {width}")
@@ -191,8 +203,8 @@ class VarMap:
         """(role, A, B, i) for a variable id: B is the second element of an
         x or y variable, the count j of s(A, i, j) or the index bound j of
         e(i, j), and None for z; A is None for e."""
-        if not 1 <= var <= self.variable_count:
-            raise ParameterError(f"variable {var} not in [1, {self.variable_count}]")
+        if not 1 <= var <= self.total_count:
+            raise ParameterError(f"variable {var} not in [1, {self.total_count}]")
         if var <= self.pair_block:
             t = var - 1
             role = "x" if t % 2 == 0 else "y"
@@ -218,8 +230,9 @@ class VarMap:
         return cached
 
     def iter_entries(self):
-        """Yield (role, A, B, i, var) for every variable, ascending."""
-        for var in range(1, self.variable_count + 1):
+        """Yield (role, A, B, i, var) for every variable, auxiliary ones
+        included, ascending."""
+        for var in range(1, self.total_count + 1):
             role, a, b, i = self.describe(var)
             yield role, a, b, i, var
 
@@ -245,20 +258,28 @@ class SolverResult:
     model: frozenset[int] | None = None
 
 
-def encode(P: Poset, k: int, d: int) -> tuple[CnfFormula, VarMap]:
+def encode(P: Poset, k: int, d: int,
+           symmetry_break: bool = False) -> tuple[CnfFormula, VarMap]:
     """Emit the clause families for 'P has a local realizer with at most k
-    orders and frequency at most d'."""
-    vm, clauses = iter_clauses(P, k, d)
-    return CnfFormula(vm.variable_count, list(clauses)), vm
+    orders and frequency at most d'.
+
+    Without the symmetry break, any such realizer, its members in any order
+    and padded with empty orders, is a model once the counter variables are
+    propagated from its z values.  With it, only the order that
+    ``ldim_certificate`` describes is; the instance stays satisfiable
+    exactly when the plain one is, and the search solves that one."""
+    vm, clauses = iter_clauses(P, k, d, symmetry_break)
+    return CnfFormula(vm.total_count, list(clauses)), vm
 
 
-def iter_clauses(P: Poset, k: int,
-                 d: int) -> tuple[VarMap, Iterator[list[int]]]:
-    """The VarMap of encode(P, k, d) and a generator of its clauses, in
-    encode's order, so a solver can take them without a list of lists."""
+def iter_clauses(P: Poset, k: int, d: int, symmetry_break: bool = False
+                 ) -> tuple[VarMap, Iterator[list[int]]]:
+    """The VarMap of encode(P, k, d, symmetry_break) and a generator of its
+    clauses, in encode's order, so a solver can take them without a list of
+    lists."""
     if k < 1 or d < 1:
         raise ParameterError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
-    vm = VarMap(P, k, d)
+    vm = VarMap(P, k, d, symmetry_break)
     return vm, _clauses(P, vm, d)
 
 
@@ -273,7 +294,7 @@ def _clauses(P: Poset, vm: VarMap, d: int) -> Iterator[list[int]]:
     # one Python int per literal, indexed by the literal itself (negative
     # literals wrap to the end), so the clause lists share them rather than
     # each holding an int object per literal
-    v = vm.variable_count
+    v = vm.total_count
     literal = np.concatenate((np.arange(v + 1), np.arange(-v, 0))).astype(object)
 
     def lists(block: np.ndarray) -> list:
@@ -351,14 +372,24 @@ def _clauses(P: Poset, vm: VarMap, d: int) -> Iterator[list[int]]:
         # one order counts at most one use
         yield from rows(-cnt[:, 0, 1:].reshape(-1, 1))
 
+    if vm.symmetry_break:
+        yield from _lex_chain(vm, d, rows)
+
+    # a one-element ground set has no pairs, so require the element directly
+    if n == 1:
+        yield lists(z[0])
+
+
+def _lex_chain(vm: VarMap, d: int, rows) -> Iterator[list[int]]:
     # symmetry break: usage columns z(., i) >= z(., i+1) in lex order, the
     # element at index 0 most significant; e(i, j) holds while the columns
     # agree on indices < j
-    col, nxt, e = z[:, :-1].T, z[:, 1:].T, vm.e_table
+    z, e = vm.z_table, vm.e_table
+    col, nxt = z[:, :-1].T, z[:, 1:].T
     # index 0: column i holds a0 if column i+1 does; they agree on it
     # unless column i holds it alone
     first = [(col[:, 0], -nxt[:, 0])]
-    if n > 1:
+    if vm.n > 1:
         first += [(col[:, 0], e[:, 0]), (-nxt[:, 0], e[:, 0])]
     yield from rows(np.array(first, dtype=np.int64).transpose(2, 0, 1)
                     .reshape(-1, 2))
@@ -373,13 +404,9 @@ def _clauses(P: Poset, vm: VarMap, d: int) -> Iterator[list[int]]:
     yield from rows(z[:1, :1])
     yield from rows(-z[0, d:, None])
 
-    # a one-element ground set has no pairs, so require the element directly
-    if n == 1:
-        yield lists(z[0])
-
 
 def expected_clause_count(N: int, n_comparable: int, n_incomparable: int,
-                          k: int, d: int) -> int:
+                          k: int, d: int, symmetry_break: bool = False) -> int:
     """Closed-form clause total matching encode()."""
     total = k * N * (N - 1) * (N - 2)          # transitivity
     total += n_comparable * (1 + k)            # comparable obligations
@@ -387,8 +414,9 @@ def expected_clause_count(N: int, n_comparable: int, n_incomparable: int,
     total += 3 * N * (N - 1) * k               # coupling (6 per unordered pair)
     if d < k:
         total += N * (2 * k * d + k - 3 * d - 1)   # sequential counter
-    total += (k - 1) * (3 * N - 2)             # lex chain on usage columns
-    total += 1 + max(0, k - d)                 # first element's usage units
+    if symmetry_break:
+        total += (k - 1) * (3 * N - 2)         # lex chain on usage columns
+        total += 1 + max(0, k - d)             # first element's usage units
     if N == 1:
         total += 1                             # lone-element coverage
     return total
@@ -442,7 +470,7 @@ def write_dimacs(formula: CnfFormula, varmap: VarMap | None = None,
 # a line whose first non-blank character is 'c' (comment) or 'p' (header),
 # with the newline before it: a leading literal lets the regex engine skip
 # to each newline instead of trying every position
-_DIMACS_LINE = re.compile(r"\n[ \t\v\f\r]*([cp])[^\n]*")
+_DIMACS_LINE = re.compile(r"\n[^\S\n]*([cp])[^\n]*")
 
 
 def parse_dimacs(source) -> CnfFormula:
@@ -459,6 +487,9 @@ def parse_dimacs(source) -> CnfFormula:
         text = source.read()
     else:
         text = str(source)
+    if not text.isascii() or any(c in text for c in "\r\v\f\x1c\x1d\x1e"):
+        # the other line boundaries of str.splitlines, as newlines
+        text = "\n".join(text.splitlines())
     text = "\n" + text
     variable_count = declared_clauses = None
     body, end = [], 0
@@ -468,7 +499,7 @@ def parse_dimacs(source) -> CnfFormula:
         if line[1] == "p":
             parts = line[0].split()
             if (len(parts) != 4 or parts[1] != "cnf"
-                    or not (parts[2].isdigit() and parts[3].isdigit())):
+                    or not all(map(_COUNT.fullmatch, parts[2:]))):
                 raise FormatError(f"bad DIMACS header: {line[0][1:]!r}")
             variable_count, declared_clauses = int(parts[2]), int(parts[3])
     body.append(text[end:])
@@ -523,25 +554,44 @@ def parse_model_text(text: str) -> SolverResult | None:
     return SolverResult(status, model)
 
 
+_COUNT = re.compile(r"[0-9]+")
+_INT64 = np.iinfo(np.int64)
+
+
+def _lone_sign(text: str) -> bool:
+    """Whether some '+' or '-' has no digit after it: numpy reads a lone
+    sign as 0, or joins it to the next token."""
+    raw = np.frombuffer((text + " ").encode(), dtype=np.uint8)
+    after = raw[np.flatnonzero((raw == ord("+")) | (raw == ord("-"))) + 1]
+    return bool(((after < ord("0")) | (after > ord("9"))).any())
+
+
 def _parse_literals(text: str, bad_token) -> np.ndarray:
-    """The integers of whitespace-separated text in one numpy parse; raises
-    ``bad_token(token)`` for the first token that is not an integer.  numpy
-    clips a literal beyond int64 to its limits, where it names no variable
+    """The integers of whitespace-separated text, each token read as int()
+    reads it; raises ``bad_token(token)`` for the first token int()
+    rejects.  Text that numpy parses in one pass, as it does plain ASCII
+    literals, is read that way; anything else token by token.  A literal
+    beyond int64 is clipped to its limits, where it names no variable
     either way."""
-    if text.isspace():
-        # numpy reads blank text as one 0
-        return np.zeros(0, dtype=np.int64)
-    try:
-        with warnings.catch_warnings():
-            # numpy before 2.3 warns and stops at a token it cannot read
-            warnings.simplefilter("error", DeprecationWarning)
-            return np.fromstring(text, dtype=np.int64, sep=" ")
-    except (ValueError, DeprecationWarning):
-        pass
-    # numpy's separators are the ASCII whitespace characters
-    tokens = filter(None, re.split(r"[ \t\n\v\f\r]+", text))
-    raise bad_token(next(
-        (t for t in tokens if not re.fullmatch(r"[+-]?[0-9]+", t)), ""))
+    if text and not text.isspace() and not _lone_sign(text):
+        try:
+            with warnings.catch_warnings():
+                # numpy before 2.3 warns and stops at a token it cannot read
+                warnings.simplefilter("error", DeprecationWarning)
+                literals = np.fromstring(text, dtype=np.int64, sep=" ")
+            # numpy reads a literal beyond int64, of either sign, as the
+            # maximum
+            if _INT64.min < literals.min() and literals.max() < _INT64.max:
+                return literals
+        except (ValueError, DeprecationWarning):
+            pass
+    values = []
+    for token in text.split():
+        try:
+            values.append(min(max(int(token), _INT64.min), _INT64.max))
+        except ValueError:
+            raise bad_token(token) from None
+    return np.array(values, dtype=np.int64)
 
 
 def resolve_solver_command(solver_command=None) -> list[str]:
@@ -634,7 +684,7 @@ def decode_verified(model, varmap: VarMap, P: Poset, d: int) -> RealizerFamily:
 
 def solve_instance(P: Poset, k: int, d: int, solver_command=None,
                    workdir=None) -> tuple[SolverResult, RealizerFamily | None]:
-    """Encode, solve, and decode on sat.
+    """Encode with the symmetry break, solve, and decode on sat.
 
     With no ``solver_command`` and LDIMKIT_SAT_SOLVER unset, the clauses
     stream from the encoder into the in-process CDCL solver: no file, no
@@ -645,12 +695,12 @@ def solve_instance(P: Poset, k: int, d: int, solver_command=None,
     realizer of frequency at most d.
     """
     if solver_command is None and not os.environ.get(SOLVER_ENV_VAR):
-        vm, clauses = iter_clauses(P, k, d)
-        model = solve_clauses(vm.variable_count, clauses)
+        vm, clauses = iter_clauses(P, k, d, symmetry_break=True)
+        model = solve_clauses(vm.total_count, clauses)
         result = (SolverResult("unsat") if model is None
                   else SolverResult("sat", frozenset(model)))
     else:
-        formula, vm = encode(P, k, d)
+        formula, vm = encode(P, k, d, symmetry_break=True)
         with tempfile.TemporaryDirectory(dir=workdir) as tmp:
             cnf_path = Path(tmp) / "instance.cnf"
             write_dimacs(formula, vm, cnf_path)
@@ -671,16 +721,17 @@ def ldim_certificate(P: Poset, d_max: int | None = None, solver_command=None,
     member holds at least two of the at most d*N element occurrences.  For
     N = 1 one order suffices.
 
-    The symmetry break keeps every answer.  Take a realizer of frequency at
-    most d with at most k members, pad it with empty orders to k and sort
-    the orders by usage column, lex-descending with element index 0 most
-    significant.  The padded family is still a realizer of frequency at most
-    d, so the counter holds; consecutive columns are in lex order, so the
-    lex chain holds; some order uses the element A0 at index 0 (it lies in
-    some pair, or it is the only element), and the sort puts the at most d
-    orders that use it first, so z(A0, 1) and -z(A0, i) for i > d hold.  Hence the instance with the
-    break is satisfiable whenever the instance without it is, and an unsat
-    answer stands for every order of the members.
+    Each instance carries the symmetry break, which keeps every answer.
+    Take a realizer of frequency at most d with at most k members, pad it
+    with empty orders to k and sort the orders by usage column,
+    lex-descending with element index 0 most significant.  The padded
+    family is still a realizer of frequency at most d, so the counter
+    holds; consecutive columns are in lex order, so the lex chain holds;
+    some order uses the element A0 at index 0 (it lies in some pair, or it
+    is the only element), and the sort puts the at most d orders that use
+    it first, so z(A0, 1) and -z(A0, i) for i > d hold.  Hence the instance
+    with the break is satisfiable whenever the instance without it is, and
+    an unsat answer stands for every order of the members.
     """
     limit = P.ground_size if d_max is None else d_max
     if limit < 1:

@@ -137,11 +137,12 @@ def violations(P, family) -> dict[str, list[tuple]]:
     return found
 
 
-def clauses(P, vm, d):
-    """The clauses of encode(P, vm.k, d) in encode's order.  ``vm`` may be
-    VarMap(P, k) or VarMap(P, k, d): x, y and z ids are the same in both,
-    and the auxiliary ids come from VarMap(P, k, d)."""
-    vm = VarMap(P, vm.k, d)
+def clauses(P, vm, d, symmetry_break=False):
+    """The clauses of encode(P, vm.k, d, symmetry_break) in encode's order.
+    ``vm`` may be VarMap(P, k) or a VarMap with auxiliary roles: x, y and z
+    ids are the same in all, and the auxiliary ids come from
+    VarMap(P, k, d, symmetry_break)."""
+    vm = VarMap(P, vm.k, d, symmetry_break)
     ids = list(P.element_ids())
     k = vm.k
     orders = range(1, k + 1)
@@ -208,10 +209,19 @@ def clauses(P, vm, d):
             for j in range(2, d + 1):
                 yield [-s(a, 1, j)]
 
+    if symmetry_break:
+        yield from _lex_chain(vm, ids, d)
+
+    # a one-element ground set has no pairs, so require the element directly
+    if len(ids) == 1:
+        yield [vm.z(ids[0], i) for i in orders]
+
+
+def _lex_chain(vm, ids, d):
     # symmetry break: column i of z (element ids in index order, the first
     # most significant) is lexicographically >= column i + 1, with e(i, j)
     # for "the columns agree on the first j elements"
-    a0 = ids[0]
+    a0, k = ids[0], vm.k
     for i in range(1, k):
         x0, y0 = vm.z(a0, i), vm.z(a0, i + 1)
         yield [x0, -y0]
@@ -229,10 +239,6 @@ def clauses(P, vm, d):
     yield [vm.z(a0, 1)]
     for i in range(d + 1, k + 1):
         yield [-vm.z(a0, i)]
-
-    # a one-element ground set has no pairs, so require the element directly
-    if len(ids) == 1:
-        yield [vm.z(ids[0], i) for i in orders]
 
 
 def decode_realizer(model, varmap, P):

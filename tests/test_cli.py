@@ -122,8 +122,8 @@ def test_encode_file_and_stdout(capsys, tmp_path):
                          "--k", "2", "--d", "2", "-o", str(cnf),
                          "--map", str(mp))
     assert code == 0
-    assert "variables: 35" in out
-    assert cnf.read_text().splitlines()[0] == "p cnf 35 148"
+    assert "variables: 32" in out
+    assert cnf.read_text().splitlines()[0] == "p cnf 32 137"
     assert mp.read_text().splitlines()[0] == "x 0 1 1 1"
     code, out, err = run(capsys, "encode", "--poset", "chain:2",
                          "--k", "1", "--d", "1")

@@ -47,12 +47,14 @@ def test_varmap_layout_and_bijection():
 
 
 def test_varmap_describe_inverse():
-    # without d, with a counter (d < k) and with the lex chain alone (d >= k)
-    for P, k, d in ((Chain(3), 2, None), (Chain(3), 4, 2), (Chain(3), 2, 2),
-                    (_Relabelled(SingletonPoset(3)), 3, 1)):
-        vm = VarMap(P, k, d)
+    # without d, with a counter (d < k), with the counter and the lex chain
+    # and with the lex chain alone (d >= k)
+    for P, k, d, brk in ((Chain(3), 2, None, False), (Chain(3), 4, 2, False),
+                         (Chain(3), 4, 2, True), (Chain(3), 2, 2, True),
+                         (_Relabelled(SingletonPoset(3)), 3, 1, True)):
+        vm = VarMap(P, k, d, brk)
         roles = set()
-        for var in range(1, vm.variable_count + 1):
+        for var in range(1, vm.total_count + 1):
             role, a, b, i = vm.describe(var)
             roles.add(role)
             if role == "z":
@@ -68,11 +70,11 @@ def test_varmap_describe_inverse():
                 assert role == "e" and a is None
                 assert vm.e(i, b) == var
         assert roles == {"x", "y", "z"} | ({"s"} if vm.counter_width else set()) \
-            | ({"e"} if d is not None else set())
+            | ({"e"} if brk else set())
         with pytest.raises(ParameterError):
             vm.describe(0)
         with pytest.raises(ParameterError):
-            vm.describe(vm.variable_count + 1)
+            vm.describe(vm.total_count + 1)
         with pytest.raises(ParameterError):
             vm.before(1, 1, 1)
         with pytest.raises(ParameterError):
@@ -89,23 +91,26 @@ def test_varmap_describe_inverse():
 
 def test_varmap_without_d_keeps_its_layout():
     # encode(P, k, d) adds its auxiliary variables after the usage block,
-    # so VarMap(P, k) reads the same x, y and z ids for every d
+    # so VarMap(P, k) reads the same x, y and z ids for every d and break,
+    # and every map counts them alike in variable_count
     P = BooleanLattice(3)
     plain = VarMap(P, 6)
-    assert plain.variable_count == 8 * 7 * 6 + 8 * 6
-    for d in (1, 3, 6, 9):
-        vm = VarMap(P, 6, d)
+    assert plain.variable_count == plain.total_count == 8 * 7 * 6 + 8 * 6
+    for d, brk in product((1, 3, 6, 9), (False, True)):
+        vm = VarMap(P, 6, d, brk)
         assert (vm.before_table == plain.before_table).all()
         assert (vm.z_table == plain.z_table).all()
+        assert vm.variable_count == plain.variable_count
         counter = 8 * 5 * d if d < 6 else 0
-        assert vm.variable_count == plain.variable_count + counter + 5 * 7
-        assert vm.variable_count == encode(P, 6, d)[0].variable_count
+        lex = 5 * 7 if brk else 0
+        assert vm.total_count == plain.variable_count + counter + lex
+        assert vm.total_count == encode(P, 6, d, brk)[0].variable_count
 
 
 def test_encode_counts():
     P = BooleanLattice(2)
     formula, vm = encode(P, 2, 2)
-    assert formula.variable_count == 35
+    assert formula.variable_count == 32
     n_comp = sum(1 for a in P.element_ids() for b in P.element_ids()
                  if a < b and (P.leq(a, b) or P.leq(b, a)))
     n_inc = 6 - n_comp
@@ -133,7 +138,7 @@ def test_dimacs_round_trip(tmp_path):
     lines = map_path.read_text().splitlines()
     assert len(lines) == formula.variable_count
     assert lines[0].split() == ["x", "0", "1", "1", "1"]
-    assert lines[-1].split()[0] == "e"
+    assert lines[-1].split()[0] == "s"
 
     buf = io.StringIO()
     write_dimacs(formula, vm, buf)
@@ -320,16 +325,20 @@ def test_ldim_d_max_exhausted():
 
 
 def test_varmap_tables_match_scalar_lookups():
-    for P, k, d in ((Chain(1), 2, 1), (Chain(3), 2, None),
-                    (BooleanLattice(3), 3, 2), (BooleanLattice(3), 3, 3),
-                    (_Relabelled(SingletonPoset(3)), 4, 2)):
-        vm = VarMap(P, k, d)
+    for P, k, d, brk in (
+            (Chain(1), 2, None, False), (Chain(3), 2, None, False),
+            (BooleanLattice(3), 3, None, False),
+            (_Relabelled(SingletonPoset(3)), 2, None, False),
+            (Chain(1), 2, 1, True), (BooleanLattice(3), 3, 2, False),
+            (BooleanLattice(3), 3, 2, True), (BooleanLattice(3), 3, 3, True),
+            (_Relabelled(SingletonPoset(3)), 4, 2, True)):
+        vm = VarMap(P, k, d, brk)
         before, z, s, e = vm.before_table, vm.z_table, vm.s_table, vm.e_table
         width = d if d is not None and d < k else 0
         assert before.shape == (P.ground_size, P.ground_size, k)
         assert z.shape == (P.ground_size, k)
         assert s.shape == (P.ground_size, k - 1, width)
-        assert e.shape == (k - 1, P.ground_size - 1 if d is not None else 0)
+        assert e.shape == (k - 1, P.ground_size - 1 if brk else 0)
         for x, a in enumerate(P.element_ids()):
             for i in range(1, k + 1):
                 assert z[x, i - 1] == vm.z(a, i)
@@ -345,7 +354,7 @@ def test_varmap_tables_match_scalar_lookups():
         # the tables cover every variable once
         ids = np.concatenate([t.ravel() for t in (before, z, s, e)])
         assert sorted(ids[ids > 0].tolist()) == list(
-            range(1, vm.variable_count + 1))
+            range(1, vm.total_count + 1))
         for table in (before, z, s, e):
             assert not table.flags.writeable
 
@@ -368,8 +377,20 @@ _ORACLE_INSTANCES = [
 def test_encode_matches_oracle(spec, k, d):
     P = _poset(spec)
     formula, vm = encode(P, k, d)
-    assert formula.variable_count == vm.variable_count
+    assert formula.variable_count == vm.total_count
+    assert vm.variable_count == VarMap(P, k).variable_count
     assert formula.clauses == list(oracle.clauses(P, VarMap(P, k), d))
+
+
+@pytest.mark.parametrize("spec,k,d", _ORACLE_INSTANCES)
+def test_symmetry_break_matches_oracle(spec, k, d):
+    P = _poset(spec)
+    formula, vm = encode(P, k, d, symmetry_break=True)
+    assert formula.variable_count == vm.total_count
+    assert formula.clauses == list(oracle.clauses(P, VarMap(P, k), d, True))
+    streamed_vm, streamed = iter_clauses(P, k, d, symmetry_break=True)
+    assert streamed_vm.total_count == vm.total_count
+    assert list(streamed) == formula.clauses
 
 
 @pytest.mark.parametrize("spec,k,d", _ORACLE_INSTANCES)
@@ -378,17 +399,18 @@ def test_expected_clause_count_matches_encode(spec, k, d):
     leq = P.leq_matrix()
     lo, hi = np.triu_indices(P.ground_size, 1)
     comparable = int((leq[lo, hi] | leq[hi, lo]).sum())
-    assert encode(P, k, d)[0].clause_count == expected_clause_count(
-        P.ground_size, comparable, len(lo) - comparable, k, d)
+    for brk in (False, True):
+        assert encode(P, k, d, brk)[0].clause_count == expected_clause_count(
+            P.ground_size, comparable, len(lo) - comparable, k, d, brk)
 
 
 # SHA-256 of the DIMACS text, as the encoder with the sequential counter
-# and the lex chain writes it
+# writes it
 @pytest.mark.parametrize("spec,k,d,digest", [
     ("boolean:3", 24, 3,
-     "f61bfbe0cd65bc99ede2874649f29ea9a65a0411653ad30147c777b72fb8117a"),
+     "fe9aee569aa537ce3602d02d7d6df95bb024267fd2fda699493f18a62385fc3e"),
     ("boolean:4", 16, 2,
-     "99cff02284f955b117f4460a4c67b5436a8c1a1a81e2972ee294571b626a0535")])
+     "7b99106715764fd8ad1ef3653dea37bb2fe6fbe02f242a1858de8809a41ad183")])
 def test_dimacs_bytes_pinned(spec, k, d, digest):
     formula, vm = encode(build_poset(spec), k, d)
     buf = io.StringIO()
@@ -502,7 +524,7 @@ def test_counter_caps_one_usage_row():
             row = vm.z_table[1].tolist()
             for bits in product((0, 1), repeat=k):
                 units = [[v if bit else -v] for v, bit in zip(row, bits)]
-                model = solve_clauses(vm.variable_count, counter + units)
+                model = solve_clauses(vm.total_count, counter + units)
                 assert (model is not None) == (sum(bits) <= d), (k, d, bits)
 
 
@@ -545,10 +567,13 @@ def _standard(n):
     ("boolean:3", 12, lambda: _standard(3))])
 def test_lex_sorted_padded_family_satisfies_encoding(spec, k, family):
     P = build_poset(spec)
-    formula, vm = encode(P, k, 3)
+    formula, vm = encode(P, k, 3, symmetry_break=True)
     index = {a: x for x, a in enumerate(P.element_ids())}
     members = family()
     members += [()] * (k - len(members))
+    # without the break the family is a model in its own order
+    plain, plain_vm = encode(P, k, 3)
+    assert _broken_clauses(plain, plain_vm, members) == []
 
     def column(member):
         used = {index[a] for a in member}
@@ -578,6 +603,22 @@ def test_lex_sorted_padded_family_satisfies_encoding(spec, k, family):
         assert any(map(is_lex, _broken_clauses(formula, vm, members)))
 
 
+def test_search_solves_the_broken_instance(monkeypatch):
+    import ldimkit.sat
+    monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
+    seen = []
+
+    def capture(count, clauses):
+        seen.append((count, list(clauses)))
+        return solve_clauses(count, seen[-1][1])
+
+    monkeypatch.setattr(ldimkit.sat, "solve_clauses", capture)
+    P = BooleanLattice(2)
+    assert solve_instance(P, 4, 1)[0].status == "unsat"
+    formula, _ = encode(P, 4, 1, symmetry_break=True)
+    assert seen == [(formula.variable_count, formula.clauses)]
+
+
 def test_frozen_ldim_boolean4():
     # d = 2 at k = 16 is unsat by the in-process solver; that answer is
     # trusted as it stands, no proof of it is checked yet
@@ -593,7 +634,8 @@ def test_frozen_ldim_boolean4():
 
 def _random_dimacs(rng):
     """DIMACS text with comments between and inside clause runs, clauses
-    split across lines and blank, indented and CRLF lines."""
+    split across lines and blank and indented lines, ended by LF, CRLF, CR
+    or another line boundary of str.splitlines."""
     v = rng.randint(1, 30)
     clauses = [[rng.choice((-1, 1)) * rng.randint(1, v)
                 for _ in range(rng.randint(0, 6))] for _ in range(rng.randint(0, 40))]
@@ -612,7 +654,7 @@ def _random_dimacs(rng):
                 lines.append(rng.choice(("c between", "   c indented", "",
                                          "\t", "c")))
     lines.append(" ".join(line))
-    eol = rng.choice(("\n", "\r\n"))
+    eol = rng.choice(("\n", "\r\n", "\r", "\f", "\u2028"))
     return eol.join(lines) + rng.choice(("", eol)), v, clauses
 
 
@@ -622,7 +664,8 @@ def test_parse_dimacs_matches_line_loop():
         text, v, clauses = _random_dimacs(rng)
         want = oracle.parse_dimacs(text)
         assert want == (v, clauses)
-        formula = parse_dimacs(text)
+        # text without a newline would be read as a path
+        formula = parse_dimacs(io.StringIO(text))
         assert (formula.variable_count, formula.clauses) == want
     formula, vm = encode(BooleanLattice(3), 12, 3)
     buf = io.StringIO()
@@ -633,24 +676,36 @@ def test_parse_dimacs_matches_line_loop():
 
 def test_parse_dimacs_names_a_bad_token(tmp_path):
     from ldimkit import FormatError, satshim
+    # numpy alone would read a lone sign as 0 or join it to the next token
     for text, token in (("p cnf 2 1\n1 x 0\n", "'x'"),
                         ("p cnf 2 1\n1 2 0 %\n", "'%'"),
-                        ("p cnf 2 1\n1.5 0\n", "'1.5'")):
+                        ("p cnf 2 1\n1.5 0\n", "'1.5'"),
+                        ("p cnf 2 1\n1 - 2 0\n", "'-'"),
+                        ("p cnf 2 1\n1 2 0 +\n", "'\\+'")):
         with pytest.raises(FormatError, match=token):
             parse_dimacs(text)
         path = tmp_path / "bad.cnf"
         path.write_text(text)
         assert satshim.main([str(path)]) == 3
-    with pytest.raises(FormatError, match="header"):
-        parse_dimacs("p cnf two 1\n1 0\n")
+    for header in ("p cnf two 1", "p cnf 2 \u00b2", "p cnf +2 1"):
+        with pytest.raises(FormatError, match="header"):
+            parse_dimacs(header + "\n1 0\n")
+    with pytest.raises(SolverProtocolError, match="'-'"):
+        parse_model_text("s SATISFIABLE\nv 1 - 2 0\n")
+    # a literal beyond int64 is clipped, whether numpy or int() reads it
+    # (numpy does not split at a no-break space)
+    huge = 10**30
+    for sep in (" ", "\u00a0"):
+        formula = parse_dimacs(f"p cnf 2 1\n1{sep}{-huge} {huge} 0\n")
+        assert formula.clauses == [[1, -2**63, 2**63 - 1]]
 
 
 def test_map_lines_name_every_role():
-    formula, vm = encode(Chain(2), 3, 1)
+    formula, vm = encode(Chain(2), 3, 1, symmetry_break=True)
     buf = io.StringIO()
     write_dimacs(formula, vm, io.StringIO(), buf)
     lines = buf.getvalue().splitlines()
-    assert len(lines) == vm.variable_count == 18
+    assert len(lines) == vm.total_count == 18
     assert lines[:2] == ["x 0 1 1 1", "y 0 1 1 2"]
     assert lines[6:8] == ["z 0 - 1 7", "z 0 - 2 8"]
     # s(A, i, j) as "s A j i", e(i, j) as "e - j i"
