@@ -558,22 +558,34 @@ _COUNT = re.compile(r"[0-9]+")
 _INT64 = np.iinfo(np.int64)
 
 
+# characters of text that _lone_sign reads at a time
+_SIGN_SLICE = 1 << 18
+
+
 def _lone_sign(text: str) -> bool:
-    """Whether some '+' or '-' has no digit after it: numpy reads a lone
-    sign as 0, or joins it to the next token."""
-    raw = np.frombuffer((text + " ").encode(), dtype=np.uint8)
-    after = raw[np.flatnonzero((raw == ord("+")) | (raw == ord("-"))) + 1]
-    return bool(((after < ord("0")) | (after > ord("9"))).any())
+    """Whether some '+' or '-' of ASCII text has no digit after it: numpy
+    reads a lone sign as 0, or joins it to the next token.  Slice by slice,
+    so the check holds a few bytes per character of one slice only."""
+    for start in range(0, len(text), _SIGN_SLICE):
+        raw = np.frombuffer(text[start:start + _SIGN_SLICE + 1].encode()
+                            + b" ", dtype=np.uint8)
+        head = raw[:_SIGN_SLICE]
+        after = raw[np.flatnonzero((head == ord("+")) | (head == ord("-")))
+                    + 1]
+        if ((after < ord("0")) | (after > ord("9"))).any():
+            return True
+    return False
 
 
 def _parse_literals(text: str, bad_token) -> np.ndarray:
     """The integers of whitespace-separated text, each token read as int()
     reads it; raises ``bad_token(token)`` for the first token int()
-    rejects.  Text that numpy parses in one pass, as it does plain ASCII
+    rejects.  ASCII text that numpy parses in one pass, as it does plain
     literals, is read that way; anything else token by token.  A literal
     beyond int64 is clipped to its limits, where it names no variable
     either way."""
-    if text and not text.isspace() and not _lone_sign(text):
+    if text.isascii() and text and not text.isspace() \
+            and not _lone_sign(text):
         try:
             with warnings.catch_warnings():
                 # numpy before 2.3 warns and stops at a token it cannot read

@@ -700,6 +700,22 @@ def test_parse_dimacs_names_a_bad_token(tmp_path):
         assert formula.clauses == [[1, -2**63, 2**63 - 1]]
 
 
+def test_lone_sign_across_slices(monkeypatch):
+    import ldimkit.sat
+    texts = ["1 -2 0 +3 0", "1 - 2 0", "1 2 0 -", "-1 +", "+ 1", "-10 -20 0"]
+    for size in (1, 2, 3, 4):
+        monkeypatch.setattr(ldimkit.sat, "_SIGN_SLICE", size)
+        for text in texts:
+            try:
+                want = [int(token) for token in text.split()]
+            except ValueError:
+                with pytest.raises(SolverProtocolError):
+                    parse_model_text(f"s SATISFIABLE\nv {text}\n")
+            else:
+                got = parse_model_text(f"s SATISFIABLE\nv {text}\n").model
+                assert got == {lit for lit in want if lit > 0}
+
+
 def test_map_lines_name_every_role():
     formula, vm = encode(Chain(2), 3, 1, symmetry_break=True)
     buf = io.StringIO()
