@@ -35,9 +35,9 @@ and z variables, which name a family, and ``total_count`` every variable
 of the formula.  Besides the checked scalar lookups ``before``, ``z``,
 ``s`` and ``e`` it gives the same variables as int64 tables indexed by
 element index and order (``before_table``, ``z_table``, ``s_table``,
-``e_table``).  The clause generator gathers each clause family
-from those tables as one int64 block and hands its rows on as lists, about
-a thousand at a time, so a solver fed by ``iter_clauses`` never holds a
+``e_table``).  The clause generator gathers each clause family from
+those tables as one int64 block and hands its rows on as lists, about a
+thousand at a time, so a solver fed by ``iter_clauses`` never holds a
 whole family as Python lists.  The decoder reads a model into a bool array
 over the variables and ranks each order's used elements from the gathered
 before-matrix; it reads no auxiliary variable.  A map file has one line per
@@ -559,7 +559,7 @@ _INT64 = np.iinfo(np.int64)
 
 
 # characters of text that _lone_sign reads at a time
-_SIGN_SLICE = 1 << 18
+_SIGN_SLICE = 1 << 16
 
 
 def _lone_sign(text: str) -> bool:
