@@ -15,6 +15,7 @@ Ids are either 0-based (kinds containing the empty set / empty multiset) or
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Sequence
@@ -24,8 +25,9 @@ import numpy as np
 from .errors import ParameterError, RangeError
 
 # Refuse to materialize comparability matrices above ~1G cells.  Only the SAT
-# encoder, the tests and the packed-row fallback of the kinds without
-# structural rows read the dense matrix; the verifier does not.
+# encoder and the tests read the dense matrix; the verifier does not.  Rows
+# computed from the order predicate touch every cell of theirs, so they are
+# refused above the same size, which also keeps their int32 indices in range.
 _MATRIX_CELL_LIMIT = 1 << 30
 
 # Packed order rows: a set of elements is a row of W = ceil(N/64) uint64
@@ -67,36 +69,21 @@ def _clear_diagonal(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _strict_up(leq: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """Rows ``leq[rows]`` minus the diagonal, packed into uint64 words."""
-    return _clear_diagonal(_pack(leq[rows]), np.arange(leq.shape[1])[rows])
-
-
-def _transpose_bits(rows: np.ndarray) -> np.ndarray:
-    """Transpose of a packed N x N bit matrix, done on 8 x 8 bit tiles held
-    in one uint64 each (row r, column c at bit 8r + c).  Packing ``leq.T``
-    instead reads the bool matrix column-wise, which is several times
-    slower from N = 8191 on."""
-    n, words = rows.shape
-    size = 64 * words
-    tiles = np.zeros((size, words), dtype="<u8")
-    tiles[:n] = rows
-    tiles = np.ascontiguousarray(  # tile (i, j): byte column j of rows 8i..8i+7
-        tiles.view(np.uint8).reshape(size // 8, 8, -1).transpose(0, 2, 1))
-    tiles = tiles.view("<u8")[..., 0]
-    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
-                        (28, 0x00000000F0F0F0F0)):
-        t = (tiles ^ (tiles >> np.uint64(shift))) & np.uint64(mask)
-        tiles ^= t ^ (t << np.uint64(shift))
-    out = tiles.view(np.uint8).reshape(size // 8, -1, 8).transpose(1, 2, 0)
-    return np.ascontiguousarray(out).reshape(size, -1).view("<u8")[:n]
-
-
 def _index_prefix(idx: np.ndarray, n: int) -> np.ndarray:
     """Packed rows of {j : j < i} for each i in idx, over n columns."""
     k = np.clip(idx[:, None] - 64 * np.arange((n + 63) // 64), 0, 64)
     return np.where(k == 64, ~np.uint64(0),
                     (_ONE << (k & 63).astype(np.uint64)) - _ONE)
+
+
+def _dominated(da, db):
+    """Digitwise da <= db, on ints or broadcasting arrays."""
+    return reduce(operator.and_, map(operator.le, da, db))
+
+
+def _support(digits):
+    """The number of positive digits, on ints or arrays."""
+    return sum(d > 0 for d in digits)
 
 
 @dataclass(frozen=True)
@@ -124,7 +111,7 @@ class MultisetElement:
         return eid
 
     def support_size(self) -> int:
-        return sum(1 for digit in self.multiplicities if digit > 0)
+        return _support(self.multiplicities)
 
     def total(self) -> int:
         return sum(self.multiplicities)
@@ -173,29 +160,38 @@ class Poset:
 
     # ---------------------------------------------------------------- order
 
-    def leq(self, a: int, b: int) -> bool:
+    def _leq_index(self, i, j):
+        """Whether the element at index i is <= the one at index j, on ints
+        or on broadcasting index arrays; each kind states its order here
+        and nowhere else."""
         raise NotImplementedError
+
+    def leq(self, a: int, b: int) -> bool:
+        return bool(self._leq_index(self.index_of(a), self.index_of(b)))
 
     def rank_key(self, a: int) -> int:
         """A monotone integer rank: a < b in P implies a strictly smaller rank."""
         raise NotImplementedError
 
-    @cached_property
-    def _leq_matrix(self) -> np.ndarray:
+    def _check_cells(self) -> None:
         n = self.ground_size
         if n * n > _MATRIX_CELL_LIMIT:
             raise ParameterError(
                 f"{self.kind}: comparability matrix would need {n * n} cells")
-        mat = self._build_leq_matrix()
+
+    @cached_property
+    def _leq_matrix(self) -> np.ndarray:
+        self._check_cells()
+        n = self.ground_size
+        mat = np.unpackbits(self.up_rows().view(np.uint8), axis=1, count=n,
+                            bitorder="little").view(bool)
+        np.fill_diagonal(mat, True)
         mat.setflags(write=False)
         return mat
 
     def leq_matrix(self) -> np.ndarray:
         """Read-only boolean matrix M[i, j] = (id_at(i) <= id_at(j))."""
         return self._leq_matrix
-
-    def _build_leq_matrix(self) -> np.ndarray:
-        raise NotImplementedError
 
     def up_rows(self, idx=None) -> np.ndarray:
         """Packed strict up-sets of the elements at indices ``idx`` (all of
@@ -218,16 +214,26 @@ class Poset:
             return np.arange(self.ground_size)
         return np.asarray(idx, dtype=np.int64)
 
-    # Fallback for kinds without structural rows: pack the dense matrix.
+    # Kinds without structural rows pack their order predicate.
     def _up_rows(self, idx: np.ndarray) -> np.ndarray:
-        return _strict_up(self.leq_matrix(), idx)
+        return self._predicate_rows(idx, up=True)
 
     def _down_rows(self, idx: np.ndarray) -> np.ndarray:
-        return self._packed_down[idx]
+        return self._predicate_rows(idx, up=False)
 
-    @cached_property
-    def _packed_down(self) -> np.ndarray:
-        return _transpose_bits(_strict_up(self.leq_matrix()))
+    def _predicate_rows(self, idx: np.ndarray, up: bool) -> np.ndarray:
+        """``_leq_index`` packed 256 rows at a time, on int32 indices: int64
+        ones double the per-block temporaries and about double the time of
+        the multiset predicates."""
+        self._check_cells()
+        cols = np.arange(self.ground_size, dtype=np.int32)
+        rows = np.empty((idx.size, (self.ground_size + 63) // 64), np.uint64)
+        for start in range(0, idx.size, 256):
+            block = idx[start:start + 256, None].astype(np.int32)
+            bits = (self._leq_index(block, cols) if up
+                    else self._leq_index(cols, block))
+            rows[start:start + 256] = _pack(bits)
+        return _clear_diagonal(rows, idx)
 
     def __repr__(self) -> str:
         return f"<Poset {self.kind} ({self.ground_size} elements)>"
@@ -243,24 +249,12 @@ class BooleanLattice(Poset):
         self.kind = f"boolean:{n}"
         self.ground_size = 1 << n
 
-    def leq(self, a: int, b: int) -> bool:
-        self.check_id(a)
-        self.check_id(b)
-        return (a | b) == b
+    def _leq_index(self, i, j):
+        return (i | j) == j
 
     def rank_key(self, a: int) -> int:
         self.check_id(a)
         return a.bit_count()
-
-    def _build_leq_matrix(self) -> np.ndarray:
-        # filled in row blocks: a whole-matrix uint32 temporary would be four
-        # times the size of the result
-        ids = np.arange(self.ground_size, dtype=np.uint32)
-        mat = np.empty((self.ground_size, self.ground_size), dtype=bool)
-        for start in range(0, self.ground_size, 256):
-            rows = ids[start:start + 256, None]
-            np.equal(rows | ids, ids, out=mat[start:start + 256])
-        return mat
 
     def _up_rows(self, idx: np.ndarray) -> np.ndarray:
         return self._inclusion_rows(idx, up=True)
@@ -305,12 +299,10 @@ class SingletonPoset(Poset):
         self.kind = f"singleton:{n}"
         self.ground_size = (1 << n) - 1
 
-    def leq(self, a: int, b: int) -> bool:
-        self.check_id(a)
-        self.check_id(b)
-        if a == b:
-            return True
-        return a.bit_count() == 1 and b.bit_count() >= 2 and (a | b) == b
+    def _leq_index(self, i, j):
+        a, b = i + 1, j + 1
+        single, big = (a & (a - 1)) == 0, (b & (b - 1)) != 0
+        return (a == b) | (single & big & ((a | b) == b))
 
     def rank_key(self, a: int) -> int:
         self.check_id(a)
@@ -318,16 +310,6 @@ class SingletonPoset(Poset):
 
     def singleton_ids(self) -> list[int]:
         return [1 << i for i in range(self.n)]
-
-    def _build_leq_matrix(self) -> np.ndarray:
-        n_el = self.ground_size
-        ids = np.arange(1, n_el + 1, dtype=np.uint32)
-        big = np.bitwise_count(ids) >= 2
-        mat = np.eye(n_el, dtype=bool)
-        for x in range(self.n):
-            s = 1 << x
-            mat[s - 1] |= ((ids & s) != 0) & big
-        return mat
 
     def _up_rows(self, idx: np.ndarray) -> np.ndarray:
         # only a singleton's up-set is nonempty: the larger sets holding it
@@ -352,91 +334,65 @@ class SingletonPoset(Poset):
         return rows
 
 
-class MultisetLattice(Poset):
-    """Multisets over [n] with all multiplicities < m, ordered pointwise."""
+class _Multisets(Poset):
+    """Multisets over [n] with every multiplicity below m, encoded as
+    mixed-radix ids; the two multiset kinds differ in id offset and order."""
 
-    def __init__(self, n: int, m: int):
+    def __init__(self, name: str, n: int, m: int):
         if n < 1:
-            raise ParameterError(f"multiset lattice needs n >= 1, got {n}")
+            raise ParameterError(f"{name} poset needs n >= 1, got {n}")
         if m < 2:
-            raise ParameterError(f"multiset lattice needs m >= 2, got {m}")
+            raise ParameterError(f"{name} poset needs m >= 2, got {m}")
         self.n = n
         self.m = m
-        self.kind = f"multiset:{n}:{m}"
-        self.ground_size = m**n
+        self.kind = f"{name}:{n}:{m}"
+        self.ground_size = m**n - self.id_offset
 
     def digits(self, a: int) -> tuple[int, ...]:
         self.check_id(a)
         return MultisetElement.from_id(a, self.n, self.m).multiplicities
 
-    def leq(self, a: int, b: int) -> bool:
-        da, db = self.digits(a), self.digits(b)
-        return all(x <= y for x, y in zip(da, db))
-
     def rank_key(self, a: int) -> int:
         return sum(self.digits(a))
 
-    def _build_leq_matrix(self) -> np.ndarray:
-        chain = Chain(self.m).leq_matrix()
-        return reduce(np.kron, [chain] * self.n)
+    def _digits_at(self, i) -> list:
+        """Digit t of the id at index i, for each t in [n]: the multiplicity
+        of t + 1, on ints or arrays."""
+        eid = i + self.id_offset
+        return [eid // self.m**t % self.m for t in range(self.n)]
 
 
-class MultisetSingletonPoset(Poset):
+class MultisetLattice(_Multisets):
+    """Multisets over [n] with all multiplicities < m, ordered pointwise."""
+
+    def __init__(self, n: int, m: int):
+        super().__init__("multiset", n, m)
+
+    def _leq_index(self, i, j):
+        return _dominated(self._digits_at(i), self._digits_at(j))
+
+
+class MultisetSingletonPoset(_Multisets):
     """Nonzero bounded multisets over [n]; A < B only when A has exactly one
     positive multiplicity, B has at least two, and A is pointwise below B."""
 
     id_offset = 1
 
     def __init__(self, n: int, m: int):
-        if n < 1:
-            raise ParameterError(f"multiset singleton poset needs n >= 1, got {n}")
-        if m < 2:
-            raise ParameterError(f"multiset singleton poset needs m >= 2, got {m}")
-        self.n = n
-        self.m = m
-        self.kind = f"multiset-singleton:{n}:{m}"
-        self.ground_size = m**n - 1
+        super().__init__("multiset-singleton", n, m)
 
-    def digits(self, a: int) -> tuple[int, ...]:
-        self.check_id(a)
-        return MultisetElement.from_id(a, self.n, self.m).multiplicities
-
-    def support_size(self, a: int) -> int:
-        return sum(1 for d in self.digits(a) if d > 0)
-
-    def leq(self, a: int, b: int) -> bool:
-        da, db = self.digits(a), self.digits(b)
-        if a == b:
-            return True
-        sa = sum(1 for d in da if d > 0)
-        sb = sum(1 for d in db if d > 0)
-        return sa == 1 and sb >= 2 and all(x <= y for x, y in zip(da, db))
-
-    def rank_key(self, a: int) -> int:
-        return sum(self.digits(a))
+    def _leq_index(self, i, j):
+        da, db = self._digits_at(i), self._digits_at(j)
+        return (i == j) | (_dominated(da, db) & (_support(da) == 1)
+                           & (_support(db) >= 2))
 
     def singleton_type_ids(self) -> list[int]:
         """Ids with exactly one positive multiplicity, ascending."""
-        return [a for a in self.element_ids() if self.support_size(a) == 1]
+        return [a for a in self.element_ids() if _support(self.digits(a)) == 1]
 
     def multi_support_ids(self) -> list[int]:
         """Ids with at least two positive multiplicities, ascending."""
-        return [a for a in self.element_ids() if self.support_size(a) >= 2]
-
-    def _build_leq_matrix(self) -> np.ndarray:
-        n_el = self.ground_size
-        ids = np.arange(1, n_el + 1, dtype=np.int64)
-        digs = np.empty((n_el, self.n), dtype=np.int64)
-        v = ids.copy()
-        for t in range(self.n):
-            digs[:, t] = v % self.m
-            v //= self.m
-        support = (digs > 0).sum(axis=1)
-        big = support >= 2
-        mat = np.eye(n_el, dtype=bool)
-        for i in np.flatnonzero(support == 1):
-            mat[i] |= big & (digs >= digs[i]).all(axis=1)
-        return mat
+        return [a for a in self.element_ids() if _support(self.digits(a)) >= 2]
 
 
 class Chain(Poset):
@@ -448,18 +404,12 @@ class Chain(Poset):
         self.kind = f"chain:{k}"
         self.ground_size = k
 
-    def leq(self, a: int, b: int) -> bool:
-        self.check_id(a)
-        self.check_id(b)
-        return a <= b
+    def _leq_index(self, i, j):
+        return i <= j
 
     def rank_key(self, a: int) -> int:
         self.check_id(a)
         return a
-
-    def _build_leq_matrix(self) -> np.ndarray:
-        ids = np.arange(self.ground_size)
-        return ids[:, None] <= ids[None, :]
 
     def _up_rows(self, idx: np.ndarray) -> np.ndarray:
         n = self.ground_size
@@ -478,17 +428,12 @@ class Antichain(Poset):
         self.kind = f"antichain:{k}"
         self.ground_size = k
 
-    def leq(self, a: int, b: int) -> bool:
-        self.check_id(a)
-        self.check_id(b)
-        return a == b
+    def _leq_index(self, i, j):
+        return i == j
 
     def rank_key(self, a: int) -> int:
         self.check_id(a)
         return a
-
-    def _build_leq_matrix(self) -> np.ndarray:
-        return np.eye(self.ground_size, dtype=bool)
 
     def _up_rows(self, idx: np.ndarray) -> np.ndarray:
         return np.zeros((idx.size, (self.ground_size + 63) // 64), np.uint64)
@@ -515,19 +460,14 @@ class ProductPoset(Poset):
     def combine(self, p_index: int, q_index: int) -> int:
         return p_index + self.p.ground_size * q_index
 
-    def leq(self, a: int, b: int) -> bool:
-        api, aqi = self.split(a)
-        bpi, bqi = self.split(b)
-        return (self.p.leq(self.p.id_at(api), self.p.id_at(bpi))
-                and self.q.leq(self.q.id_at(aqi), self.q.id_at(bqi)))
+    def _leq_index(self, i, j):
+        size = self.p.ground_size
+        return (self.p._leq_index(i % size, j % size)
+                & self.q._leq_index(i // size, j // size))
 
     def rank_key(self, a: int) -> int:
         pi, qi = self.split(a)
         return self.p.rank_key(self.p.id_at(pi)) + self.q.rank_key(self.q.id_at(qi))
-
-    def _build_leq_matrix(self) -> np.ndarray:
-        # combined index runs P fastest, matching kron's block layout
-        return np.kron(self.q.leq_matrix(), self.p.leq_matrix())
 
 
 def product(p: Poset, q: Poset) -> ProductPoset:

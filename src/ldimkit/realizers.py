@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ContractError, ParameterError
 from .posets import (BooleanLattice, Chain, Poset, canonical_linear_extension,
                      product)
-from .posets import _strict_up, _transpose_bits  # noqa: F401  (tests use them from here)
 
 Ple = tuple[int, ...]
 PartialLinearExtension = Ple  # exported alias; a PLE is just an id sequence

@@ -3,8 +3,7 @@ driving, model decoding, and exact search.
 
 By default instances are decided in-process by the CDCL solver of
 ``ldimkit.cdcl``, fed straight from the clause generator.  An external
-DIMACS solver is opt-in: pass ``solver_command`` (the CLI's ``--solver``) or
-set the LDIMKIT_SAT_SOLVER environment variable.
+DIMACS solver is opt-in: pass ``solver_command`` (the CLI's ``--solver``).
 
 The instance encode(P, k, d) is satisfiable iff P has a local realizer with
 at most k partial linear extensions and frequency at most d.  Variables per
@@ -48,7 +47,6 @@ the index bound j as B.
 
 from __future__ import annotations
 
-import os
 import re
 import shlex
 import subprocess
@@ -69,8 +67,6 @@ from .errors import (BoundExceededError, DecodeError, FormatError,
                      SolverProtocolError)
 from .posets import Poset
 from .realizers import RealizerFamily, verify_local_realizer
-
-SOLVER_ENV_VAR = "LDIMKIT_SAT_SOLVER"
 
 
 class VarMap:
@@ -221,13 +217,9 @@ class VarMap:
         i, j = divmod(var - self.s_block - 1, self.lex_width)
         return "e", None, j + 1, i + 1
 
-    @property
+    @cached_property
     def _pairs(self) -> list[tuple[int, int]]:
-        cached = getattr(self, "_pairs_cache", None)
-        if cached is None:
-            cached = list(combinations(range(self.n), 2))
-            self._pairs_cache = cached
-        return cached
+        return list(combinations(range(self.n), 2))
 
     def iter_entries(self):
         """Yield (role, A, B, i, var) for every variable, auxiliary ones
@@ -474,15 +466,16 @@ _DIMACS_LINE = re.compile(r"\n[^\S\n]*([cp])[^\n]*")
 
 
 def parse_dimacs(source) -> CnfFormula:
-    """Read a DIMACS CNF file (path, file object, or text).
+    """Read a DIMACS CNF formula from a ``Path``, a file object, or a
+    ``str``, which is always the text itself.
 
     Comment and header lines are cut out and the remaining tokens are read
     in one numpy parse; a clause may span lines, and a last clause without
     its 0 still counts.  A missing or malformed header, a clause count that
     differs from the header's, or a token that is not an integer raises
     FormatError."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text(encoding="utf-8")
+    if isinstance(source, Path):
+        text = source.read_text(encoding="utf-8")
     elif hasattr(source, "read"):
         text = source.read()
     else:
@@ -607,11 +600,8 @@ def _parse_literals(text: str, bad_token) -> np.ndarray:
 
 
 def resolve_solver_command(solver_command=None) -> list[str]:
-    """Resolve the external solver launch vector: explicit argument, then
-    the LDIMKIT_SAT_SOLVER environment variable, then the bundled DIMACS
-    front-end ``ldimkit.satshim``."""
-    if solver_command is None:
-        solver_command = os.environ.get(SOLVER_ENV_VAR) or None
+    """Resolve the external solver launch vector: the explicit argument, or
+    else the bundled DIMACS front-end ``ldimkit.satshim``."""
     if solver_command is None:
         return [sys.executable, "-m", "ldimkit.satshim"]
     if isinstance(solver_command, str):
@@ -698,15 +688,15 @@ def solve_instance(P: Poset, k: int, d: int, solver_command=None,
                    workdir=None) -> tuple[SolverResult, RealizerFamily | None]:
     """Encode with the symmetry break, solve, and decode on sat.
 
-    With no ``solver_command`` and LDIMKIT_SAT_SOLVER unset, the clauses
-    stream from the encoder into the in-process CDCL solver: no file, no
-    subprocess.  Otherwise the DIMACS file goes to a temporary directory
-    under ``workdir`` and the external solver runs through run_solver.
+    With no ``solver_command`` the clauses stream from the encoder into the
+    in-process CDCL solver: no file, no subprocess.  Otherwise the DIMACS
+    file goes to a temporary directory under ``workdir`` and the external
+    solver runs through run_solver.
 
     On sat the family comes from decode_verified, so it is a verified local
     realizer of frequency at most d.
     """
-    if solver_command is None and not os.environ.get(SOLVER_ENV_VAR):
+    if solver_command is None:
         vm, clauses = iter_clauses(P, k, d, symmetry_break=True)
         model = solve_clauses(vm.total_count, clauses)
         result = (SolverResult("unsat") if model is None

@@ -10,6 +10,7 @@ unreadable or malformed file.
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 from .cdcl import solve_clauses
 from .sat import parse_dimacs
@@ -21,7 +22,7 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: python -m ldimkit.satshim <file.cnf>", file=sys.stderr)
         return 2
     try:
-        cnf = parse_dimacs(argv[0])
+        cnf = parse_dimacs(Path(argv[0]))
         model = solve_clauses(cnf.variable_count, cnf.clauses)
     except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"satshim: {argv[0]}: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from ldimkit import DecodeError, RealizerFamily, VarMap
+from ldimkit import DecodeError, MultisetElement, RealizerFamily, VarMap
 
 
 def check_family(P, family) -> tuple[bool, int, int]:
@@ -82,6 +82,21 @@ def brute_max_independent(n: int, edges) -> int:
 
 def brute_leq_boolean(a: int, b: int) -> bool:
     return (a | b) == b
+
+
+def brute_leq_multiset(x: MultisetElement, y: MultisetElement) -> bool:
+    """Multiset inclusion: every multiplicity of x at most that of y."""
+    return all(a <= b for a, b in zip(x.multiplicities, y.multiplicities))
+
+
+def brute_leq_multiset_singleton(x: MultisetElement,
+                                 y: MultisetElement) -> bool:
+    """x <= y in the multiset-singleton poset: equal, or x has one positive
+    multiplicity, y at least two, and x is included in y."""
+    def support(e):
+        return len([d for d in e.multiplicities if d > 0])
+    return x == y or (support(x) == 1 and support(y) >= 2
+                      and brute_leq_multiset(x, y))
 
 
 def violations(P, family) -> dict[str, list[tuple]]:

@@ -109,20 +109,58 @@ def test_boolean_leq_matrix_row_blocks():
     assert np.array_equal(M, (ids[:, None] | ids[None, :]) == ids[None, :])
 
 
+def _strict_rows(M):
+    """Rows of a bool matrix minus its diagonal, packed as up_rows packs
+    them: column j at bit j % 64 of uint64 word j // 64."""
+    n = len(M)
+    out = np.zeros((n, 8 * ((n + 63) // 64)), np.uint8)
+    out[:, :(n + 7) // 8] = np.packbits(M & ~np.eye(n, dtype=bool), axis=1,
+                                        bitorder="little")
+    return out.view("<u8")
+
+
 def test_structural_rows_match_packed_matrix():
-    from ldimkit.posets import _strict_up
     posets = [BooleanLattice(n) for n in range(1, 11)]
     posets += [SingletonPoset(n) for n in range(1, 11)]
     posets += [Chain(1), Chain(4), Antichain(1), Antichain(5)]
     rng = np.random.default_rng(11)
     for P in posets:
-        leq = P.leq_matrix()
-        up, down = _strict_up(leq), _strict_up(leq.T)
+        ids = np.arange(P.ground_size)
+        leq = P._leq_index(ids[:, None], ids)  # the order predicate
+        assert np.array_equal(P.leq_matrix(), leq), P.kind
+        up, down = _strict_rows(leq), _strict_rows(leq.T)
         assert np.array_equal(P.up_rows(), up), P.kind
         assert np.array_equal(P.down_rows(), down), P.kind
         idx = rng.integers(0, P.ground_size, 9)
         assert np.array_equal(P.up_rows(idx), up[idx]), P.kind
         assert np.array_equal(P.down_rows(idx), down[idx]), P.kind
+
+
+@pytest.mark.parametrize("P, brute", [
+    (MultisetLattice(3, 7), oracle.brute_leq_multiset),           # N = 343
+    (MultisetSingletonPoset(4, 5), oracle.brute_leq_multiset_singleton),  # 624
+    (MultisetSingletonPoset(2, 3), oracle.brute_leq_multiset_singleton),
+])
+def test_multiset_order_matches_brute_force(P, brute):
+    # N = 343 and 624 span more than one 256-row block and cross 64-bit word
+    # edges; N = 8 fits in one word
+    ids = list(P.element_ids())
+    elements = [MultisetElement.from_id(a, P.n, P.m) for a in ids]
+    ref = np.array([[brute(x, y) for y in elements] for x in elements])
+    assert np.array_equal(P.leq_matrix(), ref)
+    up, down = _strict_rows(ref), _strict_rows(ref.T)
+    assert np.array_equal(P.up_rows(), up)
+    assert np.array_equal(P.down_rows(), down)
+    n = P.ground_size
+    idx = np.unique(np.concatenate((np.random.default_rng(5).integers(0, n, 30),
+                                    [0, 63, 64, 255, 256, n - 1])))
+    idx = idx[idx < n]
+    assert np.array_equal(P.up_rows(idx), up[idx])
+    assert np.array_equal(P.down_rows(idx), down[idx])
+    for i in idx.tolist():
+        for j, b in enumerate(ids):
+            assert P.leq(ids[i], b) == ref[i, j]
+            assert P.leq(b, ids[i]) == ref[j, i]
 
 
 def test_product_structure():
@@ -133,10 +171,16 @@ def test_product_structure():
     assert P.split(11) == (3, 2)
     assert P.leq(P.combine(1, 0), P.combine(3, 2))
     assert not P.leq(P.combine(1, 0), P.combine(2, 2))
-    # matrix = kron(Q, P)
-    assert np.array_equal(
-        P.leq_matrix(),
-        np.kron(Chain(3).leq_matrix(), BooleanLattice(2).leq_matrix()))
+    # matrix = kron(Q, P), packed rows alike
+    for p, q in ((BooleanLattice(2), Chain(3)),
+                 (MultisetLattice(2, 3), SingletonPoset(4)),
+                 (Antichain(3), product(Chain(2), MultisetSingletonPoset(2, 3))),
+                 (SingletonPoset(5), BooleanLattice(3))):
+        P = product(p, q)
+        kron = np.kron(q.leq_matrix(), p.leq_matrix())
+        assert np.array_equal(P.leq_matrix(), kron), P.kind
+        assert np.array_equal(P.up_rows(), _strict_rows(kron)), P.kind
+        assert np.array_equal(P.down_rows(), _strict_rows(kron.T)), P.kind
 
 
 def test_canonical_linear_extension():

@@ -20,7 +20,7 @@ from ldimkit import (Antichain, BooleanLattice, Chain, DecodeError,
                      run_solver, solve_instance, verify_local_realizer,
                      write_dimacs)
 from ldimkit.cdcl import solve_clauses
-from ldimkit.sat import SOLVER_ENV_VAR, iter_clauses
+from ldimkit.sat import iter_clauses
 
 from tests import oracle
 from tests.test_realizers import _Relabelled
@@ -145,12 +145,16 @@ def test_dimacs_round_trip(tmp_path):
     assert parse_dimacs(buf.getvalue()).clauses == formula.clauses
 
 
-def test_parse_dimacs_errors():
+def test_parse_dimacs_errors(tmp_path):
     from ldimkit import FormatError
     with pytest.raises(FormatError):
         parse_dimacs("1 2 0\n")  # no header
     with pytest.raises(FormatError):
         parse_dimacs("p cnf 2 5\n1 2 0\n")  # clause count mismatch
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 1 1\n1 0\n")
+    with pytest.raises(FormatError, match="header"):
+        parse_dimacs(str(path))  # a str is text, never a file name
 
 
 def test_parse_model_text():
@@ -165,12 +169,10 @@ def test_parse_model_text():
         parse_model_text("s SATISFIABLE\n")
 
 
-def test_resolve_solver_command(monkeypatch):
-    monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
+def test_resolve_solver_command():
     assert resolve_solver_command() == [sys.executable, "-m",
                                         "ldimkit.satshim"]
-    monkeypatch.setenv(SOLVER_ENV_VAR, "mysolver --opt")
-    assert resolve_solver_command() == ["mysolver", "--opt"]
+    assert resolve_solver_command("mysolver --opt") == ["mysolver", "--opt"]
     assert resolve_solver_command("other") == ["other"]
     assert resolve_solver_command(["a", "b"]) == ["a", "b"]
 
@@ -250,8 +252,6 @@ def test_solve_unsat_then_sat():
 
 
 def test_default_backend_runs_in_process(monkeypatch):
-    monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
-
     def no_spawn(*args, **kwargs):
         raise AssertionError("the default backend spawned a process")
 
@@ -263,17 +263,15 @@ def test_default_backend_runs_in_process(monkeypatch):
     assert solve_instance(BooleanLattice(2), 4, 1)[0].status == "unsat"
 
 
-def test_external_solver_is_opt_in(monkeypatch):
+def test_external_solver_is_opt_in():
     shim = f"{shlex.quote(sys.executable)} -m ldimkit.satshim"
     B = BooleanLattice(2)
     result, fam = solve_instance(B, 4, 2, [sys.executable, "-m",
                                            "ldimkit.satshim"])
     assert result.status == "sat" and oracle.check_family(B, fam)[0]
-    monkeypatch.setenv(SOLVER_ENV_VAR, shim)
-    assert solve_instance(B, 4, 1)[0].status == "unsat"
-    monkeypatch.setenv(SOLVER_ENV_VAR, "/nonexistent/solver-binary")
+    assert solve_instance(B, 4, 1, shim)[0].status == "unsat"
     with pytest.raises(SolverEnvironmentError):
-        solve_instance(B, 4, 1)
+        solve_instance(B, 4, 1, "/nonexistent/solver-binary")
 
 
 def test_decode_rejects_inconsistent_model():
@@ -605,7 +603,6 @@ def test_lex_sorted_padded_family_satisfies_encoding(spec, k, family):
 
 def test_search_solves_the_broken_instance(monkeypatch):
     import ldimkit.sat
-    monkeypatch.delenv(SOLVER_ENV_VAR, raising=False)
     seen = []
 
     def capture(count, clauses):
@@ -664,9 +661,14 @@ def test_parse_dimacs_matches_line_loop():
         text, v, clauses = _random_dimacs(rng)
         want = oracle.parse_dimacs(text)
         assert want == (v, clauses)
-        # text without a newline would be read as a path
-        formula = parse_dimacs(io.StringIO(text))
-        assert (formula.variable_count, formula.clauses) == want
+        for source in (text, io.StringIO(text)):
+            formula = parse_dimacs(source)
+            assert (formula.variable_count, formula.clauses) == want
+    # no line feed at all
+    for text in ("p cnf 0 0", "p cnf 2 1\r1 2 0\r"):
+        formula = parse_dimacs(text)
+        assert (formula.variable_count, formula.clauses) == (
+            oracle.parse_dimacs(text))
     formula, vm = encode(BooleanLattice(3), 12, 3)
     buf = io.StringIO()
     write_dimacs(formula, vm, buf)
