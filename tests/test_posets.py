@@ -102,7 +102,7 @@ def test_leq_matrix_agrees_with_scalar():
 
 
 def test_boolean_leq_matrix_row_blocks():
-    # 512 elements span two of the row blocks the matrix is filled in
+    # 512 elements: the matrix unpacks eight 64-bit words per row
     ids = np.arange(512)
     M = BooleanLattice(9).leq_matrix()
     assert M.dtype == bool and M.shape == (512, 512)

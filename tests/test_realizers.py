@@ -233,7 +233,7 @@ def test_verify_reads_no_dense_matrix(monkeypatch, spec):
         return ([verify_local_realizer(P, f).to_json() for f in variants]
                 + [validate_ple(P, f[0]).to_json() for f in variants])
 
-    with monkeypatch.context() as m:  # the dense-matrix fallback rows
+    with monkeypatch.context() as m:  # the rows packed from the predicate
         m.setattr(type(P), "_up_rows", Poset._up_rows)
         m.setattr(type(P), "_down_rows", Poset._down_rows)
         expected = reports(build_poset(spec))
