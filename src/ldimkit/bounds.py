@@ -130,34 +130,22 @@ def check_ind_freq_claim(n: int, family, independent) -> bool:
 # ------------------------------------------------------------------- turan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BoundReport:
+    """Fields in JSON key order; the JSON leaves out those that are None."""
+
     n: int
-    bound: float
-    ceiling: int
-    certifying: bool
     m: int | None = None
     c: float | None = None
     size: int | None = None
+    bound: float
+    ceiling: int
+    certifying: bool
     ell: float | None = None
     ell_ceiling: int | None = None
 
     def to_json_dict(self) -> dict:
-        out: dict = {"n": self.n}
-        if self.m is not None:
-            out["m"] = self.m
-        if self.c is not None:
-            out["c"] = self.c
-        if self.size is not None:
-            out["size"] = self.size
-        out["bound"] = self.bound
-        out["ceiling"] = self.ceiling
-        out["certifying"] = self.certifying
-        if self.ell is not None:
-            out["ell"] = self.ell
-        if self.ell_ceiling is not None:
-            out["ell_ceiling"] = self.ell_ceiling
-        return out
+        return {k: v for k, v in vars(self).items() if v is not None}
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
@@ -234,15 +222,7 @@ class SignatureAuditReport:
     frequency: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "ok": self.ok,
-            "interval_count": self.interval_count,
-            "interval_bound": self.interval_bound,
-            "singleton_count": self.singleton_count,
-            "mplus_count": self.mplus_count,
-            "distinct_signatures": self.distinct_signatures,
-            "frequency": self.frequency,
-        }
+        return vars(self).copy()
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)

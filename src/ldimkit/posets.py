@@ -116,10 +116,6 @@ class MultisetElement:
     def total(self) -> int:
         return sum(self.multiplicities)
 
-    def includes(self, other: "MultisetElement") -> bool:
-        """Pointwise multiplicity dominance (multiset inclusion)."""
-        return all(a >= b for a, b in zip(self.multiplicities, other.multiplicities))
-
 
 class Poset:
     """Base class: a finite poset on a contiguous integer id range."""
@@ -286,54 +282,6 @@ class BooleanLattice(Poset):
         return _clear_diagonal(rows, idx)
 
 
-class SingletonPoset(Poset):
-    """Nonempty subsets of [n]; the only strict relations are
-    singleton < set of size >= 2 under inclusion."""
-
-    id_offset = 1
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ParameterError(f"singleton poset needs n >= 1, got {n}")
-        self.n = n
-        self.kind = f"singleton:{n}"
-        self.ground_size = (1 << n) - 1
-
-    def _leq_index(self, i, j):
-        a, b = i + 1, j + 1
-        single, big = (a & (a - 1)) == 0, (b & (b - 1)) != 0
-        return (a == b) | (single & big & ((a | b) == b))
-
-    def rank_key(self, a: int) -> int:
-        self.check_id(a)
-        return a.bit_count()
-
-    def singleton_ids(self) -> list[int]:
-        return [1 << i for i in range(self.n)]
-
-    def _up_rows(self, idx: np.ndarray) -> np.ndarray:
-        # only a singleton's up-set is nonempty: the larger sets holding it
-        rows = np.zeros((idx.size, (self.ground_size + 63) // 64), np.uint64)
-        ids = idx + 1
-        single = np.flatnonzero((ids & (ids - 1)) == 0)
-        if single.size:
-            every = np.arange(1, self.ground_size + 1)
-            big = (every & (every - 1)) != 0
-            rows[single] = _pack(((every & ids[single, None]) != 0) & big)
-        return rows
-
-    def _down_rows(self, idx: np.ndarray) -> np.ndarray:
-        # a set of two or more elements lies above its singletons only
-        rows = np.zeros((idx.size, (self.ground_size + 63) // 64), np.uint64)
-        ids = idx + 1
-        big = (ids & (ids - 1)) != 0
-        for x in range(self.n):
-            col = (1 << x) - 1
-            held = ((ids >> x) & 1).astype(bool) & big
-            rows[:, col >> 6] |= held.astype(np.uint64) << np.uint64(col & 63)
-        return rows
-
-
 class _Multisets(Poset):
     """Multisets over [n] with every multiplicity below m, encoded as
     mixed-radix ids; the two multiset kinds differ in id offset and order."""
@@ -374,7 +322,12 @@ class MultisetLattice(_Multisets):
 
 class MultisetSingletonPoset(_Multisets):
     """Nonzero bounded multisets over [n]; A < B only when A has exactly one
-    positive multiplicity, B has at least two, and A is pointwise below B."""
+    positive multiplicity, B has at least two, and A is pointwise below B.
+
+    Every strict relation runs from a singleton type c * m**t (multiplicity
+    c of t + 1, nothing else) up to a multi-support element, so only the
+    singleton-type rows of ``up_rows`` and the multi-support rows of
+    ``down_rows`` are nonempty; both are built from the digits."""
 
     id_offset = 1
 
@@ -388,11 +341,63 @@ class MultisetSingletonPoset(_Multisets):
 
     def singleton_type_ids(self) -> list[int]:
         """Ids with exactly one positive multiplicity, ascending."""
-        return [a for a in self.element_ids() if _support(self.digits(a)) == 1]
+        return (self._types[0] + self.id_offset).tolist()
 
     def multi_support_ids(self) -> list[int]:
         """Ids with at least two positive multiplicities, ascending."""
         return [a for a in self.element_ids() if _support(self.digits(a)) >= 2]
+
+    @cached_property
+    def _types(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each singleton type c * m**t, t-major: its index c * m**t - 1
+        (ascending), m**t and c."""
+        t, c = np.divmod(np.arange(self.n * (self.m - 1)), self.m - 1)
+        power = self.m ** t
+        return (c + 1) * power - 1, power, c + 1
+
+    def _above(self, i, k):
+        """Whether the element at index i lies above singleton type k, on
+        broadcasting arrays: its digit t is at least c, and it is not a
+        singleton type itself, so it has a second positive digit."""
+        cols, power, c = self._types
+        single = cols[np.searchsorted(cols, i).clip(max=cols.size - 1)] == i
+        return ((i + 1) % (self.m * power[k]) >= c[k] * power[k]) & ~single
+
+    def _up_rows(self, idx: np.ndarray) -> np.ndarray:
+        # only singleton types have nonempty up-sets, built in one (types x
+        # N) test; its large freed temporary also lifts glibc's trim
+        # threshold above the verifier's per-block temporaries
+        rows = np.zeros((idx.size, (self.ground_size + 63) // 64), np.uint64)
+        cols = self._types[0]
+        s = np.searchsorted(cols, idx).clip(max=cols.size - 1)
+        hit = np.flatnonzero(cols[s] == idx)
+        every = np.arange(self.ground_size)
+        rows[hit] = _pack(self._above(every, s[hit, None]))
+        return rows
+
+    def _down_rows(self, idx: np.ndarray) -> np.ndarray:
+        # held[r, k]: the element at idx[r] lies above type k (column cols[k])
+        cols = self._types[0]
+        held = self._above(idx[:, None], np.arange(cols.size))
+        words, first = np.unique(cols >> 6, return_index=True)
+        rows = np.zeros((idx.size, (self.ground_size + 63) // 64), np.uint64)
+        rows[:, words] = np.bitwise_or.reduceat(
+            held.astype(np.uint64) << (cols & 63).astype(np.uint64), first,
+            axis=1)
+        return rows
+
+
+class SingletonPoset(MultisetSingletonPoset):
+    """Nonempty subsets of [n]; the only strict relations are
+    singleton < set of size >= 2 under inclusion.  This is
+    multiset-singleton:n:2 with the same ids (bitmasks), under its own
+    kind string."""
+
+    def __init__(self, n: int):
+        _Multisets.__init__(self, "singleton", n, 2)
+        self.kind = f"singleton:{n}"
+
+    singleton_ids = MultisetSingletonPoset.singleton_type_ids
 
 
 class Chain(Poset):

@@ -53,7 +53,7 @@ class Violation:
     ple: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "a": self.a, "b": self.b, "ple": self.ple}
+        return vars(self).copy()
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,8 @@ class VerificationReport:
     violations: tuple[Violation, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "frequency": self.frequency,
-            "size": self.size,
-            "violations": [v.to_json_dict() for v in self.violations],
-        }
+        return {**vars(self),
+                "violations": [v.to_json_dict() for v in self.violations]}
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
@@ -150,9 +146,10 @@ _ONE = np.uint64(1)
 _ROW_BLOCK = 256
 
 
-def _placed_so_far(arr: np.ndarray, carry: np.ndarray) -> np.ndarray:
-    """Row q: the packed set of elements arr[0..q], plus the set ``carry``."""
-    placed = np.zeros((arr.size, carry.size), dtype=np.uint64)
+def _placed_so_far(arr: np.ndarray, carry, words: int) -> np.ndarray:
+    """Row q: the packed set of elements arr[0..q], plus the set ``carry``,
+    in rows of ``words`` words."""
+    placed = np.zeros((arr.size, words), dtype=np.uint64)
     placed[np.arange(arr.size), arr >> 6] = _ONE << (arr & 63).astype(np.uint64)
     placed[0] |= carry
     return np.bitwise_or.accumulate(placed, axis=0, out=placed)
@@ -216,14 +213,16 @@ def _scan_member(P: Poset, up_rows, arr: np.ndarray, i: int,
     ``up_rows(block)`` gives the packed strict up-sets of a block's elements.
     Logs the block's order violations, then yields the block and its
     ``_placed_so_far`` rows, which carry over from the previous block."""
-    carry = np.zeros((P.ground_size + 63) // 64, dtype=np.uint64)
+    carry = np.uint64(0)
     order = None
     for start in range(0, arr.size, _ROW_BLOCK):
         block = arr[start:start + _ROW_BLOCK]
-        placed = _placed_so_far(block, carry)
+        up = up_rows(block)  # first, so an oversize poset is refused early
+        placed = _placed_so_far(block, carry, up.shape[1])
         # b placed before block[q] although block[q] < b in P
         room = max(log.cap - log.totals[ORDER_VIOLATION_IN_PLE], 0)
-        count, q, b = _set_bits(placed & up_rows(block), room)
+        count, q, b = _set_bits(placed & up, room)
+        del up  # not held while the caller works on the block
         if q.size:
             if order is None:
                 order = np.argsort(arr)

@@ -684,14 +684,14 @@ def decode_verified(model, varmap: VarMap, P: Poset, d: int) -> RealizerFamily:
     return family
 
 
-def solve_instance(P: Poset, k: int, d: int, solver_command=None,
-                   workdir=None) -> tuple[SolverResult, RealizerFamily | None]:
+def solve_instance(P: Poset, k: int, d: int, solver_command=None
+                   ) -> tuple[SolverResult, RealizerFamily | None]:
     """Encode with the symmetry break, solve, and decode on sat.
 
     With no ``solver_command`` the clauses stream from the encoder into the
     in-process CDCL solver: no file, no subprocess.  Otherwise the DIMACS
-    file goes to a temporary directory under ``workdir`` and the external
-    solver runs through run_solver.
+    file goes to a temporary directory and the external solver runs
+    through run_solver.
 
     On sat the family comes from decode_verified, so it is a verified local
     realizer of frequency at most d.
@@ -703,7 +703,7 @@ def solve_instance(P: Poset, k: int, d: int, solver_command=None,
                   else SolverResult("sat", frozenset(model)))
     else:
         formula, vm = encode(P, k, d, symmetry_break=True)
-        with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+        with tempfile.TemporaryDirectory() as tmp:
             cnf_path = Path(tmp) / "instance.cnf"
             write_dimacs(formula, vm, cnf_path)
             result = run_solver(cnf_path, solver_command)
@@ -712,8 +712,8 @@ def solve_instance(P: Poset, k: int, d: int, solver_command=None,
     return result, decode_verified(result.model, vm, P, d)
 
 
-def ldim_certificate(P: Poset, d_max: int | None = None, solver_command=None,
-                     workdir=None) -> tuple[int, RealizerFamily]:
+def ldim_certificate(P: Poset, d_max: int | None = None,
+                     solver_command=None) -> tuple[int, RealizerFamily]:
     """Least d whose instance is satisfiable, with the decoded witness.
 
     Uses k = max(1, floor(d*N/2)) orders, which is always enough.  For
@@ -740,7 +740,7 @@ def ldim_certificate(P: Poset, d_max: int | None = None, solver_command=None,
         raise ParameterError(f"d_max must be >= 1, got {limit}")
     for d in range(1, limit + 1):
         k = max(1, d * P.ground_size // 2)
-        result, family = solve_instance(P, k, d, solver_command, workdir)
+        result, family = solve_instance(P, k, d, solver_command)
         if result.status == "sat":
             return d, family
         if result.status != "unsat":
@@ -750,7 +750,7 @@ def ldim_certificate(P: Poset, d_max: int | None = None, solver_command=None,
         f"no local realizer of frequency <= {limit} found for {P.kind}")
 
 
-def ldim_exact(P: Poset, d_max: int | None = None, solver_command=None,
-               workdir=None) -> int:
+def ldim_exact(P: Poset, d_max: int | None = None,
+               solver_command=None) -> int:
     """Exact local dimension of a small poset via repeated SAT queries."""
-    return ldim_certificate(P, d_max, solver_command, workdir)[0]
+    return ldim_certificate(P, d_max, solver_command)[0]

@@ -52,12 +52,26 @@ def test_multiset_element_codec():
         MultisetElement.from_id(9, 2, 3)
 
 
+def _assert_same_poset(P, Q):
+    """Same ids, same order and same packed rows."""
+    assert list(P.element_ids()) == list(Q.element_ids())
+    assert np.array_equal(P.leq_matrix(), Q.leq_matrix())
+    assert np.array_equal(P.up_rows(), Q.up_rows())
+    assert np.array_equal(P.down_rows(), Q.down_rows())
+
+
 def test_multiset_lattice_matches_boolean_at_m2():
-    for n in (1, 2, 3, 4):
-        M = MultisetLattice(n, 2)
-        B = BooleanLattice(n)
-        assert M.ground_size == B.ground_size
-        assert np.array_equal(M.leq_matrix(), B.leq_matrix())
+    # BooleanLattice keeps its own class for its word-table rows
+    for n in range(1, 9):
+        _assert_same_poset(MultisetLattice(n, 2), BooleanLattice(n))
+
+
+def test_singleton_is_multiset_singleton_at_m2():
+    for n in range(1, 9):
+        S = SingletonPoset(n)
+        assert S.kind == f"singleton:{n}"
+        assert S.singleton_ids() == [1 << i for i in range(n)]
+        _assert_same_poset(S, MultisetSingletonPoset(n, 2))
 
 
 def test_multiset_singleton_subposet():
@@ -123,6 +137,11 @@ def test_structural_rows_match_packed_matrix():
     posets = [BooleanLattice(n) for n in range(1, 11)]
     posets += [SingletonPoset(n) for n in range(1, 11)]
     posets += [Chain(1), Chain(4), Antichain(1), Antichain(5)]
+    # multiset-singleton:4:5 (N = 624) and 6:4 (N = 4095) cross 64-bit word
+    # and 256-row block edges
+    posets += [MultisetSingletonPoset(n, m) for n, m in (
+        (1, 3), (3, 2), (7, 2), (2, 3), (5, 3), (3, 4), (6, 4), (2, 5),
+        (4, 5))]
     rng = np.random.default_rng(11)
     for P in posets:
         ids = np.arange(P.ground_size)
@@ -140,10 +159,12 @@ def test_structural_rows_match_packed_matrix():
     (MultisetLattice(3, 7), oracle.brute_leq_multiset),           # N = 343
     (MultisetSingletonPoset(4, 5), oracle.brute_leq_multiset_singleton),  # 624
     (MultisetSingletonPoset(2, 3), oracle.brute_leq_multiset_singleton),
+    # the singleton order checked against no bitmask code: m = 2, N = 511
+    (SingletonPoset(9), oracle.brute_leq_multiset_singleton),
 ])
 def test_multiset_order_matches_brute_force(P, brute):
-    # N = 343 and 624 span more than one 256-row block and cross 64-bit word
-    # edges; N = 8 fits in one word
+    # N = 343, 511 and 624 span more than one 256-row block and cross 64-bit
+    # word edges; N = 8 fits in one word
     ids = list(P.element_ids())
     elements = [MultisetElement.from_id(a, P.n, P.m) for a in ids]
     ref = np.array([[brute(x, y) for y in elements] for x in elements])

@@ -208,6 +208,9 @@ def test_oversize_poset_refused_before_allocating():
         # evaluated on all 43M columns
         with pytest.raises(ParameterError):
             build_poset("multiset:16:3").up_rows([0])
+        # the member scan asks for the rows before it allocates its own
+        with pytest.raises(ParameterError):
+            validate_ple(build_poset("multiset:16:3"), [0, 1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
