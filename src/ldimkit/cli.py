@@ -1,8 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 success/accepted/sat, 1 rejected/unsat/audit-failed, 2 usage
-or malformed input, 3 environment or internal failure.  Errors are printed
-to stderr as ``ERROR:<category>: <message>``.
+Exit codes: 0 success/accepted/sat, 1 rejected/unsat/audit-failed or no
+frequency up to ``ldim --d-max`` works, 2 usage or malformed input, 3
+environment or internal failure.  Errors are printed to stderr as
+``ERROR:<category>: <message>``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from pathlib import Path
 
 from .bounds import (min_m_certifying, multiset_lower_bound,
                      signature_audit_report, turan_independence_floor)
-from .errors import (ContractError, DecodeError, FormatError, ParameterError,
-                     RangeError, SolverEnvironmentError, SolverProtocolError)
+from .errors import (BoundExceededError, ContractError, DecodeError,
+                     FormatError, ParameterError, RangeError,
+                     SolverEnvironmentError, SolverProtocolError)
 from .fixtures import fixture_text
 from .orders_io import emit_orders_text, read_orders_file, write_orders_file
 from .posets import BooleanLattice, SingletonPoset, build_poset
@@ -266,6 +268,9 @@ def main(argv=None) -> int:
     except RangeError as exc:
         print(f"ERROR:input: {exc}", file=sys.stderr)
         return 2
+    except BoundExceededError as exc:
+        print(f"ERROR:bound: {exc}", file=sys.stderr)
+        return 1
     except (SolverEnvironmentError, SolverProtocolError) as exc:
         print(f"ERROR:environment: {exc}", file=sys.stderr)
         return 3

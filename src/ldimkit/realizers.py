@@ -12,6 +12,7 @@ of a family is the maximum number of members containing any one element; the
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -19,8 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .posets import (BooleanLattice, Chain, Poset, canonical_linear_extension,
-                     product)
+from .posets import BooleanLattice, Chain, Poset, canonical_linear_extension
 
 Ple = tuple[int, ...]
 PartialLinearExtension = Ple  # exported alias; a PLE is just an id sequence
@@ -76,19 +76,16 @@ class VerificationReport:
 
 
 class RealizerFamily:
-    """An immutable list of PLEs with a cached per-element occurrence index."""
+    """An immutable list of PLEs with cached per-element member counts."""
 
     def __init__(self, ples: Iterable[Sequence[int]]):
         self.ples: tuple[Ple, ...] = tuple(tuple(p) for p in ples)
 
     @cached_property
-    def occurrence_index(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """element id -> ((member index, position), ...) in member order."""
-        index: dict[int, list[tuple[int, int]]] = {}
-        for i, ple in enumerate(self.ples):
-            for pos, a in enumerate(ple):
-                index.setdefault(a, []).append((i, pos))
-        return {a: tuple(v) for a, v in index.items()}
+    def _member_counts(self) -> Counter:
+        """element id -> number of members containing it; a member counts
+        each of its elements once, as the verifier does."""
+        return Counter(a for ple in self.ples for a in set(ple))
 
     @property
     def size(self) -> int:
@@ -96,12 +93,11 @@ class RealizerFamily:
 
     @cached_property
     def frequency(self) -> int:
-        occ = self.occurrence_index
-        return max((len({i for i, _ in v}) for v in occ.values()), default=0)
+        return max(self._member_counts.values(), default=0)
 
     def occurrences(self, a: int) -> int:
         """Number of distinct members containing element a."""
-        return len({i for i, _ in self.occurrence_index.get(a, ())})
+        return self._member_counts[a]
 
     def __len__(self) -> int:
         return len(self.ples)
@@ -240,7 +236,7 @@ def _scan_member(P: Poset, up_rows, arr: np.ndarray, i: int,
 def _first_reversing_members(P: Poset, family: RealizerFamily,
                              pairs: list[tuple[int, int]]) -> list[int]:
     """For each index pair (a, b), a < b in P, the first member that places
-    some occurrence of b before some occurrence of a."""
+    b before a, each element at its first occurrence as the scan reads it."""
     a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     found = np.full(a.size, -1)
     for i, ple in enumerate(family.ples):
@@ -251,11 +247,10 @@ def _first_reversing_members(P: Poset, family: RealizerFamily,
         if arr.size < 2:
             continue
         uniq, first = np.unique(arr, return_index=True)
-        last = arr.size - 1 - np.unique(arr[::-1], return_index=True)[1]
         ia = np.searchsorted(uniq, a).clip(max=uniq.size - 1)
         ib = np.searchsorted(uniq, b).clip(max=uniq.size - 1)
         hit = (open_ & (uniq[ia] == a) & (uniq[ib] == b)
-               & (first[ib] < last[ia]))
+               & (first[ib] < first[ia]))
         found[hit] = i
     return found.tolist()
 
@@ -456,9 +451,11 @@ def build_bn_realizer(n: int) -> RealizerFamily:
     if c:
         factors.append((BooleanLattice(c), build_standard_realizer(c)))
 
+    # the product of boolean(p) and boolean(q) is boolean(p + q) with the
+    # same ids: the lifted id px + 2**p * qy is the bitmask of the joined set
     poset, family = factors[0]
     for q_poset, q_family in factors[1:]:
         family = lift_product(poset, q_poset, family, q_family,
                               check_inputs=False)
-        poset = product(poset, q_poset)
+        poset = BooleanLattice(poset.n + q_poset.n)
     return family

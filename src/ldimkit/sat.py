@@ -264,13 +264,28 @@ def encode(P: Poset, k: int, d: int,
     return CnfFormula(vm.total_count, list(clauses)), vm
 
 
+# Instances above 2**24 clauses are refused: at about 180 bytes for each
+# clause a solver holds, that is about 3 GB.  boolean:5 at d = 4, the largest
+# query in view, has about 1.9M.
+_CLAUSE_LIMIT = 1 << 24
+
+
 def iter_clauses(P: Poset, k: int, d: int, symmetry_break: bool = False
                  ) -> tuple[VarMap, Iterator[list[int]]]:
     """The VarMap of encode(P, k, d, symmetry_break) and a generator of its
     clauses, in encode's order, so a solver can take them without a list of
-    lists."""
+    lists.  Refused with ParameterError above 2**24 clauses, before any
+    table is built."""
     if k < 1 or d < 1:
         raise ParameterError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
+    # the count is least with no comparable pair (k + 1 clauses each,
+    # against 2 for an incomparable one), so the order need not be read
+    n = P.ground_size
+    least = expected_clause_count(n, 0, n * (n - 1) // 2, k, d, symmetry_break)
+    if least > _CLAUSE_LIMIT:
+        raise ParameterError(
+            f"{P.kind} with k={k}, d={d} needs at least {least} clauses, "
+            f"above the limit of {_CLAUSE_LIMIT}")
     vm = VarMap(P, k, d, symmetry_break)
     return vm, _clauses(P, vm, d)
 

@@ -139,10 +139,9 @@ def violations(P, family) -> dict[str, list[tuple]]:
             if P.leq(a, b):
                 if not ab:
                     found["comparable-pair-never-witnessed"].append((a, b, None))
-                if ba:  # the first member with some b before some a
-                    first = next(i for i, m in enumerate(members)
-                                 if any(x == b and a in m[k + 1:]
-                                        for k, x in enumerate(m)))
+                if ba:  # the first member with b first placed before a
+                    first = next(i for i, pos in enumerate(firsts)
+                                 if a in pos and b in pos and pos[b] < pos[a])
                     found["comparable-pair-reversed"].append((a, b, first))
             elif a < b and not P.leq(b, a):
                 if not (ab or ba):

@@ -215,6 +215,14 @@ def test_ldim(capsys, tmp_path):
     assert parse_orders_text(witness.read_text())
 
 
+def test_ldim_d_max_below_answer(capsys):
+    code, out, err = run(capsys, "ldim", "--poset", "boolean:3",
+                         "--d-max", "2")
+    assert (code, out) == (1, "")
+    assert err == ("ERROR:bound: no local realizer of frequency <= 2 found "
+                   "for boolean:3\n")
+
+
 def test_analyze_multiset_bound(capsys):
     code, out, err = run(capsys, "analyze", "multiset-bound",
                          "--n", "2", "--m", "25")

@@ -8,6 +8,7 @@ from ldimkit import (Antichain, BooleanLattice, Chain, MultisetElement,
                      set_to_id)
 
 from tests import oracle
+from tests.test_realizers import _Relabelled
 
 
 def test_id_set_roundtrip():
@@ -204,10 +205,46 @@ def test_product_structure():
         assert np.array_equal(P.down_rows(), _strict_rows(kron.T)), P.kind
 
 
+def test_boolean_product_is_boolean():
+    # the builder's running poset: ids px + 2**a * qy are the joined bitmasks
+    for a in range(1, 5):
+        for b in range(1, 5):
+            P = product(BooleanLattice(a), BooleanLattice(b))
+            B = BooleanLattice(a + b)
+            assert P.element_ids() == B.element_ids()
+            assert np.array_equal(P.up_rows(), B.up_rows()), (a, b)
+            assert np.array_equal(P.down_rows(), B.down_rows()), (a, b)
+            assert (canonical_linear_extension(P)
+                    == canonical_linear_extension(B)), (a, b)
+
+
+def test_canonical_extension_pinned():
+    for n in range(1, 11):
+        assert canonical_linear_extension(BooleanLattice(n)) == sorted(
+            range(1 << n), key=lambda a: (a.bit_count(), a))
+    for n in range(2, 11):
+        assert canonical_linear_extension(SingletonPoset(n)) == sorted(
+            range(1, 1 << n), key=lambda a: (a.bit_count(), a))
+    for k in (1, 5, 300):
+        assert canonical_linear_extension(Chain(k)) == list(range(k))
+        assert canonical_linear_extension(Antichain(k)) == list(range(k))
+
+
+def test_multi_support_ids_match_digits():
+    for n in range(1, 4):
+        for m in range(2, 5):
+            P = MultisetSingletonPoset(n, m)
+            assert P.multi_support_ids() == [
+                a for a in P.element_ids()
+                if MultisetElement.from_id(a, n, m).support_size() >= 2]
+
+
 def test_canonical_linear_extension():
     assert canonical_linear_extension(BooleanLattice(2)) == [0, 1, 2, 3]
     for P in (BooleanLattice(3), SingletonPoset(3), MultisetLattice(2, 3),
-              product(Chain(2), BooleanLattice(2))):
+              MultisetLattice(3, 3), MultisetSingletonPoset(2, 3),
+              Antichain(4), product(Chain(2), BooleanLattice(2)),
+              _Relabelled(SingletonPoset(4))):
         ext = canonical_linear_extension(P)
         assert sorted(ext) == sorted(P.element_ids())
         pos = {a: i for i, a in enumerate(ext)}

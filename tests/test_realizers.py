@@ -31,6 +31,8 @@ def test_family_basics():
     assert frequency(fam) == 3 and fam.frequency == 3
     assert fam.occurrences(2) == 2
     assert fam.occurrences(99) == 0
+    repeated = RealizerFamily([(1, 2, 1), (1,)])
+    assert repeated.frequency == repeated.occurrences(1) == 2
     assert as_family(fam) is fam
     assert as_family([(1, 2)]) == RealizerFamily([(1, 2)])
     assert len(RealizerFamily([])) == 0
@@ -103,6 +105,11 @@ def test_each_violation_kind():
     assert COMPARABLE_PAIR_REVERSED in rep.violation_kinds
     v = next(v for v in rep.violations if v.kind == COMPARABLE_PAIR_REVERSED)
     assert (v.a, v.b, v.ple) == (1, 3, 2)
+    # member 0 repeats 0 after 1, but each element counts at its first
+    # position, so only member 1 reverses 0 < 1
+    rep = verify_local_realizer(Chain(2), [(0, 1, 0), (1, 0)])
+    v = next(v for v in rep.violations if v.kind == COMPARABLE_PAIR_REVERSED)
+    assert (v.a, v.b, v.ple) == (0, 1, 1)
 
     rep = verify_local_realizer(Chain(2), [(0,), (1,)])
     assert COMPARABLE_PAIR_NEVER_WITNESSED in rep.violation_kinds
@@ -281,9 +288,6 @@ class _Relabelled(Poset):
     def _leq_index(self, i, j):
         return self.base._leq_index(self.perm[i], self.perm[j])
 
-    def rank_key(self, a):
-        return self.base.rank_key(self.to_base[a])
-
 
 PROPERTY_POSETS = ("chain:1", "chain:4", "antichain:1", "antichain:5",
                    "boolean:2", "boolean:3", "boolean:4", "singleton:3",
@@ -294,13 +298,15 @@ MUTATIONS = ("drop-member", "omit", "reverse", "swap", "repeat")
 
 def _base_family(P):
     """A local realizer where one is at hand, so that mutations land near
-    valid families; two opposite-within-rank orders otherwise."""
+    valid families; otherwise two linear extensions, by strict down-set
+    size and then by id ascending and descending."""
     if isinstance(P, BooleanLattice):
         return build_standard_realizer(P.n)
     if isinstance(P, SingletonPoset):
         return build_singleton_realizer(P.n)
     canon = canonical_linear_extension(P)
-    return [canon, sorted(canon, key=lambda a: (P.rank_key(a), -a))]
+    sizes = np.bitwise_count(P.down_rows()).sum(axis=1)
+    return [canon, sorted(canon, key=lambda a: (sizes[P.index_of(a)], -a))]
 
 
 @st.composite

@@ -429,6 +429,18 @@ def test_iter_clauses_streams():
     assert peak < 4 * 2**20
 
 
+def test_iter_clauses_refuses_oversize():
+    # 2 * 256 * 255 * 254 transitivity clauses alone pass the 2**24 limit
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="clauses"):
+            iter_clauses(BooleanLattice(8), 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def _true_variables(vm, members):
     """Member i-1 placed in order i: its z variables and the before
     variables of its pairs in member order."""
