@@ -1,67 +1,57 @@
-"""ldimkit: build, verify, and bound local realizers of finite posets."""
+"""ldimkit: build, verify, and bound local realizers of finite posets.
 
-from .errors import (BoundExceededError, ContractError, DecodeError,
-                     FormatError, LdimkitError, ParameterError, RangeError,
-                     SolverEnvironmentError, SolverProtocolError)
-from .posets import (Antichain, BooleanLattice, Chain, MultisetElement,
-                     MultisetLattice, MultisetSingletonPoset, Poset,
-                     ProductPoset, SingletonPoset, build_poset,
-                     canonical_linear_extension, id_to_set, product,
-                     set_to_id)
-from .realizers import (RealizerFamily, VerificationReport, Violation,
-                        as_family, build_bn_realizer,
-                        build_standard_realizer, frequency, lift_product,
-                        size, validate_ple, verify_local_realizer)
-from .orders_io import (emit_orders_text, parse_orders_text,
-                        read_orders_file, write_orders_file)
-from .fixtures import b4_family, b7_family, fixture_text
-from .singletons import (block_partition, build_singleton_plan,
-                         build_singleton_realizer, default_block_width,
-                         singleton_frequency_bound)
-from .sat import (CnfFormula, SolverResult, VarMap, decode_realizer, encode,
-                  expected_clause_count, ldim_certificate, ldim_exact,
-                  parse_dimacs, parse_model_text, resolve_solver_command,
-                  run_solver, solve_instance, write_dimacs)
-from .bounds import (BoundReport, ConflictGraph, SignatureAuditReport,
-                     check_ind_freq_claim, conflict_graph, independent_set,
-                     iter_independent_sets, min_m_certifying,
-                     multiset_lower_bound, signature_audit,
-                     signature_audit_report, turan_independence_floor)
+The names below are read from their modules on first access (PEP 562), so
+importing the package, or running one CLI subcommand, loads only the
+modules that are used.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "LdimkitError", "ParameterError", "RangeError", "FormatError",
-    "ContractError", "DecodeError", "SolverEnvironmentError",
-    "SolverProtocolError", "BoundExceededError",
-    # posets
-    "Poset", "BooleanLattice", "SingletonPoset", "MultisetLattice",
-    "MultisetSingletonPoset", "Chain", "Antichain", "ProductPoset",
-    "MultisetElement", "product", "build_poset",
-    "canonical_linear_extension", "id_to_set", "set_to_id",
-    # realizers
-    "RealizerFamily", "VerificationReport", "Violation", "as_family",
-    "frequency", "size", "validate_ple", "verify_local_realizer",
-    "lift_product", "build_standard_realizer", "build_bn_realizer",
-    # orders io
-    "parse_orders_text", "emit_orders_text", "read_orders_file",
-    "write_orders_file",
-    # fixtures
-    "b4_family", "b7_family", "fixture_text",
-    # singletons
-    "default_block_width", "singleton_frequency_bound", "block_partition",
-    "build_singleton_plan", "build_singleton_realizer",
-    # sat
-    "VarMap", "CnfFormula", "SolverResult", "encode",
-    "expected_clause_count", "write_dimacs", "parse_dimacs",
-    "parse_model_text", "resolve_solver_command", "run_solver",
-    "decode_realizer", "solve_instance", "ldim_certificate", "ldim_exact",
-    # bounds
-    "ConflictGraph", "BoundReport", "SignatureAuditReport",
-    "conflict_graph", "independent_set", "iter_independent_sets",
-    "check_ind_freq_claim", "turan_independence_floor",
-    "multiset_lower_bound", "min_m_certifying", "signature_audit",
-    "signature_audit_report",
-]
+_EXPORTS = {
+    "errors": [
+        "LdimkitError", "ParameterError", "RangeError", "FormatError",
+        "ContractError", "DecodeError", "SolverEnvironmentError",
+        "SolverProtocolError", "BoundExceededError"],
+    "posets": [
+        "Poset", "BooleanLattice", "SingletonPoset", "MultisetLattice",
+        "MultisetSingletonPoset", "Chain", "Antichain", "ProductPoset",
+        "MultisetElement", "product", "build_poset",
+        "canonical_linear_extension", "id_to_set", "set_to_id"],
+    "realizers": [
+        "RealizerFamily", "VerificationReport", "Violation", "as_family",
+        "frequency", "size", "validate_ple", "verify_local_realizer",
+        "lift_product", "build_standard_realizer", "build_bn_realizer"],
+    "orders_io": [
+        "parse_orders_text", "emit_orders_text", "read_orders_file",
+        "write_orders_file"],
+    "fixtures": ["b4_family", "b7_family", "fixture_text"],
+    "singletons": [
+        "default_block_width", "singleton_frequency_bound", "block_partition",
+        "build_singleton_plan", "build_singleton_realizer"],
+    "sat": [
+        "VarMap", "CnfFormula", "SolverResult", "encode",
+        "expected_clause_count", "write_dimacs", "parse_dimacs",
+        "parse_model_text", "resolve_solver_command", "run_solver",
+        "decode_realizer", "solve_instance", "ldim_certificate", "ldim_exact"],
+    "bounds": [
+        "ConflictGraph", "BoundReport", "SignatureAuditReport",
+        "conflict_graph", "independent_set", "iter_independent_sets",
+        "check_ind_freq_claim", "turan_independence_floor",
+        "multiset_lower_bound", "min_m_certifying", "signature_audit",
+        "signature_audit_report"],
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

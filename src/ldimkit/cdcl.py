@@ -9,8 +9,11 @@ Literals are DIMACS integers.  Every per-literal table has 2V+1 slots and is
 indexed by the literal itself: a negative literal -v lands in slot 2V+1-v by
 Python's negative indexing, so negation is plain ``-lit``.
 
-Usage: ``Solver(V)``, ``add_clause`` for each clause, then ``solve()``, which
-returns True (the model is in ``model``) or False.
+Usage: ``Solver(V)``, then the clauses, then ``solve()``, which returns True
+(the model is in ``model``) or False.  ``add_clause`` takes one clause of any
+form and checks it: DIMACS input and ``satshim`` go through it, as
+``solve_clauses``.  ``load_trusted`` takes a stream of well-formed clauses,
+as the encoder of ``ldimkit.sat`` writes them, and files them unchecked.
 """
 
 from __future__ import annotations
@@ -99,6 +102,31 @@ class Solver:
         else:
             self.watches[-clause[0]].append(clause)
             self.watches[-clause[1]].append(clause)
+        return self.ok
+
+    def load_trusted(self, clauses) -> bool:
+        """Add clauses whose literals are nonzero, within range, and
+        neither repeated nor complementary within a clause, as they are;
+        the lists are kept, not copied.  Units are assigned, binary clauses
+        go to the implication lists and longer ones are watched on their
+        first two literals.  Returns False once the formula is known to be
+        unsatisfiable."""
+        value, implied, watches = self.value, self.implied, self.watches
+        for c in clauses:
+            if len(c) > 2:
+                watches[-c[0]].append(c)
+                watches[-c[1]].append(c)
+            elif len(c) == 2:
+                a, b = c
+                implied[-a].append(b)
+                implied[-b].append(a)
+            elif not value[c[0]]:
+                self._assign(c[0], None)
+            elif value[c[0]] < 0:
+                self.ok = False
+        # a watched literal may already be false: propagate the whole
+        # level-0 trail again, so every clause sees it
+        self.qhead = 0
         return self.ok
 
     def _assign(self, lit: int, reason) -> None:

@@ -3,7 +3,11 @@
 Exit codes: 0 success/accepted/sat, 1 rejected/unsat/audit-failed or no
 frequency up to ``ldim --d-max`` works, 2 usage or malformed input, 3
 environment or internal failure.  Errors are printed to stderr as
-``ERROR:<category>: <message>``.
+``ERROR:<category>: <message>``.  Each subcommand imports the modules it
+uses when it runs, so ``tables`` never loads the SAT layer.  The SAT
+commands import ``sat`` first: where no bytecode is cached, a process
+compiles the modules from source, and compiling the largest one before
+numpy loads keeps that transient memory under the process's peak.
 """
 
 from __future__ import annotations
@@ -14,18 +18,9 @@ import sys
 from math import ceil
 from pathlib import Path
 
-from .bounds import (min_m_certifying, multiset_lower_bound,
-                     signature_audit_report, turan_independence_floor)
 from .errors import (BoundExceededError, ContractError, DecodeError,
                      FormatError, ParameterError, RangeError,
                      SolverEnvironmentError, SolverProtocolError)
-from .fixtures import fixture_text
-from .orders_io import emit_orders_text, read_orders_file, write_orders_file
-from .posets import BooleanLattice, SingletonPoset, build_poset
-from .realizers import RealizerFamily, build_bn_realizer, verify_local_realizer
-from .sat import (VarMap, decode_verified, encode, parse_model_text,
-                  solve_instance, ldim_certificate, write_dimacs)
-from .singletons import build_singleton_plan, singleton_frequency_bound
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,6 +41,10 @@ def _print_report_text(report, out=None) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from .orders_io import read_orders_file
+    from .posets import build_poset
+    from .realizers import RealizerFamily, verify_local_realizer
+
     P = build_poset(args.poset)
     family = RealizerFamily(read_orders_file(args.orders))
     report = verify_local_realizer(P, family)
@@ -57,6 +56,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    from .orders_io import emit_orders_text, write_orders_file
+    from .posets import BooleanLattice, SingletonPoset, build_poset
+    from .realizers import build_bn_realizer, verify_local_realizer
+    from .singletons import build_singleton_plan, singleton_frequency_bound
+
     P = build_poset(args.poset)
     if isinstance(P, BooleanLattice):
         if args.d is not None:
@@ -89,6 +93,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_encode(args) -> int:
+    from .sat import encode, write_dimacs
+    from .posets import build_poset
+
     P = build_poset(args.poset)
     formula, vm = encode(P, args.k, args.d)
     if args.out:
@@ -104,6 +111,8 @@ def _cmd_encode(args) -> int:
 
 
 def _solve_output(args, family) -> None:
+    from .orders_io import emit_orders_text, write_orders_file
+
     if args.format == "json":
         payload = {"status": "sat", "frequency": family.frequency,
                    "size": family.size,
@@ -124,6 +133,9 @@ def _solve_output(args, family) -> None:
 
 
 def _cmd_solve(args) -> int:
+    from .sat import VarMap, decode_verified, parse_model_text, solve_instance
+    from .posets import build_poset
+
     P = build_poset(args.poset)
     if args.model:
         text = Path(args.model).read_text(encoding="utf-8")
@@ -146,6 +158,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_ldim(args) -> int:
+    from .sat import ldim_certificate
+    from .orders_io import write_orders_file
+    from .posets import build_poset
+
     P = build_poset(args.poset)
     d, family = ldim_certificate(P, args.d_max, args.solver)
     print(d)
@@ -161,6 +177,11 @@ def _require(args, what: str, *names: str) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    from .bounds import (min_m_certifying, multiset_lower_bound,
+                         signature_audit_report, turan_independence_floor)
+    from .orders_io import read_orders_file
+    from .realizers import RealizerFamily
+
     what = args.what
     if what == "multiset-bound":
         _require(args, what, "n", "m")
@@ -184,6 +205,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .fixtures import fixture_text
+
     text = fixture_text(args.which)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -436,14 +436,6 @@ class ProductPoset(Poset):
         self.kind = f"product({p.kind},{q.kind})"
         self.ground_size = p.ground_size * q.ground_size
 
-    def split(self, a: int) -> tuple[int, int]:
-        """Combined id -> (index in P, index in Q)."""
-        self.check_id(a)
-        return a % self.p.ground_size, a // self.p.ground_size
-
-    def combine(self, p_index: int, q_index: int) -> int:
-        return p_index + self.p.ground_size * q_index
-
     def _leq_index(self, i, j):
         size = self.p.ground_size
         return (self.p._leq_index(i % size, j % size)

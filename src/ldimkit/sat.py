@@ -29,13 +29,23 @@ usage variables.  Two auxiliary roles follow them:
   since a realizer whose members are not in the lex-leader order is then
   no model.
 
+Only what P leaves open is encoded.  For a comparable pair A < B, k unit
+clauses set the reverse variable before(B, A, i) false, and no clause that
+those units satisfy, or that a kept clause resolved with them subsumes, is
+emitted.  So the transitivity clause of an index triple (a, b, c) is kept
+only when b < a, c < b and a < c all fail in P, and a comparable pair keeps
+three of its six coupling clauses per order: the two that tie its witness
+variable to usage, and the four-clause.  The formula has the models of the
+full one, each dropped clause follows from the kept ones by unit
+propagation, and the reverse variables stay in the layout.
+
 ``VarMap`` alone knows that layout: ``variable_count`` counts the x, y
 and z variables, which name a family, and ``total_count`` every variable
 of the formula.  Besides the checked scalar lookups ``before``, ``z``,
 ``s`` and ``e`` it gives the same variables as int64 tables indexed by
 element index and order (``before_table``, ``z_table``, ``s_table``,
 ``e_table``).  The clause generator gathers each clause family from
-those tables as one int64 block and hands its rows on as lists, about a
+those tables in int64 blocks and hands their rows on as lists, about a
 thousand at a time, so a solver fed by ``iter_clauses`` never holds a
 whole family as Python lists.  The decoder reads a model into a bool array
 over the variables and ranks each order's used elements from the gathered
@@ -61,7 +71,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .cdcl import solve_clauses
 from .errors import (BoundExceededError, DecodeError, FormatError,
                      ParameterError, SolverEnvironmentError,
                      SolverProtocolError)
@@ -275,16 +284,19 @@ def iter_clauses(P: Poset, k: int, d: int, symmetry_break: bool = False
     """The VarMap of encode(P, k, d, symmetry_break) and a generator of its
     clauses, in encode's order, so a solver can take them without a list of
     lists.  Refused with ParameterError above 2**24 clauses, before any
-    table is built."""
+    N x N x k table is built."""
     if k < 1 or d < 1:
         raise ParameterError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
-    # the count is least with no comparable pair (k + 1 clauses each,
-    # against 2 for an incomparable one), so the order need not be read
+    # the count is least when every pair is comparable (4k + 1 clauses each,
+    # against 6k + 2 for an incomparable one, and no triple of a chain is
+    # kept), so a poset too large for that bound is refused unread
     n = P.ground_size
-    least = expected_clause_count(n, 0, n * (n - 1) // 2, k, d, symmetry_break)
-    if least > _CLAUSE_LIMIT:
+    total = _clause_total(n, n * (n - 1) // 2, 0, k, d, symmetry_break)
+    if total <= _CLAUSE_LIMIT:
+        total = expected_clause_count(P, k, d, symmetry_break)
+    if total > _CLAUSE_LIMIT:
         raise ParameterError(
-            f"{P.kind} with k={k}, d={d} needs at least {least} clauses, "
+            f"{P.kind} with k={k}, d={d} needs at least {total} clauses, "
             f"above the limit of {_CLAUSE_LIMIT}")
     vm = VarMap(P, k, d, symmetry_break)
     return vm, _clauses(P, vm, d)
@@ -293,6 +305,49 @@ def iter_clauses(P: Poset, k: int, d: int, symmetry_break: bool = False
 # rows handed on as lists at a time: enough to amortize tolist, few enough
 # that a streaming consumer never holds a whole family as Python lists
 _CHUNK_ROWS = 1024
+
+
+def _open_pairs(P: Poset) -> np.ndarray:
+    """N x N bool: [a, b] is True when a != b and not b < a in P, so that
+    before(a, b) is not forced false by a reverse unit."""
+    return ~P.leq_matrix().T
+
+
+def _open_triples(P: Poset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index triples (a, b, c), in itertools.permutations order, whose
+    transitivity clause is kept: open pairs (a, b), (b, c) and (c, a).  Built
+    a block of a at a time, so no N x N x N array is held."""
+    open_ = _open_pairs(P)
+    n = len(open_)
+    step = max(1, (1 << 20) // (n * n))
+    parts = []
+    for s in range(0, n, step):
+        keep = (open_[s:s + step, :, None] & open_[None]
+                & open_[:, s:s + step].T[:, None, :])
+        a, b, c = np.nonzero(keep)
+        parts.append((a + s, b, c))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _kept_triple_count(P: Poset) -> int:
+    """len(_open_triples(P)[0]) without listing them: for each open pair
+    (c, a), the popcount of row a of the open-pair matrix AND its column c,
+    each packed in uint64 words, a block of a at a time."""
+    open_ = _open_pairs(P)
+    n = len(open_)
+
+    def packed(bits):
+        padded = np.zeros((n, n + -n % 64), dtype=bool)
+        padded[:, :n] = bits
+        return np.packbits(padded, axis=1).view(np.uint64)
+
+    rows, cols = packed(open_), packed(open_.T)
+    step = max(1, (1 << 15) // (n * rows.shape[1]))
+    total = 0
+    for s in range(0, n, step):
+        both = np.bitwise_count(rows[s:s + step, None] & cols).sum(axis=2)
+        total += int(both[open_[:, s:s + step].T].sum())
+    return total
 
 
 def _clauses(P: Poset, vm: VarMap, d: int) -> Iterator[list[int]]:
@@ -311,16 +366,17 @@ def _clauses(P: Poset, vm: VarMap, d: int) -> Iterator[list[int]]:
         for start in range(0, len(block), _CHUNK_ROWS):
             yield from lists(block[start:start + _CHUNK_ROWS])
 
-    # each used triple is ordered transitively (covers both chain directions,
-    # since the reversed triple contributes the mirrored clause); triples of
-    # distinct indices in itertools.permutations order
-    a, b, c = np.indices((n, n, n)).reshape(3, -1)
-    distinct = (a != b) & (b != c) & (a != c)
-    a, b, c = a[distinct], b[distinct], c[distinct]
+    # each used triple is ordered transitively (the reversed triple gives the
+    # mirrored clause).  A triple with b < a or c < b in P is satisfied by a
+    # reverse unit, and one with a < c is subsumed by the coupling four-clause
+    # resolved with the unit -before(c, a), so neither is emitted
+    a, b, c = _open_triples(P)
     for i in range(k):
         zi, bi = z[:, i], before[:, :, i]
-        yield from rows(np.stack((-zi[a], -zi[b], -zi[c], -bi[a, b],
-                                  -bi[b, c], bi[a, c]), axis=1))
+        for s in range(0, len(a), _CHUNK_ROWS):
+            ta, tb, tc = (t[s:s + _CHUNK_ROWS] for t in (a, b, c))
+            yield from lists(np.stack((-zi[ta], -zi[tb], -zi[tc], -bi[ta, tb],
+                                       -bi[tb, tc], bi[ta, tc]), axis=1))
 
     # index pairs lo < hi in itertools.combinations order
     lo, hi = np.triu_indices(n, 1)
@@ -344,20 +400,33 @@ def _clauses(P: Poset, vm: VarMap, d: int) -> Iterator[list[int]]:
     yield from rows(np.stack((before[a, b], before[b, a]), axis=1)
                     .reshape(-1, k))
 
-    # coupling between pair variables and usage variables, per pair and order
-    x, y = before[lo, hi].ravel(), before[hi, lo].ravel()
-    za, zb = z[lo].ravel(), z[hi].ravel()
-    twos = np.stack((-x, za, -x, zb, -y, za, -y, zb), axis=1).reshape(-1, 4, 2)
-    fours = np.stack((-za, -zb, x, y), axis=1)
-    pairs = np.stack((-x, -y), axis=1)
-    step = _CHUNK_ROWS // 6
-    for s in range(0, len(x), step):
-        for two, four, pair in zip(lists(twos[s:s + step]),
-                                   lists(fours[s:s + step]),
-                                   lists(pairs[s:s + step])):
-            yield from two
-            yield four
-            yield pair
+    # coupling between pair variables and usage variables, per pair and
+    # order: a placed pair's elements are used, two used elements are placed,
+    # and one way round only.  A comparable pair's reverse unit satisfies the
+    # three clauses that hold the reverse variable negated, so it keeps the
+    # two binaries of its witness variable, put first, and the four-clause
+    x, y = before[lo, hi], before[hi, lo]
+    za, zb = z[lo], z[hi]
+    w, r = np.where(down[:, None], y, x), np.where(down[:, None], x, y)
+    twos = np.stack((-w, za, -w, zb, -r, za, -r, zb), axis=-1)
+    twos = twos.reshape(len(lo), k, 4, 2)
+    fours = np.stack((-za, -zb, x, y), axis=-1)
+    pairs = np.stack((-x, -y), axis=-1)
+    step = max(1, _CHUNK_ROWS // (6 * k))
+    for s in range(0, len(lo), step):
+        for comp, pair_twos, pair_fours, pair_pairs in zip(
+                comparable[s:s + step].tolist(), lists(twos[s:s + step]),
+                lists(fours[s:s + step]), lists(pairs[s:s + step])):
+            if comp:
+                for two, four in zip(pair_twos, pair_fours):
+                    yield two[0]
+                    yield two[1]
+                    yield four
+            else:
+                for two, four, pair in zip(pair_twos, pair_fours, pair_pairs):
+                    yield from two
+                    yield four
+                    yield pair
 
     # frequency cap: no element is used in d+1 distinct orders, by Sinz's
     # sequential counter (LTseq) over each element's usage row
@@ -412,13 +481,23 @@ def _lex_chain(vm: VarMap, d: int, rows) -> Iterator[list[int]]:
     yield from rows(-z[0, d:, None])
 
 
-def expected_clause_count(N: int, n_comparable: int, n_incomparable: int,
-                          k: int, d: int, symmetry_break: bool = False) -> int:
-    """Closed-form clause total matching encode()."""
-    total = k * N * (N - 1) * (N - 2)          # transitivity
+def expected_clause_count(P: Poset, k: int, d: int,
+                          symmetry_break: bool = False) -> int:
+    """Clause total of encode(P, k, d, symmetry_break), from the kept
+    transitivity triples and the comparable pairs of P."""
+    n = P.ground_size
+    comparable = int(np.count_nonzero(P.leq_matrix())) - n
+    return _clause_total(n, comparable, _kept_triple_count(P), k, d,
+                         symmetry_break)
+
+
+def _clause_total(N: int, n_comparable: int, kept_triples: int, k: int,
+                  d: int, symmetry_break: bool) -> int:
+    n_incomparable = N * (N - 1) // 2 - n_comparable
+    total = k * kept_triples                   # transitivity
     total += n_comparable * (1 + k)            # comparable obligations
     total += 2 * n_incomparable                # incomparable obligations
-    total += 3 * N * (N - 1) * k               # coupling (6 per unordered pair)
+    total += k * (3 * n_comparable + 6 * n_incomparable)   # coupling
     if d < k:
         total += N * (2 * k * d + k - 3 * d - 1)   # sequential counter
     if symmetry_break:
@@ -704,18 +783,22 @@ def solve_instance(P: Poset, k: int, d: int, solver_command=None
     """Encode with the symmetry break, solve, and decode on sat.
 
     With no ``solver_command`` the clauses stream from the encoder into the
-    in-process CDCL solver: no file, no subprocess.  Otherwise the DIMACS
-    file goes to a temporary directory and the external solver runs
-    through run_solver.
+    in-process CDCL solver through ``Solver.load_trusted``, which files the
+    encoder's well-formed clauses unchecked: no file, no subprocess.
+    Otherwise the DIMACS file goes to a temporary directory and the
+    external solver runs through run_solver.
 
     On sat the family comes from decode_verified, so it is a verified local
     realizer of frequency at most d.
     """
     if solver_command is None:
+        from .cdcl import Solver
+
         vm, clauses = iter_clauses(P, k, d, symmetry_break=True)
-        model = solve_clauses(vm.total_count, clauses)
-        result = (SolverResult("unsat") if model is None
-                  else SolverResult("sat", frozenset(model)))
+        solver = Solver(vm.total_count)
+        solver.load_trusted(clauses)
+        result = (SolverResult("sat", frozenset(solver.model)) if solver.solve()
+                  else SolverResult("unsat"))
     else:
         formula, vm = encode(P, k, d, symmetry_break=True)
         with tempfile.TemporaryDirectory() as tmp:

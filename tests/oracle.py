@@ -151,20 +151,27 @@ def violations(P, family) -> dict[str, list[tuple]]:
     return found
 
 
-def clauses(P, vm, d, symmetry_break=False):
+def clauses(P, vm, d, symmetry_break=False, trim=True):
     """The clauses of encode(P, vm.k, d, symmetry_break) in encode's order.
     ``vm`` may be VarMap(P, k) or a VarMap with auxiliary roles: x, y and z
     ids are the same in all, and the auxiliary ids come from
-    VarMap(P, k, d, symmetry_break)."""
+    VarMap(P, k, d, symmetry_break).  With ``trim=False``, also the clauses
+    that encode leaves out because the reverse units settle them."""
     vm = VarMap(P, vm.k, d, symmetry_break)
     ids = list(P.element_ids())
     k = vm.k
     orders = range(1, k + 1)
 
+    def below(a, b):
+        return a != b and P.leq(a, b)
+
     # each used triple is ordered transitively (covers both chain directions,
-    # since the reversed triple contributes the mirrored clause)
+    # since the reversed triple contributes the mirrored clause), unless P
+    # orders b below a, c below b or a below c
     for i in orders:
         for a, b, c in permutations(ids, 3):
+            if trim and (below(b, a) or below(c, b) or below(a, c)):
+                continue
             yield [
                 -vm.z(a, i), -vm.z(b, i), -vm.z(c, i),
                 -vm.before(a, b, i), -vm.before(b, c, i), vm.before(a, c, i),
@@ -192,13 +199,22 @@ def clauses(P, vm, d, symmetry_break=False):
             yield [vm.before(a, b, i) for i in orders]
             yield [vm.before(b, a, i) for i in orders]
 
-    # coupling between pair variables and usage variables
+    # coupling between pair variables and usage variables; a comparable
+    # pair keeps the clauses of its witness variable w and the four-clause,
+    # which its reverse unit on r leaves open
     for a, b in combinations(ids, 2):
         for i in orders:
             x, y = vm.before(a, b, i), vm.before(b, a, i)
             za, zb = vm.z(a, i), vm.z(b, i)
-            yield from ([-x, za], [-x, zb], [-y, za], [-y, zb],
-                        [-za, -zb, x, y], [-x, -y])
+            four = [-za, -zb, x, y]
+            if P.leq(a, b) or P.leq(b, a):
+                w, r = (y, x) if P.leq(b, a) else (x, y)
+                yield from ([-w, za], [-w, zb], four)
+                if not trim:
+                    yield from ([-r, za], [-r, zb], [-x, -y])
+            else:
+                yield from ([-x, za], [-x, zb], [-y, za], [-y, zb], four,
+                            [-x, -y])
 
     # frequency cap, when d < k: Sinz's sequential counter, s(a, i, j) for
     # "at least j of z(a, 1..i)", one kind of clause at a time, element by
@@ -253,6 +269,109 @@ def _lex_chain(vm, ids, d):
     yield [vm.z(a0, 1)]
     for i in range(d + 1, k + 1):
         yield [-vm.z(a0, i)]
+
+
+def clause_count(P, k, d, symmetry_break=False):
+    """len(encode(P, k, d, symmetry_break)[0].clauses), counted by brute
+    force over the triples and pairs of P; the counter and lex families,
+    which P does not shape, by their per-element and per-neighbour sizes."""
+    ids = list(P.element_ids())
+    n = len(ids)
+
+    def below(a, b):
+        return a != b and P.leq(a, b)
+
+    triples = sum(1 for a, b, c in permutations(ids, 3)
+                  if not (below(b, a) or below(c, b) or below(a, c)))
+    comparable = sum(1 for a, b in combinations(ids, 2)
+                     if P.leq(a, b) or P.leq(b, a))
+    incomparable = n * (n - 1) // 2 - comparable
+    total = k * triples + comparable * (1 + k + 3 * k) \
+        + incomparable * (2 + 6 * k)
+    if d < k:
+        # per element: k - 1 first counts, (k - 2) d carries, (k - 2)(d - 1)
+        # raises, k - 1 caps and d - 1 units
+        total += n * ((k - 1) + (k - 2) * d + (k - 2) * (d - 1) + (k - 1)
+                      + (d - 1))
+    if symmetry_break:
+        # per pair of neighbouring orders: 1 on the first element, 2 more
+        # with a second element, 1 on each other element and 2 more on each
+        # but the last; then z(A0, 1) and -z(A0, i) for i > d
+        total += (k - 1) * (1 + 2 * (n > 1) + (n - 1) + 2 * max(0, n - 2))
+        total += 1 + max(0, k - d)
+    return total + (n == 1)
+
+
+def not_implied_by_propagation(clauses, lemmas):
+    """The lemmas that unit propagation over ``clauses`` does not derive
+    (reverse unit propagation): with a lemma's literals all set false,
+    propagation must reach a falsified clause.  Level-0 units are
+    propagated once; each lemma's assignment is undone after its check."""
+    holding = {}                        # literal -> clauses holding it
+    for clause in clauses:
+        for lit in clause:
+            holding.setdefault(lit, []).append(clause)
+    value = {}                          # variable -> True/False
+
+    def holds(lit):
+        v = value.get(abs(lit))
+        return None if v is None else v == (lit > 0)
+
+    def propagate(trail, start):
+        """Propagate the literals set true in trail[start:]; True on a
+        conflict."""
+        head = start
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            for clause in holding.get(false_lit, ()):
+                open_lits = []
+                for lit in clause:
+                    h = holds(lit)
+                    if h:
+                        break
+                    if h is None:
+                        open_lits.append(lit)
+                else:
+                    if not open_lits:
+                        return True
+                    if len(open_lits) == 1:
+                        value[abs(open_lits[0])] = open_lits[0] > 0
+                        trail.append(open_lits[0])
+        return False
+
+    trail = []
+    for clause in clauses:
+        if len(clause) == 1:
+            if holds(clause[0]) is False:
+                return []               # the clauses alone are refuted
+            if holds(clause[0]) is None:
+                value[abs(clause[0])] = clause[0] > 0
+                trail.append(clause[0])
+    if propagate(trail, 0):
+        return []                       # the clauses alone are refuted
+    missed = []
+    for lemma in lemmas:
+        start = len(trail)
+        refuted = False
+        for lit in lemma:
+            h = holds(lit)
+            if h:
+                refuted = True
+                break
+            if h is None:
+                value[abs(lit)] = lit < 0
+                trail.append(-lit)
+        # cheap literals first: the fewer clauses a false literal sits in,
+        # the sooner its visit is done; the outcome does not depend on it
+        trail[start:] = sorted(trail[start:],
+                               key=lambda t: len(holding.get(-t, ())))
+        if not refuted and not propagate(trail, start):
+            missed.append(lemma)
+        for lit in trail[start:]:
+            del value[abs(lit)]
+        del trail[start:]
+    return missed
 
 
 def decode_realizer(model, varmap, P):

@@ -52,6 +52,39 @@ def test_random_cnfs_against_brute_force(schedule):
     assert verdicts[True] > 50 and verdicts[False] > 50
 
 
+def test_trusted_load_against_brute_force(schedule):
+    # well-formed clauses, as the encoder writes them, filed unchecked:
+    # repeated and conflicting units, and watched literals that a later
+    # unit falsifies before solve() propagates anything
+    rng = random.Random(20032)
+    verdicts = {True: 0, False: 0}
+    for trial in range(400):
+        n = rng.randint(1, 10)
+        clauses = []
+        for c in random_cnf(rng, n, rng.randint(1, 5 * n)):
+            if not any(-lit in c for lit in c):
+                clauses.append(list(dict.fromkeys(c)))
+        solver = Solver(n)
+        solver.load_trusted([list(c) for c in clauses])
+        expected = brute_force_sat(n, clauses)
+        assert solver.solve() == expected, (n, clauses)
+        if expected:
+            true = set(solver.model)
+            for c in clauses:
+                assert any((abs(l) in true) == (l > 0) for l in c), (c, true)
+        verdicts[expected] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
+    solver = Solver(2)
+    assert not solver.load_trusted([[1, 2], [1], [-1]])
+    assert solver.solve() is False
+    # a clause filed after solve() whose literals are all false already
+    solver = Solver(3)
+    solver.load_trusted([[-1], [-2], [-3]])
+    assert solver.solve() is True
+    solver.load_trusted([[1, 2, 3]])
+    assert solver.solve() is False
+
+
 def test_pigeonhole_unsat(schedule):
     # 7 pigeons into 6 holes: needs hundreds of conflicts, hence learning,
     # backjumping and restarts

@@ -123,7 +123,7 @@ def test_encode_file_and_stdout(capsys, tmp_path):
                          "--map", str(mp))
     assert code == 0
     assert "variables: 32" in out
-    assert cnf.read_text().splitlines()[0] == "p cnf 32 137"
+    assert cnf.read_text().splitlines()[0] == "p cnf 32 59"
     assert mp.read_text().splitlines()[0] == "x 0 1 1 1"
     code, out, err = run(capsys, "encode", "--poset", "chain:2",
                          "--k", "1", "--d", "1")
@@ -285,3 +285,27 @@ def test_console_script_entry():
     import ldimkit.cli as cli
     assert callable(cli.main)
     assert cli.main(["--help"]) == 0
+
+
+def test_subcommands_import_what_they_use():
+    # `tables` loads neither the SAT layer nor the bounds
+    import subprocess
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ldimkit",
+                           "tables", "b4"], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == fixture_text("b4")
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"ldimkit", "ldimkit.cli", "ldimkit.fixtures"} <= imported
+    assert not imported & {"ldimkit.sat", "ldimkit.cdcl", "ldimkit.bounds"}
+
+
+def test_package_names_resolve_on_access():
+    import ldimkit
+    namespace = {}
+    exec("from ldimkit import *", namespace)
+    assert set(ldimkit.__all__) <= set(namespace)
+    from ldimkit import sat
+    assert namespace["ldim_exact"] is sat.ldim_exact
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ldimkit.no_such_name

@@ -188,11 +188,12 @@ def test_multiset_order_matches_brute_force(P, brute):
 def test_product_structure():
     P = product(BooleanLattice(2), Chain(3))
     assert P.ground_size == 12
-    # combined id = idx_P + size_P * idx_Q
-    assert P.combine(3, 2) == 3 + 4 * 2
-    assert P.split(11) == (3, 2)
-    assert P.leq(P.combine(1, 0), P.combine(3, 2))
-    assert not P.leq(P.combine(1, 0), P.combine(2, 2))
+    # combined id = idx_P + size_P * idx_Q: 1 + 4 * 0 is ({1}, 0), 3 + 4 * 2
+    # is ({1, 2}, 2) and 2 + 4 * 2 is ({2}, 2)
+    assert P.leq(1, 11)
+    assert not P.leq(1, 10)
+    assert P.leq(10, 11) and not P.leq(11, 10)
+    assert not P.leq(4 * 2 + 0, 4 * 1 + 3)
     # matrix = kron(Q, P), packed rows alike
     for p, q in ((BooleanLattice(2), Chain(3)),
                  (MultisetLattice(2, 3), SingletonPoset(4)),

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import islice, product
 
 import numpy as np
@@ -19,7 +20,7 @@ from ldimkit import (Antichain, BooleanLattice, Chain, DecodeError,
                      parse_dimacs, parse_model_text, resolve_solver_command,
                      run_solver, solve_instance, verify_local_realizer,
                      write_dimacs)
-from ldimkit.cdcl import solve_clauses
+from ldimkit.cdcl import Solver, solve_clauses
 from ldimkit.sat import iter_clauses
 
 from tests import oracle
@@ -111,13 +112,13 @@ def test_encode_counts():
     P = BooleanLattice(2)
     formula, vm = encode(P, 2, 2)
     assert formula.variable_count == 32
-    n_comp = sum(1 for a in P.element_ids() for b in P.element_ids()
-                 if a < b and (P.leq(a, b) or P.leq(b, a)))
-    n_inc = 6 - n_comp
-    assert formula.clause_count == expected_clause_count(4, n_comp, n_inc, 2, 2)
+    # no transitivity clause stays, since each triple has a pair that P
+    # orders; 5 comparable pairs take 1 + 4k clauses and the incomparable
+    # one 2 + 6k
+    assert formula.clause_count == expected_clause_count(P, 2, 2) == 59
 
     lone, _ = encode(Chain(1), 2, 1)
-    assert lone.clause_count == expected_clause_count(1, 0, 0, 2, 1)
+    assert lone.clause_count == expected_clause_count(Chain(1), 2, 1)
     assert lone.clauses[-1] == [1, 2]  # coverage clause for the lone element
 
 
@@ -231,6 +232,31 @@ def test_satshim_results(tmp_path, capsys):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 1 1\n2 0\n")   # literal beyond the header
     assert satshim.main([str(bad)]) == 3
+
+
+@pytest.mark.parametrize("text,code,out,err", [
+    # repeated literals count once
+    ("p cnf 3 3\n1 1 2 0\n-1 -1 0\n-2 3 3 0\n", 10,
+     "s SATISFIABLE\nv -1 2 3 0\n", ""),
+    ("p cnf 1 3\n1 1 0\n-1 -1 0\n1 -1 0\n", 20, "s UNSATISFIABLE\n", ""),
+    # tautologies are dropped
+    ("p cnf 2 3\n1 -1 0\n2 -2 1 0\n-1 0\n", 10,
+     "s SATISFIABLE\nv -1 -2 0\n", ""),
+    # a literal beyond the header is refused, inside a tautology too
+    ("p cnf 2 2\n1 2 0\n1 -3 0\n", 3, "",
+     "literal -3 not in [-2, 2] \\ {0}\n"),
+    ("p cnf 2 2\n1 -1 3 0\n1 0\n", 3, "",
+     "literal 3 not in [-2, 2] \\ {0}\n")])
+def test_satshim_checks_its_input(tmp_path, capsys, text, code, out, err):
+    # DIMACS input goes through the checked add_clause, never the
+    # encoder's unchecked loader
+    from ldimkit import satshim
+    path = tmp_path / "f.cnf"
+    path.write_text(text)
+    assert satshim.main([str(path)]) == code
+    got = capsys.readouterr()
+    assert got.out == out
+    assert got.err == (f"satshim: {path}: {err}" if err else "")
 
 
 def test_solve_and_decode_chain():
@@ -394,21 +420,71 @@ def test_symmetry_break_matches_oracle(spec, k, d):
 @pytest.mark.parametrize("spec,k,d", _ORACLE_INSTANCES)
 def test_expected_clause_count_matches_encode(spec, k, d):
     P = _poset(spec)
-    leq = P.leq_matrix()
-    lo, hi = np.triu_indices(P.ground_size, 1)
-    comparable = int((leq[lo, hi] | leq[hi, lo]).sum())
     for brk in (False, True):
         assert encode(P, k, d, brk)[0].clause_count == expected_clause_count(
-            P.ground_size, comparable, len(lo) - comparable, k, d, brk)
+            P, k, d, brk) == oracle.clause_count(P, k, d, brk)
+
+
+@pytest.mark.parametrize("spec,k,d,kept", [
+    ("boolean:4", 24, 3, 40983), ("boolean:5", 48, 3, 737309),
+    ("multiset:3:3", 40, 3, 286442), ("multiset-singleton:3:3", 39, 3, 486999),
+    ("singleton:5", 46, 3, 1076576)])
+def test_clause_counts_of_search_queries(spec, k, d, kept):
+    # queries of ldim_certificate's search, with the break, too large to
+    # encode here; the counts were found by a separate count of the clauses
+    # that the reverse units settle
+    assert expected_clause_count(build_poset(spec), k, d, True) == kept
+
+
+@pytest.mark.parametrize("spec,k,d", _ORACLE_INSTANCES)
+def test_encoder_literals_are_well_formed(spec, k, d):
+    # the bulk loader files the encoder's clauses unchecked: no zero,
+    # out-of-range, repeated or complementary literal in any family
+    P = _poset(spec)
+    for brk in (False, True):
+        formula, vm = encode(P, k, d, brk)
+        for clause in formula.clauses:
+            assert clause, (spec, brk)
+            assert all(0 < abs(lit) <= vm.total_count for lit in clause)
+            assert len({abs(lit) for lit in clause}) == len(clause), clause
+
+
+@pytest.mark.parametrize("spec,k,d", _ORACLE_INSTANCES)
+def test_dropped_clauses_follow_by_propagation(spec, k, d):
+    # every clause that encode leaves out is derived from the kept ones,
+    # reverse units included, by unit propagation alone
+    P = _poset(spec)
+    kept = encode(P, k, d)[0].clauses
+    full = Counter(tuple(sorted(c)) for c in
+                   oracle.clauses(P, VarMap(P, k), d, trim=False))
+    held = Counter(tuple(sorted(c)) for c in kept)
+    assert not held - full
+    dropped = [list(c) for c in (full - held).elements()]
+    assert len(dropped) == full.total() - len(kept)
+    assert oracle.not_implied_by_propagation(kept, dropped) == []
+    if dropped:
+        # the reverse units do the work
+        assert oracle.not_implied_by_propagation(
+            [c for c in kept if len(c) > 1], dropped[:10])
+
+
+def test_propagation_check_rejects_what_does_not_follow():
+    P = BooleanLattice(2)
+    vm = VarMap(P, 4)
+    kept = encode(P, 4, 2)[0].clauses
+    unused = [-vm.z(0, 1)]                      # order 1 may go unused
+    used = [vm.z(0, 1)]
+    assert oracle.not_implied_by_propagation(kept, [unused, used]) == [
+        unused, used]
 
 
 # SHA-256 of the DIMACS text, as the encoder with the sequential counter
-# writes it
+# and without the clauses that the reverse units settle writes it
 @pytest.mark.parametrize("spec,k,d,digest", [
     ("boolean:3", 24, 3,
-     "fe9aee569aa537ce3602d02d7d6df95bb024267fd2fda699493f18a62385fc3e"),
+     "9a45cf0cd0ac8392c5050f9c9de36e1164e00065a676b143a753be3597fce2b1"),
     ("boolean:4", 16, 2,
-     "7b99106715764fd8ad1ef3653dea37bb2fe6fbe02f242a1858de8809a41ad183")])
+     "efe38c52be1c8c62daa844f43cb93fe517757e12d0d0013c1742d2d876b5d7e2")])
 def test_dimacs_bytes_pinned(spec, k, d, digest):
     formula, vm = encode(build_poset(spec), k, d)
     buf = io.StringIO()
@@ -417,7 +493,7 @@ def test_dimacs_bytes_pinned(spec, k, d, digest):
 
 
 def test_iter_clauses_streams():
-    # the whole list for this instance is 3.3M clauses and hundreds of MB
+    # the whole list for this instance is 79,791 clauses and about 20 MB
     tracemalloc.start()
     try:
         vm, clauses = iter_clauses(BooleanLattice(4), 48, 3)
@@ -430,7 +506,8 @@ def test_iter_clauses_streams():
 
 
 def test_iter_clauses_refuses_oversize():
-    # 2 * 256 * 255 * 254 transitivity clauses alone pass the 2**24 limit
+    # 2 * 11,934,720 kept transitivity clauses alone pass the 2**24 limit,
+    # though the bound with every pair comparable does not
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match="clauses"):
@@ -614,14 +691,14 @@ def test_lex_sorted_padded_family_satisfies_encoding(spec, k, family):
 
 
 def test_search_solves_the_broken_instance(monkeypatch):
-    import ldimkit.sat
     seen = []
+    load = Solver.load_trusted
 
-    def capture(count, clauses):
-        seen.append((count, list(clauses)))
-        return solve_clauses(count, seen[-1][1])
+    def capture(solver, clauses):
+        seen.append((solver.variable_count, list(clauses)))
+        return load(solver, [list(c) for c in seen[-1][1]])
 
-    monkeypatch.setattr(ldimkit.sat, "solve_clauses", capture)
+    monkeypatch.setattr(Solver, "load_trusted", capture)
     P = BooleanLattice(2)
     assert solve_instance(P, 4, 1)[0].status == "unsat"
     formula, _ = encode(P, 4, 1, symmetry_break=True)
