@@ -431,9 +431,10 @@ def test_expected_clause_count_matches_encode(spec, k, d):
     ("singleton:5", 46, 3, 1076576)])
 def test_clause_counts_of_search_queries(spec, k, d, kept):
     # queries of ldim_certificate's search, with the break, too large to
-    # encode here; the counts were found by a separate count of the clauses
-    # that the reverse units settle
-    assert expected_clause_count(build_poset(spec), k, d, True) == kept
+    # encode here
+    P = build_poset(spec)
+    assert expected_clause_count(P, k, d, True) == kept
+    assert oracle.clause_count(P, k, d, True) == kept
 
 
 @pytest.mark.parametrize("spec,k,d", _ORACLE_INSTANCES)
@@ -493,7 +494,7 @@ def test_dimacs_bytes_pinned(spec, k, d, digest):
 
 
 def test_iter_clauses_streams():
-    # the whole list for this instance is 79,791 clauses and about 20 MB
+    # the whole list for this instance is 79,791 clauses and about 10 MB
     tracemalloc.start()
     try:
         vm, clauses = iter_clauses(BooleanLattice(4), 48, 3)
