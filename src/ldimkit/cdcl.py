@@ -9,11 +9,11 @@ Literals are DIMACS integers.  Every per-literal table has 2V+1 slots and is
 indexed by the literal itself: a negative literal -v lands in slot 2V+1-v by
 Python's negative indexing, so negation is plain ``-lit``.
 
-Usage: ``Solver(V)``, then the clauses, then ``solve()``, which returns True
-(the model is in ``model``) or False.  ``add_clause`` takes one clause of any
-form and checks it: DIMACS input and ``satshim`` go through it, as
-``solve_clauses``.  ``load_trusted`` takes a stream of well-formed clauses,
-as the encoder of ``ldimkit.sat`` writes them, and files them unchecked.
+Usage: ``Solver(V)``, then ``load_trusted(clauses)``, then ``solve()``,
+which returns True (the model is in ``model``) or False.  ``load_trusted``
+is the one way clauses enter and files them unchecked: the encoder of
+``ldimkit.sat`` writes well-formed clauses, and ``satshim`` checks DIMACS
+input before loading it.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ class Solver:
             raise ValueError(f"need variable_count >= 0, got {variable_count}")
         n = variable_count
         self.variable_count = n
-        # one shared int object per literal, so stored clauses hold no copies
-        self._lits = list(range(n + 1)) + list(range(-n, 0))
         self.value = [0] * (2 * n + 1)      # per literal: 1 true, -1 false, 0
         # watches[p]: clauses watching -p; implied[p]: literals that binary
         # clauses force once p is true
@@ -73,44 +71,13 @@ class Solver:
 
     # ------------------------------------------------------------ clauses
 
-    def add_clause(self, lits) -> bool:
-        """Add a clause of nonzero DIMACS literals at decision level 0.
-        Returns False once the formula is known to be unsatisfiable."""
-        if not self.ok:
-            return False
-        n, value = self.variable_count, self.value
-        clause: list[int] = []
-        satisfied = False                       # or a tautology
-        for lit in lits:
-            if not (0 < lit <= n or 0 < -lit <= n):
-                raise ValueError(f"literal {lit} not in [-{n}, {n}] \\ {{0}}")
-            v = value[lit]
-            if v == 1 or -lit in clause:
-                satisfied = True
-            elif v == 0 and lit not in clause:
-                clause.append(self._lits[lit])
-        if satisfied:
-            return True
-        if not clause:
-            self.ok = False
-        elif len(clause) == 1:
-            self._assign(clause[0], None)
-        elif len(clause) == 2:
-            a, b = clause
-            self.implied[-a].append(b)
-            self.implied[-b].append(a)
-        else:
-            self.watches[-clause[0]].append(clause)
-            self.watches[-clause[1]].append(clause)
-        return self.ok
-
     def load_trusted(self, clauses) -> bool:
         """Add clauses whose literals are nonzero, within range, and
         neither repeated nor complementary within a clause, as they are;
         the lists are kept, not copied.  Units are assigned, binary clauses
         go to the implication lists and longer ones are watched on their
-        first two literals.  Returns False once the formula is known to be
-        unsatisfiable."""
+        first two literals; an empty clause makes the formula unsatisfiable.
+        Returns False once the formula is known to be unsatisfiable."""
         value, implied, watches = self.value, self.implied, self.watches
         for c in clauses:
             if len(c) > 2:
@@ -120,6 +87,8 @@ class Solver:
                 a, b = c
                 implied[-a].append(b)
                 implied[-b].append(a)
+            elif not c:
+                self.ok = False
             elif not value[c[0]]:
                 self._assign(c[0], None)
             elif value[c[0]] < 0:
@@ -363,12 +332,3 @@ class Solver:
             self.trail_lim.append(len(self.trail))
             self._assign(v if phase[v] else -v, None)
 
-
-def solve_clauses(variable_count: int, clauses) -> list[int] | None:
-    """True variables of a model of ``clauses`` (an iterable of literal
-    lists), or None when they are unsatisfiable."""
-    solver = Solver(variable_count)
-    for clause in clauses:
-        if not solver.add_clause(clause):
-            return None
-    return solver.model if solver.solve() else None

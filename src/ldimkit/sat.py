@@ -47,7 +47,8 @@ element index and order (``before_table``, ``z_table``, ``s_table``,
 ``e_table``).  The clause generator gathers each clause family from
 those tables in int64 blocks and hands their rows on as lists, about a
 thousand at a time, so a solver fed by ``iter_clauses`` never holds a
-whole family as Python lists.  The decoder reads a model into a bool array
+whole family as Python lists.  A model is an int64 array of the true
+variables, from either backend; the decoder reads it into a bool array
 over the variables and ranks each order's used elements from the gathered
 before-matrix; it reads no auxiliary variable.  A map file has one line per
 variable, ``role A B i var``: ``x``/``y`` give the pair A, B; ``z`` has
@@ -60,7 +61,6 @@ from __future__ import annotations
 import re
 import shlex
 import subprocess
-import sys
 import tempfile
 import warnings
 from collections.abc import Iterator
@@ -256,7 +256,8 @@ class CnfFormula:
 @dataclass(frozen=True)
 class SolverResult:
     status: str  # "sat" | "unsat" | "unknown"
-    model: frozenset[int] | None = None
+    # the true variables, an int64 array: results are never compared
+    model: np.ndarray | None = None
 
 
 def encode(P: Poset, k: int, d: int,
@@ -524,13 +525,11 @@ class _ClauseTemplates(dict):
         return template
 
 
-def write_dimacs(formula: CnfFormula, varmap: VarMap | None = None,
-                 out=None, map_out=None) -> None:
+def write_dimacs(formula: CnfFormula, varmap: VarMap | None, out,
+                 map_out=None) -> None:
     """Write standard DIMACS CNF to ``out``; if ``map_out`` is given (and a
     varmap supplied), also write one line per variable:
     ``x|y|z|s|e <A|-> <B|j|-> <i> <varid>`` (see ``VarMap.describe``)."""
-    if out is None:
-        raise ParameterError("write_dimacs needs an output path or file object")
     opened: list = []
     try:
         handle = _open_sink(out, opened)
@@ -631,14 +630,11 @@ def parse_model_text(text: str) -> SolverResult | None:
                 f"model value {token!r} is not an integer literal")))
     if status is None:
         return None
-    model = None
-    if literals is not None:
-        model = frozenset(literals[literals > 0].tolist())
-    if status == "sat" and model is None:
-        raise SolverProtocolError("solver reported SAT without 'v' model lines")
     if status != "sat":
-        model = None
-    return SolverResult(status, model)
+        return SolverResult(status)
+    if literals is None:
+        raise SolverProtocolError("solver reported SAT without 'v' model lines")
+    return SolverResult(status, literals[literals > 0])
 
 
 _COUNT = re.compile(r"[0-9]+")
@@ -693,17 +689,15 @@ def _parse_literals(text: str, bad_token) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def resolve_solver_command(solver_command=None) -> list[str]:
-    """Resolve the external solver launch vector: the explicit argument, or
-    else the bundled DIMACS front-end ``ldimkit.satshim``."""
-    if solver_command is None:
-        return [sys.executable, "-m", "ldimkit.satshim"]
+def resolve_solver_command(solver_command) -> list[str]:
+    """The external solver launch vector: a command string split as a shell
+    would, or a sequence of arguments."""
     if isinstance(solver_command, str):
         return shlex.split(solver_command)
     return list(solver_command)
 
 
-def run_solver(cnf_path, solver_command=None) -> SolverResult:
+def run_solver(cnf_path, solver_command) -> SolverResult:
     """Launch the external solver on a DIMACS file and parse its verdict.
 
     Accepts 's SATISFIABLE'/'s UNSATISFIABLE' status lines with 'v' model
@@ -735,14 +729,15 @@ def run_solver(cnf_path, solver_command=None) -> SolverResult:
 
 
 def decode_realizer(model, varmap: VarMap, P: Poset) -> RealizerFamily:
-    """Rebuild the realizer family from the true variables of a model.
+    """Rebuild the realizer family from the true variables of a model, an
+    int64 array as ``SolverResult.model`` holds it or a sequence of ints.
 
     Order i consists of the elements whose z variable is true, sorted by the
     pairwise before-variables; raises DecodeError if those do not induce a
     total order.  Empty orders are dropped.  Variables outside
     1..variable_count are ignored.
     """
-    literals = np.fromiter(model, dtype=np.int64)
+    literals = np.asarray(model, dtype=np.int64)
     true = np.zeros(varmap.variable_count + 1, dtype=bool)
     true[literals[(literals > 0) & (literals <= varmap.variable_count)]] = True
     used_in, before = true[varmap.z_table], true[varmap.before_table]
@@ -783,10 +778,10 @@ def solve_instance(P: Poset, k: int, d: int, solver_command=None
     """Encode with the symmetry break, solve, and decode on sat.
 
     With no ``solver_command`` the clauses stream from the encoder into the
-    in-process CDCL solver through ``Solver.load_trusted``, which files the
-    encoder's well-formed clauses unchecked: no file, no subprocess.
-    Otherwise the DIMACS file goes to a temporary directory and the
-    external solver runs through run_solver.
+    in-process CDCL solver through ``Solver.load_trusted``: no file, no
+    subprocess.  Otherwise the DIMACS file goes to a temporary directory and
+    the external solver runs through run_solver; ``satshim`` loads the same
+    clauses in the same order, so it finds the in-process solver's model.
 
     On sat the family comes from decode_verified, so it is a verified local
     realizer of frequency at most d.
@@ -797,8 +792,8 @@ def solve_instance(P: Poset, k: int, d: int, solver_command=None
         vm, clauses = iter_clauses(P, k, d, symmetry_break=True)
         solver = Solver(vm.total_count)
         solver.load_trusted(clauses)
-        result = (SolverResult("sat", frozenset(solver.model)) if solver.solve()
-                  else SolverResult("unsat"))
+        result = (SolverResult("sat", np.array(solver.model, dtype=np.int64))
+                  if solver.solve() else SolverResult("unsat"))
     else:
         formula, vm = encode(P, k, d, symmetry_break=True)
         with tempfile.TemporaryDirectory() as tmp:

@@ -4,7 +4,8 @@ Usage: ``python -m ldimkit.satshim <file.cnf>``.  Prints the standard
 competition result lines and exit code: ``s SATISFIABLE`` with one ``v``
 line holding every variable signed, then ``0`` (exit 10), or
 ``s UNSATISFIABLE`` (exit 20).  Exit 2 is a usage error, exit 3 an
-unreadable or malformed file.
+unreadable or malformed file.  The whole file is checked before
+``Solver.load_trusted`` takes it, by ``checked_clauses``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,24 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from .cdcl import solve_clauses
-from .sat import parse_dimacs
+from .cdcl import Solver
+from .sat import CnfFormula, parse_dimacs
+
+
+def checked_clauses(cnf: CnfFormula) -> list[list[int]]:
+    """The clauses of ``cnf`` with repeated literals merged and tautologies
+    dropped, as ``Solver.load_trusted`` takes them; ValueError names the
+    first literal outside the header's range, in a tautology too."""
+    n = cnf.variable_count
+    kept = []
+    for clause in cnf.clauses:
+        for lit in clause:
+            if not (0 < lit <= n or 0 < -lit <= n):
+                raise ValueError(f"literal {lit} not in [-{n}, {n}] \\ {{0}}")
+        unique = dict.fromkeys(clause)
+        if not any(-lit in unique for lit in unique):
+            kept.append(list(unique))
+    return kept
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -23,15 +40,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cnf = parse_dimacs(Path(argv[0]))
-        model = solve_clauses(cnf.variable_count, cnf.clauses)
+        clauses = checked_clauses(cnf)
     except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"satshim: {argv[0]}: {exc}", file=sys.stderr)
         return 3
-    if model is None:
+    solver = Solver(cnf.variable_count)
+    solver.load_trusted(clauses)
+    if not solver.solve():
         print("s UNSATISFIABLE")
         return 20
-    true = set(model)
-    signed = (v if v in true else -v for v in range(1, cnf.variable_count + 1))
+    signed = list(range(-1, -cnf.variable_count - 1, -1))
+    for v in solver.model:
+        signed[v - 1] = v
     print("s SATISFIABLE")
     print("v " + " ".join(map(str, signed)) + " 0")
     return 10

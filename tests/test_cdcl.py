@@ -4,7 +4,9 @@ from itertools import product
 import pytest
 
 from ldimkit import cdcl
-from ldimkit.cdcl import Solver, luby, solve_clauses
+from ldimkit.cdcl import Solver, luby
+from ldimkit.sat import CnfFormula
+from ldimkit.satshim import checked_clauses
 
 
 def brute_force_sat(n, clauses):
@@ -34,20 +36,23 @@ def schedule(request, monkeypatch):
 
 
 def test_random_cnfs_against_brute_force(schedule):
+    # clauses of any form, with repeated and complementary literals, through
+    # the DIMACS intake of satshim
     rng = random.Random(20031)
     verdicts = {True: 0, False: 0}
     for trial in range(400):
         n = rng.randint(1, 10)
         m = rng.randint(1, 5 * n)
         clauses = random_cnf(rng, n, m)
-        model = solve_clauses(n, clauses)
+        solver = Solver(n)
+        solver.load_trusted(checked_clauses(CnfFormula(n, clauses)))
         expected = brute_force_sat(n, clauses)
-        assert (model is not None) == expected, (n, clauses)
-        if model is not None:
-            true = set(model)
+        assert solver.solve() == expected, (n, clauses)
+        if expected:
+            true = set(solver.model)
             assert true <= set(range(1, n + 1))
             for c in clauses:
-                assert any((abs(l) in true) == (l > 0) for l in c), (c, model)
+                assert any((abs(l) in true) == (l > 0) for l in c), (c, true)
         verdicts[expected] += 1
     assert verdicts[True] > 50 and verdicts[False] > 50
 
@@ -77,6 +82,13 @@ def test_trusted_load_against_brute_force(schedule):
     solver = Solver(2)
     assert not solver.load_trusted([[1, 2], [1], [-1]])
     assert solver.solve() is False
+    # an empty clause, and no clause at all
+    solver = Solver(2)
+    assert not solver.load_trusted([[1, 2], [-1], []])
+    assert solver.solve() is False
+    solver = Solver(0)
+    assert solver.load_trusted([])
+    assert solver.solve() is True and solver.model == []
     # a clause filed after solve() whose literals are all false already
     solver = Solver(3)
     solver.load_trusted([[-1], [-2], [-3]])
@@ -91,33 +103,14 @@ def test_pigeonhole_unsat(schedule):
     pigeons, holes = 7, 6
     var = lambda p, h: p * holes + h + 1
     solver = Solver(pigeons * holes)
-    for p in range(pigeons):
-        solver.add_clause([var(p, h) for h in range(holes)])
-    for h in range(holes):
-        for p in range(pigeons):
-            for q in range(p + 1, pigeons):
-                solver.add_clause([-var(p, h), -var(q, h)])
+    solver.load_trusted([var(p, h) for h in range(holes)]
+                        for p in range(pigeons))
+    solver.load_trusted([-var(p, h), -var(q, h)]
+                        for h in range(holes)
+                        for p in range(pigeons)
+                        for q in range(p + 1, pigeons))
     assert solver.solve() is False
     assert solver.restarts >= 1
-
-
-def test_add_clause_edge_cases():
-    solver = Solver(3)
-    assert solver.add_clause([1, -1])          # tautology is dropped
-    assert solver.add_clause([2, 2, 3])        # duplicate literal
-    assert solver.add_clause([-3])
-    assert solver.solve() and 2 in solver.model and 3 not in solver.model
-    with pytest.raises(ValueError):
-        solver.add_clause([4])
-    with pytest.raises(ValueError):
-        solver.add_clause([0])
-    with pytest.raises(ValueError):
-        solver.add_clause([1, -1, 4])          # checked even when tautologous
-    assert not solver.add_clause([3])          # contradicts the unit -3
-    assert solver.solve() is False
-
-    assert solve_clauses(0, []) == []
-    assert solve_clauses(2, [[]]) is None
 
 
 def test_luby_prefix():

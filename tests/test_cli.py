@@ -161,12 +161,15 @@ def test_solve_offline_model(capsys, tmp_path):
 
 def test_solve_offline_sat_model(capsys, tmp_path):
     from ldimkit import BooleanLattice, decode_realizer, emit_orders_text
-    from ldimkit.cdcl import solve_clauses
+    from ldimkit.cdcl import Solver
     from ldimkit.sat import iter_clauses
 
     P = BooleanLattice(2)
     vm, clauses = iter_clauses(P, 2, 2)
-    true_vars = solve_clauses(vm.variable_count, clauses)
+    solver = Solver(vm.variable_count)
+    solver.load_trusted(clauses)
+    assert solver.solve()
+    true_vars = solver.model
     model = tmp_path / "model.txt"
     args = ("solve", "--poset", "boolean:2", "--k", "2", "--model", str(model))
 

@@ -20,8 +20,9 @@ from ldimkit import (Antichain, BooleanLattice, Chain, DecodeError,
                      parse_dimacs, parse_model_text, resolve_solver_command,
                      run_solver, solve_instance, verify_local_realizer,
                      write_dimacs)
-from ldimkit.cdcl import Solver, solve_clauses
-from ldimkit.sat import iter_clauses
+from ldimkit.cdcl import Solver
+from ldimkit.sat import CnfFormula, iter_clauses
+from ldimkit.satshim import checked_clauses
 
 from tests import oracle
 from tests.test_realizers import _Relabelled
@@ -158,11 +159,15 @@ def test_parse_dimacs_errors(tmp_path):
         parse_dimacs(str(path))  # a str is text, never a file name
 
 
+SATSHIM = [sys.executable, "-m", "ldimkit.satshim"]
+
+
 def test_parse_model_text():
     res = parse_model_text("c comment\ns SATISFIABLE\nv 1 -2 3 0\n")
-    assert res.status == "sat" and res.model == {1, 3}
+    assert res.status == "sat" and res.model.dtype == np.int64
+    assert sorted(res.model.tolist()) == [1, 3]
     res = parse_model_text("s SATISFIABLE\nv 1 -2\nv 3\nv 0\n")
-    assert res.model == {1, 3}
+    assert sorted(res.model.tolist()) == [1, 3]
     res = parse_model_text("s UNSATISFIABLE\n")
     assert res.status == "unsat" and res.model is None
     assert parse_model_text("no verdict here\n") is None
@@ -171,8 +176,6 @@ def test_parse_model_text():
 
 
 def test_resolve_solver_command():
-    assert resolve_solver_command() == [sys.executable, "-m",
-                                        "ldimkit.satshim"]
     assert resolve_solver_command("mysolver --opt") == ["mysolver", "--opt"]
     assert resolve_solver_command("other") == ["other"]
     assert resolve_solver_command(["a", "b"]) == ["a", "b"]
@@ -181,12 +184,12 @@ def test_resolve_solver_command():
 def test_run_solver_round_trip(tmp_path):
     sat = tmp_path / "sat.cnf"
     sat.write_text("p cnf 2 1\n1 2 0\n")
-    res = run_solver(sat)
+    res = run_solver(sat, SATSHIM)
     assert res.status == "sat"
-    assert res.model is not None and (1 in res.model or 2 in res.model)
+    assert res.model is not None and {1, 2} & set(res.model.tolist())
     unsat = tmp_path / "unsat.cnf"
     unsat.write_text("p cnf 1 2\n1 0\n-1 0\n")
-    assert run_solver(unsat).status == "unsat"
+    assert run_solver(unsat, SATSHIM).status == "unsat"
 
 
 def test_run_solver_environment_errors(tmp_path):
@@ -232,6 +235,15 @@ def test_satshim_results(tmp_path, capsys):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 1 1\n2 0\n")   # literal beyond the header
     assert satshim.main([str(bad)]) == 3
+    # the whole file is checked before loading, so a bad literal after a
+    # contradiction is refused too
+    late = tmp_path / "late.cnf"
+    late.write_text("p cnf 1 3\n1 0\n-1 0\n5 0\n")
+    assert satshim.main([str(late)]) == 3
+    assert capsys.readouterr().err.endswith("literal 5 not in [-1, 1] \\ {0}\n")
+    # a zero literal, which no DIMACS text can hold, is refused too
+    with pytest.raises(ValueError, match="literal 0 not in"):
+        checked_clauses(CnfFormula(3, [[1], [0]]))
 
 
 @pytest.mark.parametrize("text,code,out,err", [
@@ -246,10 +258,13 @@ def test_satshim_results(tmp_path, capsys):
     ("p cnf 2 2\n1 2 0\n1 -3 0\n", 3, "",
      "literal -3 not in [-2, 2] \\ {0}\n"),
     ("p cnf 2 2\n1 -1 3 0\n1 0\n", 3, "",
-     "literal 3 not in [-2, 2] \\ {0}\n")])
+     "literal 3 not in [-2, 2] \\ {0}\n"),
+    # an empty clause is unsatisfiable, and no clause at all is not
+    ("p cnf 2 1\n0\n", 20, "s UNSATISFIABLE\n", ""),
+    ("p cnf 0 0\n", 10, "s SATISFIABLE\nv  0\n", "")])
 def test_satshim_checks_its_input(tmp_path, capsys, text, code, out, err):
-    # DIMACS input goes through the checked add_clause, never the
-    # encoder's unchecked loader
+    # satshim checks DIMACS input for range, repeats and tautologies before
+    # Solver.load_trusted, the one intake, files it unchecked
     from ldimkit import satshim
     path = tmp_path / "f.cnf"
     path.write_text(text)
@@ -292,12 +307,25 @@ def test_default_backend_runs_in_process(monkeypatch):
 def test_external_solver_is_opt_in():
     shim = f"{shlex.quote(sys.executable)} -m ldimkit.satshim"
     B = BooleanLattice(2)
-    result, fam = solve_instance(B, 4, 2, [sys.executable, "-m",
-                                           "ldimkit.satshim"])
+    result, fam = solve_instance(B, 4, 2, SATSHIM)
     assert result.status == "sat" and oracle.check_family(B, fam)[0]
     assert solve_instance(B, 4, 1, shim)[0].status == "unsat"
     with pytest.raises(SolverEnvironmentError):
         solve_instance(B, 4, 1, "/nonexistent/solver-binary")
+
+
+@pytest.mark.parametrize("spec,k,d", [("boolean:2", 4, 2),
+                                      ("boolean:3", 12, 3)])
+def test_backends_agree_exactly(spec, k, d):
+    # satshim finds nothing to merge or drop in the encoder's clauses and
+    # loads them in the same order as the in-process search, so both
+    # solvers take the same steps to the same model
+    P = build_poset(spec)
+    own, family = solve_instance(P, k, d)
+    shim, shim_family = solve_instance(P, k, d, SATSHIM)
+    assert own.status == shim.status == "sat"
+    assert shim.model.tolist() == own.model.tolist()
+    assert list(shim_family) == list(family)
 
 
 def test_decode_rejects_inconsistent_model():
@@ -305,13 +333,13 @@ def test_decode_rejects_inconsistent_model():
     vm = VarMap(C, 1)
     # both elements used, but neither before-variable set
     with pytest.raises(DecodeError):
-        decode_realizer({vm.z(0, 1), vm.z(1, 1)}, vm, C)
+        decode_realizer([vm.z(0, 1), vm.z(1, 1)], vm, C)
 
 
 def test_decode_drops_empty_orders():
     C = Chain(2)
     vm = VarMap(C, 3)
-    model = {vm.z(0, 2), vm.z(1, 2), vm.before(0, 1, 2)}
+    model = [vm.z(0, 2), vm.z(1, 2), vm.before(0, 1, 2)]
     fam = decode_realizer(model, vm, C)
     assert list(fam) == [(0, 1)]
 
@@ -541,12 +569,12 @@ def test_decode_matches_oracle_on_solver_models(spec, k, family):
     model = parse_model_text("s SATISFIABLE\nv " + " ".join(
         str(v if v in true else -v) for v in range(1, vm.variable_count + 1))
         + " 0\n").model
-    assert model == true
+    assert model.tolist() == sorted(true)
     decoded = decode_realizer(model, vm, P)
     assert list(decoded) == members
-    assert decoded == oracle.decode_realizer(model, vm, P)
+    assert decoded == oracle.decode_realizer(model.tolist(), vm, P)
     # variables above variable_count name nothing and change nothing
-    beyond = model | {vm.variable_count + 1, 2**40}
+    beyond = model.tolist() + [vm.variable_count + 1, 2**40]
     assert decode_realizer(beyond, vm, P) == decoded
     assert oracle.decode_realizer(beyond, vm, P) == decoded
 
@@ -586,7 +614,7 @@ def test_decode_matches_oracle_on_random_models():
             a, b = rng.sample(members[0], 2)
             model.add(vm.before(a, b, 1))
             model.add(vm.before(b, a, 1))
-        got = _decoded_or_error(decode_realizer, model, vm, P)
+        got = _decoded_or_error(decode_realizer, sorted(model), vm, P)
         assert got == _decoded_or_error(oracle.decode_realizer, model, vm, P)
         raised[kind] += isinstance(got, str)
         if kind == "valid":
@@ -611,9 +639,11 @@ def test_counter_caps_one_usage_row():
             assert len(counter) == 2 * k * d + k - 3 * d - 1
             row = vm.z_table[1].tolist()
             for bits in product((0, 1), repeat=k):
-                units = [[v if bit else -v] for v, bit in zip(row, bits)]
-                model = solve_clauses(vm.total_count, counter + units)
-                assert (model is not None) == (sum(bits) <= d), (k, d, bits)
+                solver = Solver(vm.total_count)
+                solver.load_trusted([list(c) for c in counter]
+                                    + [[v if bit else -v]
+                                       for v, bit in zip(row, bits)])
+                assert solver.solve() == (sum(bits) <= d), (k, d, bits)
 
 
 def _propagated(formula, true, assigned):
@@ -805,7 +835,7 @@ def test_lone_sign_across_slices(monkeypatch):
                     parse_model_text(f"s SATISFIABLE\nv {text}\n")
             else:
                 got = parse_model_text(f"s SATISFIABLE\nv {text}\n").model
-                assert got == {lit for lit in want if lit > 0}
+                assert got.tolist() == [lit for lit in want if lit > 0]
 
 
 def test_map_lines_name_every_role():
