@@ -17,12 +17,12 @@ _EXPORTS = {
     "posets": [
         "Poset", "BooleanLattice", "SingletonPoset", "MultisetLattice",
         "MultisetSingletonPoset", "Chain", "Antichain", "ProductPoset",
-        "MultisetElement", "product", "build_poset",
-        "canonical_linear_extension", "id_to_set", "set_to_id"],
+        "build_poset", "canonical_linear_extension", "id_to_set",
+        "set_to_id"],
     "realizers": [
-        "RealizerFamily", "VerificationReport", "Violation", "as_family",
-        "frequency", "size", "validate_ple", "verify_local_realizer",
-        "lift_product", "build_standard_realizer", "build_bn_realizer"],
+        "RealizerFamily", "VerificationReport", "Violation", "validate_ple",
+        "verify_local_realizer", "lift_product", "build_standard_realizer",
+        "build_bn_realizer"],
     "orders_io": [
         "parse_orders_text", "emit_orders_text", "read_orders_file",
         "write_orders_file"],

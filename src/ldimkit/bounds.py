@@ -11,7 +11,7 @@ from math import ceil, log2
 
 from .errors import ContractError, ParameterError, RangeError
 from .posets import MultisetSingletonPoset, SingletonPoset
-from .realizers import RealizerFamily, as_family, verify_local_realizer
+from .realizers import RealizerFamily, verify_local_realizer
 
 CERTIFY_SLACK = 1e-9
 
@@ -23,10 +23,6 @@ CERTIFY_SLACK = 1e-9
 class ConflictGraph:
     n: int
     edges: frozenset[tuple[int, int]]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def is_independent(self, vertices) -> bool:
         vs = set(vertices)
@@ -42,7 +38,7 @@ def conflict_graph(family, n: int) -> ConflictGraph:
     """
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
-    family = as_family(family)
+    family = RealizerFamily(family)
     top = (1 << n) - 1
     edges = set()
     for member in family:
@@ -60,8 +56,9 @@ def conflict_graph(family, n: int) -> ConflictGraph:
 
 
 def independent_set(G: ConflictGraph) -> tuple[int, ...]:
-    """A maximum independent set (exact branch-and-bound for n <= 20,
-    greedy beyond)."""
+    """An independent set, sorted: a maximum one for n <= 20, by exact
+    branch-and-bound; beyond that a greedy min-degree pick, which is
+    maximal (no vertex can be added) but need not be maximum."""
     adj = {v: set() for v in range(1, G.n + 1)}
     for u, v in G.edges:
         adj[u].add(v)
@@ -109,7 +106,7 @@ def iter_independent_sets(G: ConflictGraph, max_size: int | None = None):
 def check_ind_freq_claim(n: int, family, independent) -> bool:
     """Check the occurrence claim: for an independent set I of size at most
     n - 2, the complement element [n] \\ I appears in at least |I| members."""
-    fam = as_family(family)
+    fam = RealizerFamily(family)
     ind = sorted(set(independent))
     if any(not 1 <= v <= n for v in ind):
         raise ParameterError(f"independent set {ind} not within [1, {n}]")
@@ -242,7 +239,7 @@ def signature_audit_report(n: int, m: int, family) -> SignatureAuditReport:
     if m ** n > 256:
         raise ParameterError(
             f"signature audit is limited to m^n <= 256, got {m ** n}")
-    fam = as_family(family)
+    fam = RealizerFamily(family)
     report = verify_local_realizer(P, fam)
     if not report.accepted:
         raise ContractError("family is not a valid local realizer")

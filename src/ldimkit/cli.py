@@ -55,8 +55,20 @@ def _cmd_verify(args) -> int:
     return 0 if report.accepted else 1
 
 
-def _cmd_build(args) -> int:
+def _emit_orders(args, family, summary: list[str]) -> None:
+    """The orders to ``-o`` with the summary on stdout, or else the orders
+    on stdout with the summary on stderr."""
     from .orders_io import emit_orders_text, write_orders_file
+
+    if args.out:
+        write_orders_file(args.out, family)
+        print("\n".join([*summary, f"orders: {args.out}"]))
+    else:
+        sys.stdout.write(emit_orders_text(family))
+        print("\n".join(summary), file=sys.stderr)
+
+
+def _cmd_build(args) -> int:
     from .posets import BooleanLattice, SingletonPoset, build_poset
     from .realizers import build_bn_realizer, verify_local_realizer
     from .singletons import build_singleton_plan, singleton_frequency_bound
@@ -80,15 +92,9 @@ def _cmd_build(args) -> int:
     if not report.accepted:
         raise ContractError(
             f"built family fails verification for {P.kind}")  # pragma: no cover
-    summary = [f"poset: {P.kind}", *head, f"frequency: {report.frequency}",
-               bound, f"size: {report.size}"]
-    if args.out:
-        write_orders_file(args.out, family)
-        summary.append(f"orders: {args.out}")
-        print("\n".join(summary))
-    else:
-        sys.stdout.write(emit_orders_text(family))
-        print("\n".join(summary), file=sys.stderr)
+    _emit_orders(args, family, [
+        f"poset: {P.kind}", *head, f"frequency: {report.frequency}", bound,
+        f"size: {report.size}"])
     return 0
 
 
@@ -111,9 +117,9 @@ def _cmd_encode(args) -> int:
 
 
 def _solve_output(args, family) -> None:
-    from .orders_io import emit_orders_text, write_orders_file
-
     if args.format == "json":
+        from .orders_io import write_orders_file
+
         payload = {"status": "sat", "frequency": family.frequency,
                    "size": family.size,
                    "orders": [list(p) for p in family]}
@@ -121,15 +127,9 @@ def _solve_output(args, family) -> None:
         if args.out:
             write_orders_file(args.out, family)
         return
-    summary = [f"status: sat", f"frequency: {family.frequency}",
-               f"size: {family.size}"]
-    if args.out:
-        write_orders_file(args.out, family)
-        summary.append(f"orders: {args.out}")
-        print("\n".join(summary))
-    else:
-        sys.stdout.write(emit_orders_text(family))
-        print("\n".join(summary), file=sys.stderr)
+    _emit_orders(args, family, [
+        "status: sat", f"frequency: {family.frequency}",
+        f"size: {family.size}"])
 
 
 def _cmd_solve(args) -> int:

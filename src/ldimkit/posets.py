@@ -16,7 +16,6 @@ Ids are either 0-based (kinds containing the empty set / empty multiset) or
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Sequence
 
@@ -84,37 +83,6 @@ def _dominated(da, db):
 def _support(digits):
     """The number of positive digits, on ints or arrays."""
     return sum(d > 0 for d in digits)
-
-
-@dataclass(frozen=True)
-class MultisetElement:
-    """A multiset over [n] given by its multiplicity vector."""
-
-    multiplicities: tuple[int, ...]
-
-    @classmethod
-    def from_id(cls, eid: int, n: int, m: int) -> "MultisetElement":
-        if not 0 <= eid < m**n:
-            raise RangeError(f"multiset id {eid} out of range for n={n}, m={m}")
-        digits = []
-        for _ in range(n):
-            digits.append(eid % m)
-            eid //= m
-        return cls(tuple(digits))
-
-    def to_id(self, m: int) -> int:
-        eid = 0
-        for digit in reversed(self.multiplicities):
-            if not 0 <= digit < m:
-                raise ParameterError(f"multiplicity {digit} not in [0, {m})")
-            eid = eid * m + digit
-        return eid
-
-    def support_size(self) -> int:
-        return _support(self.multiplicities)
-
-    def total(self) -> int:
-        return sum(self.multiplicities)
 
 
 class Poset:
@@ -384,8 +352,6 @@ class SingletonPoset(MultisetSingletonPoset):
         _Multisets.__init__(self, "singleton", n, 2)
         self.kind = f"singleton:{n}"
 
-    singleton_ids = MultisetSingletonPoset.singleton_type_ids
-
 
 class Chain(Poset):
     """A total order on k elements."""
@@ -440,11 +406,6 @@ class ProductPoset(Poset):
         size = self.p.ground_size
         return (self.p._leq_index(i % size, j % size)
                 & self.q._leq_index(i // size, j // size))
-
-
-def product(p: Poset, q: Poset) -> ProductPoset:
-    """The componentwise-ordered product of two posets."""
-    return ProductPoset(p, q)
 
 
 def canonical_linear_extension(p: Poset) -> list[int]:

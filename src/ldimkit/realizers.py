@@ -23,7 +23,6 @@ from .errors import ContractError, ParameterError
 from .posets import BooleanLattice, Chain, Poset, canonical_linear_extension
 
 Ple = tuple[int, ...]
-PartialLinearExtension = Ple  # exported alias; a PLE is just an id sequence
 
 DUPLICATE_IN_PLE = "duplicate-in-ple"
 ORDER_VIOLATION_IN_PLE = "order-violation-in-ple"
@@ -76,7 +75,8 @@ class VerificationReport:
 
 
 class RealizerFamily:
-    """An immutable list of PLEs with cached per-element member counts."""
+    """An immutable list of PLEs with cached per-element member counts.
+    Wrapping a family again reuses its member tuples."""
 
     def __init__(self, ples: Iterable[Sequence[int]]):
         self.ples: tuple[Ple, ...] = tuple(tuple(p) for p in ples)
@@ -116,23 +116,6 @@ class RealizerFamily:
 
     def __repr__(self) -> str:
         return f"<RealizerFamily size={self.size} frequency={self.frequency}>"
-
-
-def as_family(obj) -> RealizerFamily:
-    """Coerce a RealizerFamily or an iterable of id sequences into a family."""
-    if isinstance(obj, RealizerFamily):
-        return obj
-    return RealizerFamily(obj)
-
-
-def frequency(family) -> int:
-    """Maximum over elements of the number of members containing it."""
-    return as_family(family).frequency
-
-
-def size(family) -> int:
-    """Number of members in the family."""
-    return as_family(family).size
 
 
 _ONE = np.uint64(1)
@@ -309,7 +292,7 @@ def verify_local_realizer(P: Poset, family,
     reversed pairs are traced back to the first member that reverses them.
     The listed violations are then sorted by (kind, a, b, ple).
     """
-    family = as_family(family)
+    family = RealizerFamily(family)
     N = P.ground_size
     log = _ViolationLog(max_violations_per_kind)
 
@@ -377,19 +360,19 @@ def verify_local_realizer(P: Poset, family,
 
 def lift_product(P: Poset, Q: Poset, family_p, family_q,
                  check_inputs: bool = True) -> RealizerFamily:
-    """Combine local realizers of P and Q into one of product(P, Q).
+    """Combine local realizers of P and Q into one of ProductPoset(P, Q).
 
     Each member L of the P-family lifts to the order on
     {(x, y) : x in L, y in Q} sorted primarily by position in L and
     secondarily by the canonical linear extension of Q; members of the
     Q-family lift symmetrically.  The result has size |F_P| + |F_Q| and
-    frequency at most frequency(F_P) + frequency(F_Q).
+    frequency at most F_P.frequency + F_Q.frequency.
 
     With ``check_inputs`` (the default) both input families are verified
     first and a failing one raises ContractError; pass False only for
     families already known to be local realizers of their factor.
     """
-    family_p, family_q = as_family(family_p), as_family(family_q)
+    family_p, family_q = RealizerFamily(family_p), RealizerFamily(family_q)
     if check_inputs:
         for poset, fam, side in ((P, family_p, "P"), (Q, family_q, "Q")):
             report = verify_local_realizer(poset, fam)

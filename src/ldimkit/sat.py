@@ -74,7 +74,7 @@ import numpy as np
 from .errors import (BoundExceededError, DecodeError, FormatError,
                      ParameterError, SolverEnvironmentError,
                      SolverProtocolError)
-from .posets import Poset
+from .posets import Poset, _pack
 from .realizers import RealizerFamily, verify_local_realizer
 
 
@@ -336,13 +336,7 @@ def _kept_triple_count(P: Poset) -> int:
     each packed in uint64 words, a block of a at a time."""
     open_ = _open_pairs(P)
     n = len(open_)
-
-    def packed(bits):
-        padded = np.zeros((n, n + -n % 64), dtype=bool)
-        padded[:, :n] = bits
-        return np.packbits(padded, axis=1).view(np.uint64)
-
-    rows, cols = packed(open_), packed(open_.T)
+    rows, cols = _pack(open_), _pack(open_.T)
     step = max(1, (1 << 15) // (n * rows.shape[1]))
     total = 0
     for s in range(0, n, step):
@@ -527,9 +521,12 @@ class _ClauseTemplates(dict):
 
 def write_dimacs(formula: CnfFormula, varmap: VarMap | None, out,
                  map_out=None) -> None:
-    """Write standard DIMACS CNF to ``out``; if ``map_out`` is given (and a
-    varmap supplied), also write one line per variable:
-    ``x|y|z|s|e <A|-> <B|j|-> <i> <varid>`` (see ``VarMap.describe``)."""
+    """Write standard DIMACS CNF to ``out``; if ``map_out`` is given, also
+    write one line per variable of ``varmap``:
+    ``x|y|z|s|e <A|-> <B|j|-> <i> <varid>`` (see ``VarMap.describe``).
+    A ``map_out`` without a varmap is refused before anything is written."""
+    if map_out is not None and varmap is None:
+        raise ParameterError("a VarMap is required to write a map file")
     opened: list = []
     try:
         handle = _open_sink(out, opened)
@@ -540,8 +537,6 @@ def write_dimacs(formula: CnfFormula, varmap: VarMap | None, out,
                 templates[len(clause)] % tuple(clause)
                 for clause in formula.clauses[start:start + _CHUNK_ROWS]]))
         if map_out is not None:
-            if varmap is None:
-                raise ParameterError("a VarMap is required to write a map file")
             map_handle = _open_sink(map_out, opened)
             for role, a, b, i, var in varmap.iter_entries():
                 a_text = "-" if a is None else str(a)

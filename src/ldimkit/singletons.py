@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
+from .posets import SingletonPoset, canonical_linear_extension
 from .realizers import RealizerFamily
 
 
@@ -41,10 +42,10 @@ class BlockPartition:
     blocks: tuple[tuple[int, ...], ...]
 
 
-def _validate(n: int, d: int) -> None:
+def _validate(n: int, d: int | None = None) -> None:
     if n < 2:
         raise ParameterError(f"singleton construction needs n >= 2, got {n}")
-    if not 1 <= d <= n:
+    if d is not None and not 1 <= d <= n:
         raise ParameterError(f"block width must satisfy 1 <= d <= n, got {d}")
 
 
@@ -74,34 +75,25 @@ class SingletonRealizerPlan:
 
 
 def build_singleton_plan(n: int, d: int | None = None) -> SingletonRealizerPlan:
-    if d is None:
-        d = default_block_width(n)
-    partition = block_partition(n, d)
+    _validate(n)  # before the default width, which has its own n >= 2 check
+    partition = block_partition(n, default_block_width(n) if d is None else d)
     top = 1 << n
 
-    singles = [1 << (x - 1) for x in range(1, n + 1)]
-    bigs = sorted((a for a in range(1, top) if a.bit_count() >= 2),
-                  key=lambda a: (a.bit_count(), a))
-    L = tuple(singles + bigs)
-    L_prime = tuple(singles[::-1] + bigs[::-1])
+    # the canonical order: singletons by id, then larger sets by (size, id)
+    L = tuple(canonical_linear_extension(SingletonPoset(n)))
+    L_prime = L[:n][::-1] + L[n:][::-1]
 
     block_orders = []
     for i, block in enumerate(partition.blocks, start=1):
-        block_mask = sum(1 << (x - 1) for x in block)
-        # nonempty J <= block, ascending by mask for determinism
-        sub = 0
-        j_masks = []
-        while True:
-            sub = (sub - block_mask) & block_mask
-            if sub == 0:
-                break
-            j_masks.append(sub)
-        for j_mask in sorted(j_masks):
+        low = block[0] - 1  # a block is a run of consecutive elements
+        block_mask = ((1 << len(block)) - 1) << low
+        for j in range(1, 1 << len(block)):  # nonempty J <= block, by mask
+            j_mask = j << low
             trace = block_mask & ~j_mask  # sets counted here meet the block in this trace
             a_group = [a for a in range(1, top)
                        if a.bit_count() >= 2 and (a & block_mask) == trace]
-            s_group = [1 << (x - 1) for x in block if j_mask >> (x - 1) & 1]
             j_elems = tuple(x for x in block if j_mask >> (x - 1) & 1)
+            s_group = [1 << (x - 1) for x in j_elems]
             block_orders.append((i, j_elems, tuple(a_group + s_group)))
 
     return SingletonRealizerPlan(

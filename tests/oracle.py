@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from ldimkit import DecodeError, MultisetElement, RealizerFamily, VarMap
+from ldimkit import DecodeError, RealizerFamily, VarMap
 
 
 def check_family(P, family) -> tuple[bool, int, int]:
@@ -84,17 +84,23 @@ def brute_leq_boolean(a: int, b: int) -> bool:
     return (a | b) == b
 
 
-def brute_leq_multiset(x: MultisetElement, y: MultisetElement) -> bool:
-    """Multiset inclusion: every multiplicity of x at most that of y."""
-    return all(a <= b for a, b in zip(x.multiplicities, y.multiplicities))
+def multiplicities(eid: int, n: int, m: int) -> tuple[int, ...]:
+    """The multiplicity of each of 1..n in multiset id eid: its base-m
+    digits, least significant first."""
+    return tuple(eid // m**t % m for t in range(n))
 
 
-def brute_leq_multiset_singleton(x: MultisetElement,
-                                 y: MultisetElement) -> bool:
+def brute_leq_multiset(x: tuple, y: tuple) -> bool:
+    """Multiset inclusion on multiplicity vectors: every multiplicity of x
+    at most that of y."""
+    return all(a <= b for a, b in zip(x, y))
+
+
+def brute_leq_multiset_singleton(x: tuple, y: tuple) -> bool:
     """x <= y in the multiset-singleton poset: equal, or x has one positive
     multiplicity, y at least two, and x is included in y."""
     def support(e):
-        return len([d for d in e.multiplicities if d > 0])
+        return len([d for d in e if d > 0])
     return x == y or (support(x) == 1 and support(y) >= 2
                       and brute_leq_multiset(x, y))
 

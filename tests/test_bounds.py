@@ -23,11 +23,11 @@ def test_conflict_graph_edges():
     # member (2,8): singletons -> elements 2,4; edge {2,4}
     G = conflict_graph([(1, 2, 12, 4), (2, 8)], 4)
     assert sorted(G.edges) == [(2, 3), (2, 4)]
-    assert G.edge_count == 2
+    assert len(G.edges) == 2
     assert G.is_independent([1, 3, 4])
     assert not G.is_independent([2, 3])
     # single-singleton and singleton-free members produce no edge
-    assert conflict_graph([(1, 12), (12, 10)], 4).edge_count == 0
+    assert not conflict_graph([(1, 12), (12, 10)], 4).edges
     with pytest.raises(RangeError):
         conflict_graph([(16,)], 4)
 
@@ -35,7 +35,7 @@ def test_conflict_graph_edges():
 def test_edge_count_at_most_size():
     fam = build_singleton_realizer(8)
     G = conflict_graph(fam, 8)
-    assert G.edge_count <= len(fam)
+    assert len(G.edges) <= len(fam)
 
 
 def test_independent_set_exact_small():
@@ -60,6 +60,27 @@ def test_independent_set_random_vs_brute():
         got = independent_set(G)
         assert G.is_independent(got)
         assert len(got) == oracle.brute_max_independent(n, edges), (n, edges)
+
+
+def test_independent_set_greedy_is_maximal():
+    # beyond 20 vertices the set is independent and maximal, not maximum:
+    # on this 8-vertex core plus 16 isolated vertices it has 19 vertices,
+    # one short of the maximum
+    core = frozenset({(1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (2, 3), (2, 6),
+                      (3, 7), (3, 8), (4, 7), (4, 8), (5, 7), (5, 8), (6, 7)})
+    graphs = [ConflictGraph(24, core)]
+    rng = random.Random(21)
+    for n in range(21, 41):
+        graphs.append(ConflictGraph(n, frozenset(
+            (a, b) for a, b in combinations(range(1, n + 1), 2)
+            if rng.random() < rng.choice((0.05, 0.2, 0.5)))))
+    for G in graphs:
+        got = independent_set(G)
+        assert list(got) == sorted(set(got)) and G.is_independent(got)
+        assert not any(G.is_independent(got + (v,))
+                       for v in range(1, G.n + 1) if v not in got), G.n
+    assert 16 + oracle.brute_max_independent(8, core) == 20
+    assert len(independent_set(graphs[0])) == 19
 
 
 def test_iter_independent_sets():

@@ -108,6 +108,12 @@ def test_build_singleton_stdout(capsys):
     assert "d: 1" in err and "frequency:" in err
 
 
+def test_build_singleton_one_names_the_construction(capsys):
+    code, out, err = run(capsys, "build", "--poset", "singleton:1")
+    assert (code, out) == (2, "")
+    assert err == "ERROR:usage: singleton construction needs n >= 2, got 1\n"
+
+
 def test_build_rejects_other_kinds(capsys):
     code, out, err = run(capsys, "build", "--poset", "chain:3")
     assert code == 2 and err.startswith("ERROR:usage:")

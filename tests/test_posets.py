@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from ldimkit import (Antichain, BooleanLattice, Chain, MultisetElement,
-                     MultisetLattice, MultisetSingletonPoset, ParameterError,
+from ldimkit import (Antichain, BooleanLattice, Chain, MultisetLattice,
+                     MultisetSingletonPoset, ParameterError, ProductPoset,
                      RangeError, SingletonPoset, build_poset,
-                     canonical_linear_extension, id_to_set, product,
-                     set_to_id)
+                     canonical_linear_extension, id_to_set, set_to_id)
 
 from tests import oracle
 from tests.test_realizers import _Relabelled
@@ -41,16 +40,7 @@ def test_singleton_poset_relation():
     assert not P.leq(1, 2)
     assert not P.leq(3, 1)      # no set-above-singleton order
     assert P.leq(3, 3)
-    assert sorted(P.singleton_ids()) == [1, 2, 4]
-
-
-def test_multiset_element_codec():
-    e = MultisetElement.from_id(5, 2, 3)   # digits base 3: 5 = 2 + 1*3
-    assert e.multiplicities == (2, 1)
-    assert e.to_id(3) == 5
-    assert e.total() == 3 and e.support_size() == 2
-    with pytest.raises(RangeError):
-        MultisetElement.from_id(9, 2, 3)
+    assert sorted(P.singleton_type_ids()) == [1, 2, 4]
 
 
 def _assert_same_poset(P, Q):
@@ -71,7 +61,7 @@ def test_singleton_is_multiset_singleton_at_m2():
     for n in range(1, 9):
         S = SingletonPoset(n)
         assert S.kind == f"singleton:{n}"
-        assert S.singleton_ids() == [1 << i for i in range(n)]
+        assert S.singleton_type_ids() == [1 << i for i in range(n)]
         _assert_same_poset(S, MultisetSingletonPoset(n, 2))
 
 
@@ -91,7 +81,7 @@ def test_multiset_singleton_subposet():
 def test_order_axioms_small():
     posets = [BooleanLattice(3), SingletonPoset(3), MultisetLattice(2, 3),
               MultisetSingletonPoset(2, 3), Chain(4), Antichain(4),
-              product(Chain(2), Antichain(3))]
+              ProductPoset(Chain(2), Antichain(3))]
     for P in posets:
         ids = list(P.element_ids())
         for a in ids:
@@ -108,7 +98,7 @@ def test_order_axioms_small():
 def test_leq_matrix_agrees_with_scalar():
     for P in (BooleanLattice(3), SingletonPoset(4), MultisetLattice(2, 3),
               MultisetSingletonPoset(3, 2), Chain(5), Antichain(5),
-              product(BooleanLattice(2), Chain(3))):
+              ProductPoset(BooleanLattice(2), Chain(3))):
         M = P.leq_matrix()
         ids = list(P.element_ids())
         for i, a in enumerate(ids):
@@ -167,7 +157,7 @@ def test_multiset_order_matches_brute_force(P, brute):
     # N = 343, 511 and 624 span more than one 256-row block and cross 64-bit
     # word edges; N = 8 fits in one word
     ids = list(P.element_ids())
-    elements = [MultisetElement.from_id(a, P.n, P.m) for a in ids]
+    elements = [oracle.multiplicities(a, P.n, P.m) for a in ids]
     ref = np.array([[brute(x, y) for y in elements] for x in elements])
     assert np.array_equal(P.leq_matrix(), ref)
     up, down = _strict_rows(ref), _strict_rows(ref.T)
@@ -186,7 +176,7 @@ def test_multiset_order_matches_brute_force(P, brute):
 
 
 def test_product_structure():
-    P = product(BooleanLattice(2), Chain(3))
+    P = ProductPoset(BooleanLattice(2), Chain(3))
     assert P.ground_size == 12
     # combined id = idx_P + size_P * idx_Q: 1 + 4 * 0 is ({1}, 0), 3 + 4 * 2
     # is ({1, 2}, 2) and 2 + 4 * 2 is ({2}, 2)
@@ -197,9 +187,10 @@ def test_product_structure():
     # matrix = kron(Q, P), packed rows alike
     for p, q in ((BooleanLattice(2), Chain(3)),
                  (MultisetLattice(2, 3), SingletonPoset(4)),
-                 (Antichain(3), product(Chain(2), MultisetSingletonPoset(2, 3))),
+                 (Antichain(3),
+                  ProductPoset(Chain(2), MultisetSingletonPoset(2, 3))),
                  (SingletonPoset(5), BooleanLattice(3))):
-        P = product(p, q)
+        P = ProductPoset(p, q)
         kron = np.kron(q.leq_matrix(), p.leq_matrix())
         assert np.array_equal(P.leq_matrix(), kron), P.kind
         assert np.array_equal(P.up_rows(), _strict_rows(kron)), P.kind
@@ -210,7 +201,7 @@ def test_boolean_product_is_boolean():
     # the builder's running poset: ids px + 2**a * qy are the joined bitmasks
     for a in range(1, 5):
         for b in range(1, 5):
-            P = product(BooleanLattice(a), BooleanLattice(b))
+            P = ProductPoset(BooleanLattice(a), BooleanLattice(b))
             B = BooleanLattice(a + b)
             assert P.element_ids() == B.element_ids()
             assert np.array_equal(P.up_rows(), B.up_rows()), (a, b)
@@ -237,14 +228,14 @@ def test_multi_support_ids_match_digits():
             P = MultisetSingletonPoset(n, m)
             assert P.multi_support_ids() == [
                 a for a in P.element_ids()
-                if MultisetElement.from_id(a, n, m).support_size() >= 2]
+                if sum(d > 0 for d in oracle.multiplicities(a, n, m)) >= 2]
 
 
 def test_canonical_linear_extension():
     assert canonical_linear_extension(BooleanLattice(2)) == [0, 1, 2, 3]
     for P in (BooleanLattice(3), SingletonPoset(3), MultisetLattice(2, 3),
               MultisetLattice(3, 3), MultisetSingletonPoset(2, 3),
-              Antichain(4), product(Chain(2), BooleanLattice(2)),
+              Antichain(4), ProductPoset(Chain(2), BooleanLattice(2)),
               _Relabelled(SingletonPoset(4))):
         ext = canonical_linear_extension(P)
         assert sorted(ext) == sorted(P.element_ids())

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import random
 import tracemalloc
 
@@ -10,12 +11,11 @@ from hypothesis import strategies as st
 from ldimkit import realizers
 import numpy as np
 from ldimkit import (Antichain, BooleanLattice, Chain, ContractError,
-                     ParameterError, Poset, RangeError, RealizerFamily,
-                     SingletonPoset, as_family, b4_family, b7_family,
+                     ParameterError, Poset, ProductPoset, RangeError,
+                     RealizerFamily, SingletonPoset, b4_family, b7_family,
                      build_bn_realizer, build_poset, build_singleton_realizer,
                      build_standard_realizer, canonical_linear_extension,
-                     frequency, lift_product, product, size, validate_ple,
-                     verify_local_realizer)
+                     lift_product, validate_ple, verify_local_realizer)
 from ldimkit.realizers import (COMPARABLE_PAIR_NEVER_WITNESSED,
                                COMPARABLE_PAIR_REVERSED, DUPLICATE_IN_PLE,
                                INCOMPARABLE_PAIR_ONE_SIDED,
@@ -27,16 +27,16 @@ from tests import oracle
 
 def test_family_basics():
     fam = RealizerFamily([(1, 2), (2, 1), (1,)])
-    assert size(fam) == 3 and fam.size == 3
-    assert frequency(fam) == 3 and fam.frequency == 3
+    assert fam.size == 3 and fam.frequency == 3
     assert fam.occurrences(2) == 2
     assert fam.occurrences(99) == 0
     repeated = RealizerFamily([(1, 2, 1), (1,)])
     assert repeated.frequency == repeated.occurrences(1) == 2
-    assert as_family(fam) is fam
-    assert as_family([(1, 2)]) == RealizerFamily([(1, 2)])
+    again = RealizerFamily(fam)  # re-wrapping keeps the member tuples
+    assert again == fam and all(map(operator.is_, again.ples, fam.ples))
+    assert RealizerFamily([[1, 2]]) == RealizerFamily([(1, 2)])
     assert len(RealizerFamily([])) == 0
-    assert frequency(RealizerFamily([])) == 0
+    assert RealizerFamily([]).frequency == 0
 
 
 def test_validate_ple():
@@ -156,7 +156,7 @@ def test_lift_product_b4_squared():
     P = BooleanLattice(4)
     fam = b4_family()
     lifted = lift_product(P, P, fam, fam)
-    PP = product(P, P)
+    PP = ProductPoset(P, P)
     rep = verify_local_realizer(PP, lifted)
     assert rep.accepted
     assert rep.frequency <= 6 and rep.size == 8
@@ -176,7 +176,7 @@ def test_lift_with_chain_keeps_frequency():
     P = BooleanLattice(2)
     fam = RealizerFamily([(0, 1, 2, 3), (0, 2, 1, 3)])
     lifted = lift_product(P, Chain(1), fam, [(0,)])
-    rep = verify_local_realizer(product(P, Chain(1)), lifted)
+    rep = verify_local_realizer(ProductPoset(P, Chain(1)), lifted)
     assert rep.accepted and rep.frequency == 3  # 2 from P + 1 from the chain
 
 

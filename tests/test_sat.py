@@ -147,6 +147,16 @@ def test_dimacs_round_trip(tmp_path):
     assert parse_dimacs(buf.getvalue()).clauses == formula.clauses
 
 
+def test_map_without_varmap_writes_nothing(tmp_path):
+    formula, _ = encode(Chain(2), 2, 1)
+    cnf, buf = tmp_path / "x.cnf", io.StringIO()
+    for out in (cnf, buf):
+        with pytest.raises(ParameterError, match="VarMap"):
+            write_dimacs(formula, None, out, tmp_path / "x.map")
+    assert not cnf.exists() and not (tmp_path / "x.map").exists()
+    assert buf.getvalue() == ""
+
+
 def test_parse_dimacs_errors(tmp_path):
     from ldimkit import FormatError
     with pytest.raises(FormatError):
