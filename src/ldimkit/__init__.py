@@ -33,8 +33,8 @@ _EXPORTS = {
     "sat": [
         "VarMap", "CnfFormula", "SolverResult", "encode",
         "expected_clause_count", "write_dimacs", "parse_dimacs",
-        "parse_model_text", "resolve_solver_command", "run_solver",
-        "decode_realizer", "solve_instance", "ldim_certificate", "ldim_exact"],
+        "parse_model_text", "run_solver", "decode_realizer", "solve_instance",
+        "ldim_certificate", "ldim_exact"],
     "bounds": [
         "ConflictGraph", "BoundReport", "SignatureAuditReport",
         "conflict_graph", "independent_set", "iter_independent_sets",

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations, groupby
 from math import ceil, log2
 
 from .errors import ContractError, ParameterError, RangeError
@@ -94,8 +95,6 @@ def independent_set(G: ConflictGraph) -> tuple[int, ...]:
 
 def iter_independent_sets(G: ConflictGraph, max_size: int | None = None):
     """All independent vertex sets (as sorted tuples), smallest first."""
-    from itertools import combinations
-
     limit = G.n if max_size is None else max_size
     for r in range(limit + 1):
         for combo in combinations(range(1, G.n + 1), r):
@@ -247,28 +246,15 @@ def signature_audit_report(n: int, m: int, family) -> SignatureAuditReport:
     singleton_ids = set(P.singleton_type_ids())
     mplus_ids = list(P.multi_support_ids())
 
-    intervals: list[set[int]] = []
-    current: set[int] = set()
+    # the runs of non-singleton elements between singleton types, in each
+    # member that holds one
+    intervals = [set(run) for member in fam
+                 if any(eid in singleton_ids for eid in member)
+                 for single, run in groupby(member, singleton_ids.__contains__)
+                 if not single]
 
-    def flush() -> None:
-        nonlocal current
-        if current:
-            intervals.append(current)
-            current = set()
-
-    for member in fam:
-        if not any(eid in singleton_ids for eid in member):
-            continue
-        for eid in member:
-            if eid in singleton_ids:
-                flush()
-            else:
-                current.add(eid)
-        flush()  # separator after the member
-
-    signatures = {}
-    for eid in mplus_ids:
-        signatures[eid] = tuple(eid in iv for iv in intervals)
+    signatures = {eid: tuple(eid in iv for iv in intervals)
+                  for eid in mplus_ids}
 
     nonzero = all(any(sig) for sig in signatures.values())
     distinct = len(set(signatures.values()))

@@ -74,20 +74,21 @@ def _cmd_build(args) -> int:
     from .singletons import build_singleton_plan, singleton_frequency_bound
 
     P = build_poset(args.poset)
+    if not isinstance(P, (BooleanLattice, SingletonPoset)):
+        raise ParameterError(
+            f"build supports boolean:<n> and singleton:<n>, got {P.kind}")
+    if isinstance(P, BooleanLattice) and args.d is not None:
+        raise ParameterError("--d applies to singleton posets only")
+    P._packed_indices(None)  # verify's budget, before the family is built
     if isinstance(P, BooleanLattice):
-        if args.d is not None:
-            raise ParameterError("--d applies to singleton posets only")
         family = build_bn_realizer(P.n)
         head, bound = [], f"bound: {ceil(5 * P.n / 7)}"
-    elif isinstance(P, SingletonPoset):
+    else:
         plan = build_singleton_plan(P.n, args.d)
         family = plan.family()
         fb = max(singleton_frequency_bound(P.n, plan.partition.d))
         head = [f"d: {plan.partition.d}", f"r: {plan.partition.r}"]
         bound = f"frequency-bound: {fb}"
-    else:
-        raise ParameterError(
-            f"build supports boolean:<n> and singleton:<n>, got {P.kind}")
     report = verify_local_realizer(P, family)
     if not report.accepted:
         raise ContractError(

@@ -51,9 +51,9 @@ whole family as Python lists.  A model is an int64 array of the true
 variables, from either backend; the decoder reads it into a bool array
 over the variables and ranks each order's used elements from the gathered
 before-matrix; it reads no auxiliary variable.  A map file has one line per
-variable, ``role A B i var``: ``x``/``y`` give the pair A, B; ``z`` has
-``-`` for B; ``s`` gives A and the count j as B; ``e`` has ``-`` for A and
-the index bound j as B.
+variable, ``role A B i var``, with var read from the tables: ``x``/``y``
+give the pair A, B; ``z`` has ``-`` for B; ``s`` gives A and the count j
+as B; ``e`` has ``-`` for A and the index bound j as B.
 """
 
 from __future__ import annotations
@@ -83,15 +83,15 @@ class VarMap:
 
     Pair block first: for pair index p and order i, variable 2(pk + i - 1) + 1
     is x(A, B, i) and the following even id is y(A, B, i).  Usage block after:
-    z(A, i) = N(N-1)k + index(A)*k + i.  ``variable_count`` (= ``z_block``)
-    counts these, the variables that name a family; they are the same for
-    every d and break.
+    z(A, i) = N(N-1)k + index(A)*k + i.  ``variable_count`` counts these,
+    the variables that name a family; they are the same for every d and
+    break.
 
     ``VarMap(P, k, d, symmetry_break)`` adds the auxiliary variables of
     encode(P, k, d, symmetry_break) above them, up to ``total_count``, the
     formula's variable count; ``VarMap(P, k)`` has none.  Counter block,
     only when d < k: s(A, i, j) = "at least j of z(A, 1..i) are true" for
-    i < k and j <= d is z_block + (index(A)*(k-1) + i - 1)*d + j.  Lex
+    i < k and j <= d is variable_count + (index(A)*(k-1) + i - 1)*d + j.  Lex
     block last, after ``s_block`` and only with the break: e(i, j) =
     "orders i and i+1 use the same elements among indices < j" for i < k
     and 1 <= j < N is s_block + (i - 1)*(N-1) + j.
@@ -117,11 +117,12 @@ class VarMap:
         self.symmetry_break = symmetry_break
         self.n = P.ground_size
         self.pair_block = self.n * (self.n - 1) * k
-        self.z_block = self.variable_count = self.pair_block + self.n * k
+        self.variable_count = self.pair_block + self.n * k
         # j ranges of s (a cap of d >= k orders needs no counter) and of e
         self.counter_width = d if d is not None and d < k else 0
         self.lex_width = self.n - 1 if symmetry_break else 0
-        self.s_block = self.z_block + self.n * (k - 1) * self.counter_width
+        self.s_block = (self.variable_count
+                        + self.n * (k - 1) * self.counter_width)
         self.total_count = self.s_block + (k - 1) * self.lex_width
 
     def _pair_var(self, lo, hi, i0, reverse):
@@ -134,8 +135,8 @@ class VarMap:
         return self.pair_block + ai * self.k + i0 + 1
 
     def _s_var(self, ai, i0, j0):
-        return (self.z_block + (ai * (self.k - 1) + i0) * self.counter_width
-                + j0 + 1)
+        return (self.variable_count
+                + (ai * (self.k - 1) + i0) * self.counter_width + j0 + 1)
 
     def _e_var(self, i0, j0):
         return self.s_block + i0 * self.lex_width + j0 + 1
@@ -203,39 +204,6 @@ class VarMap:
     def e_table(self) -> np.ndarray:
         i0, j0 = np.indices((self.k - 1, self.lex_width), dtype=np.int64)
         return _read_only(self._e_var(i0, j0))
-
-    def describe(self, var: int) -> tuple[str, int | None, int | None, int]:
-        """(role, A, B, i) for a variable id: B is the second element of an
-        x or y variable, the count j of s(A, i, j) or the index bound j of
-        e(i, j), and None for z; A is None for e."""
-        if not 1 <= var <= self.total_count:
-            raise ParameterError(f"variable {var} not in [1, {self.total_count}]")
-        if var <= self.pair_block:
-            t = var - 1
-            role = "x" if t % 2 == 0 else "y"
-            slot, i = divmod(t // 2, self.k)
-            ai, bi = self._pairs[slot]
-            return role, self.P.id_at(ai), self.P.id_at(bi), i + 1
-        if var <= self.z_block:
-            ai, i = divmod(var - self.pair_block - 1, self.k)
-            return "z", self.P.id_at(ai), None, i + 1
-        if var <= self.s_block:
-            t, j = divmod(var - self.z_block - 1, self.counter_width)
-            ai, i = divmod(t, self.k - 1)
-            return "s", self.P.id_at(ai), j + 1, i + 1
-        i, j = divmod(var - self.s_block - 1, self.lex_width)
-        return "e", None, j + 1, i + 1
-
-    @cached_property
-    def _pairs(self) -> list[tuple[int, int]]:
-        return list(combinations(range(self.n), 2))
-
-    def iter_entries(self):
-        """Yield (role, A, B, i, var) for every variable, auxiliary ones
-        included, ascending."""
-        for var in range(1, self.total_count + 1):
-            role, a, b, i = self.describe(var)
-            yield role, a, b, i, var
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -522,9 +490,11 @@ class _ClauseTemplates(dict):
 def write_dimacs(formula: CnfFormula, varmap: VarMap | None, out,
                  map_out=None) -> None:
     """Write standard DIMACS CNF to ``out``; if ``map_out`` is given, also
-    write one line per variable of ``varmap``:
-    ``x|y|z|s|e <A|-> <B|j|-> <i> <varid>`` (see ``VarMap.describe``).
-    A ``map_out`` without a varmap is refused before anything is written."""
+    write one line ``role A B i var`` per variable of ``varmap``, ascending:
+    ``x A B i`` and ``y A B i`` for before(A, B, i) and before(B, A, i)
+    with id(A) < id(B), ``z A - i``, ``s A j i`` for s(A, i, j) and
+    ``e - j i`` for e(i, j).  A ``map_out`` without a varmap is refused
+    before anything is written."""
     if map_out is not None and varmap is None:
         raise ParameterError("a VarMap is required to write a map file")
     opened: list = []
@@ -537,14 +507,31 @@ def write_dimacs(formula: CnfFormula, varmap: VarMap | None, out,
                 templates[len(clause)] % tuple(clause)
                 for clause in formula.clauses[start:start + _CHUNK_ROWS]]))
         if map_out is not None:
-            map_handle = _open_sink(map_out, opened)
-            for role, a, b, i, var in varmap.iter_entries():
-                a_text = "-" if a is None else str(a)
-                b_text = "-" if b is None else str(b)
-                map_handle.write(f"{role} {a_text} {b_text} {i} {var}\n")
+            _open_sink(map_out, opened).writelines(_map_lines(varmap))
     finally:
         for handle in opened:
             handle.close()
+
+
+def _map_lines(vm: VarMap) -> Iterator[str]:
+    """The map file's lines in ascending variable order, which is the
+    layout's: each names the variable that its table holds."""
+    ids = vm.P.element_ids()
+    for (lo, a), (hi, b) in combinations(enumerate(ids), 2):
+        for i, (x, y) in enumerate(zip(vm.before_table[lo, hi].tolist(),
+                                       vm.before_table[hi, lo].tolist()), 1):
+            yield f"x {a} {b} {i} {x}\n"
+            yield f"y {a} {b} {i} {y}\n"
+    for a, row in zip(ids, vm.z_table.tolist()):
+        for i, var in enumerate(row, 1):
+            yield f"z {a} - {i} {var}\n"
+    for a, rows in zip(ids, vm.s_table.tolist()):
+        for i, row in enumerate(rows, 1):
+            for j, var in enumerate(row, 1):
+                yield f"s {a} {j} {i} {var}\n"
+    for i, row in enumerate(vm.e_table.tolist(), 1):
+        for j, var in enumerate(row, 1):
+            yield f"e - {j} {i} {var}\n"
 
 
 # a line whose first non-blank character is 'c' (comment) or 'p' (header),
@@ -684,23 +671,18 @@ def _parse_literals(text: str, bad_token) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def resolve_solver_command(solver_command) -> list[str]:
-    """The external solver launch vector: a command string split as a shell
-    would, or a sequence of arguments."""
-    if isinstance(solver_command, str):
-        return shlex.split(solver_command)
-    return list(solver_command)
-
-
 def run_solver(cnf_path, solver_command) -> SolverResult:
     """Launch the external solver on a DIMACS file and parse its verdict.
 
-    Accepts 's SATISFIABLE'/'s UNSATISFIABLE' status lines with 'v' model
-    lines; exit codes 10/20 stand in when no status line is printed.  A
-    solver that exits with any other nonzero code and no status line has
-    failed: SolverEnvironmentError names the code and its last stderr line.
+    ``solver_command`` is a command string, split as a shell would, or a
+    sequence of arguments.  Accepts 's SATISFIABLE'/'s UNSATISFIABLE'
+    status lines with 'v' model lines; exit codes 10/20 stand in when no
+    status line is printed.  A solver that exits with any other nonzero
+    code and no status line has failed: SolverEnvironmentError names the
+    code and its last stderr line.
     """
-    cmd = resolve_solver_command(solver_command) + [str(cnf_path)]
+    cmd = (shlex.split(solver_command) if isinstance(solver_command, str)
+           else list(solver_command)) + [str(cnf_path)]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
     except OSError as exc:

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -80,6 +81,24 @@ def test_oversize_poset_is_usage_error(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err == ("ERROR:usage: boolean:16: packed order rows would "
                    "need 536870912 bytes\n")
+
+
+def test_build_refuses_oversize_poset_before_building(capsys):
+    # the modules the command imports are loaded first, so that the peak
+    # counts only what the command allocates
+    import ldimkit.realizers
+    import ldimkit.singletons
+    for spec, need in (("boolean:16", 536870912), ("singleton:16", 536862720)):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "build", "--poset", spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == (f"ERROR:usage: {spec}: packed order rows would need "
+                       f"{need} bytes\n")
+        assert peak < 1 << 20
 
 
 def test_out_of_range_orders_is_input_error(capsys, tmp_path):

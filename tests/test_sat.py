@@ -17,9 +17,8 @@ from ldimkit import (Antichain, BooleanLattice, Chain, DecodeError,
                      build_bn_realizer,
                      build_poset, decode_realizer, encode,
                      expected_clause_count, ldim_certificate, ldim_exact,
-                     parse_dimacs, parse_model_text, resolve_solver_command,
-                     run_solver, solve_instance, verify_local_realizer,
-                     write_dimacs)
+                     parse_dimacs, parse_model_text, run_solver,
+                     solve_instance, verify_local_realizer, write_dimacs)
 from ldimkit.cdcl import Solver
 from ldimkit.sat import CnfFormula, iter_clauses
 from ldimkit.satshim import checked_clauses
@@ -49,34 +48,36 @@ def test_varmap_layout_and_bijection():
 
 
 def test_varmap_describe_inverse():
-    # without d, with a counter (d < k), with the counter and the lex chain
-    # and with the lex chain alone (d >= k)
+    # the map file describes each variable: without d, with a counter
+    # (d < k), with the counter and the lex chain and with the lex chain
+    # alone (d >= k), its lines name 1..total_count in order, and each
+    # line's role and indices give its variable back through the lookups
     for P, k, d, brk in ((Chain(3), 2, None, False), (Chain(3), 4, 2, False),
                          (Chain(3), 4, 2, True), (Chain(3), 2, 2, True),
                          (_Relabelled(SingletonPoset(3)), 3, 1, True)):
         vm = VarMap(P, k, d, brk)
-        roles = set()
-        for var in range(1, vm.total_count + 1):
-            role, a, b, i = vm.describe(var)
-            roles.add(role)
+        buf = io.StringIO()
+        write_dimacs(CnfFormula(vm.total_count, []), vm, io.StringIO(), buf)
+        lines = [line.split() for line in buf.getvalue().splitlines()]
+        assert [int(var) for *_, var in lines] == list(
+            range(1, vm.total_count + 1))
+        for role, a, b, i, var in lines:
+            i, var = int(i), int(var)
             if role == "z":
-                assert b is None
-                assert vm.z(a, i) == var
+                assert b == "-"
+                assert vm.z(int(a), i) == var
             elif role == "x":
-                assert vm.before(a, b, i) == var
+                assert int(a) < int(b) and vm.before(int(a), int(b), i) == var
             elif role == "y":
-                assert vm.before(b, a, i) == var
+                assert int(a) < int(b) and vm.before(int(b), int(a), i) == var
             elif role == "s":
-                assert vm.s(a, i, b) == var
+                assert vm.s(int(a), i, int(b)) == var
             else:
-                assert role == "e" and a is None
-                assert vm.e(i, b) == var
-        assert roles == {"x", "y", "z"} | ({"s"} if vm.counter_width else set()) \
+                assert role == "e" and a == "-"
+                assert vm.e(i, int(b)) == var
+        assert {role for role, *_ in lines} == {"x", "y", "z"} \
+            | ({"s"} if vm.counter_width else set()) \
             | ({"e"} if brk else set())
-        with pytest.raises(ParameterError):
-            vm.describe(0)
-        with pytest.raises(ParameterError):
-            vm.describe(vm.total_count + 1)
         with pytest.raises(ParameterError):
             vm.before(1, 1, 1)
         with pytest.raises(ParameterError):
@@ -183,12 +184,6 @@ def test_parse_model_text():
     assert parse_model_text("no verdict here\n") is None
     with pytest.raises(SolverProtocolError):
         parse_model_text("s SATISFIABLE\n")
-
-
-def test_resolve_solver_command():
-    assert resolve_solver_command("mysolver --opt") == ["mysolver", "--opt"]
-    assert resolve_solver_command("other") == ["other"]
-    assert resolve_solver_command(["a", "b"]) == ["a", "b"]
 
 
 def test_run_solver_round_trip(tmp_path):
@@ -518,17 +513,30 @@ def test_propagation_check_rejects_what_does_not_follow():
 
 
 # SHA-256 of the DIMACS text, as the encoder with the sequential counter
-# and without the clauses that the reverse units settle writes it
-@pytest.mark.parametrize("spec,k,d,digest", [
-    ("boolean:3", 24, 3,
-     "9a45cf0cd0ac8392c5050f9c9de36e1164e00065a676b143a753be3597fce2b1"),
-    ("boolean:4", 16, 2,
-     "efe38c52be1c8c62daa844f43cb93fe517757e12d0d0013c1742d2d876b5d7e2")])
-def test_dimacs_bytes_pinned(spec, k, d, digest):
-    formula, vm = encode(build_poset(spec), k, d)
-    buf = io.StringIO()
-    write_dimacs(formula, vm, buf)
+# and without the clauses that the reverse units settle writes it, and of
+# the map; multiset-singleton:2:3 has ids from 1 and, with the break, an e
+# block
+_PINNED = (
+    ("boolean:3", 24, 3, False,
+     "9a45cf0cd0ac8392c5050f9c9de36e1164e00065a676b143a753be3597fce2b1",
+     "b01a3e398afe6d3a6b48e36512316a7318c38214887426e93bff5a82ed934270"),
+    ("boolean:4", 16, 2, False,
+     "efe38c52be1c8c62daa844f43cb93fe517757e12d0d0013c1742d2d876b5d7e2",
+     "8c9470a5db284e55e246cad50ad2f82c3418c038ef17b14f05a178895b88c45c"),
+    ("multiset-singleton:2:3", 8, 2, True,
+     "8d53d86c6c1e8bdd0f7dfcaf603683bc0d618e450407c07d5208243ab9ebc5f9",
+     "92e2c3da1ad9649a61a9fd0cb39457f0a25c3009d6a4b918df1aa5062780f38f"))
+
+
+@pytest.mark.parametrize("spec,k,d,brk,digest,map_digest", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}-{case[2]}-{case[4]}")
+    for case in _PINNED])
+def test_dimacs_bytes_pinned(spec, k, d, brk, digest, map_digest):
+    formula, vm = encode(build_poset(spec), k, d, brk)
+    buf, map_buf = io.StringIO(), io.StringIO()
+    write_dimacs(formula, vm, buf, map_buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+    assert hashlib.sha256(map_buf.getvalue().encode()).hexdigest() == map_digest
 
 
 def test_iter_clauses_streams():
@@ -679,7 +687,7 @@ def _broken_clauses(formula, vm, members):
     # member i-1 in order i; x, y and z variables that it leaves unset are
     # false, and the counter and lex variables are propagated
     true = _true_variables(vm, members)
-    holds = _propagated(formula, true, range(1, vm.z_block + 1))
+    holds = _propagated(formula, true, range(1, vm.variable_count + 1))
     return [c for c in formula.clauses if not any(map(holds, c))]
 
 
