@@ -234,10 +234,10 @@ def signature_audit_report(n: int, m: int, family) -> SignatureAuditReport:
     pairwise-distinct set of intervals, and the interval count must respect
     k <= 2 * frequency * #singleton-types.
     """
-    P = MultisetSingletonPoset(n, m)
-    if m ** n > 256:
+    if n > 8 or m ** n > 256:  # 2^9 > 256: m^n is not computed for large n
         raise ParameterError(
-            f"signature audit is limited to m^n <= 256, got {m ** n}")
+            f"signature audit is limited to m^n <= 256, got {m}^{n}")
+    P = MultisetSingletonPoset(n, m)
     fam = RealizerFamily(family)
     report = verify_local_realizer(P, fam)
     if not report.accepted:

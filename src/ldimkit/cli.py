@@ -139,12 +139,13 @@ def _cmd_solve(args) -> int:
 
     P = build_poset(args.poset)
     if args.model:
+        vm = VarMap(P, args.k, args.d)  # refuses k < 1 or d < 1 up front
         text = Path(args.model).read_text(encoding="utf-8")
         result = parse_model_text(text)
         if result is None:
             raise SolverProtocolError(
                 f"no solver status line found in {args.model}")
-        family = (decode_verified(result.model, VarMap(P, args.k), P, args.d)
+        family = (decode_verified(result.model, vm, P, args.d)
                   if result.status == "sat" else None)
     else:
         result, family = solve_instance(P, args.k, args.d, args.solver)
@@ -200,7 +201,11 @@ def _cmd_analyze(args) -> int:
     # signature
     _require(args, what, "n", "m", "orders")
     family = RealizerFamily(read_orders_file(args.orders))
-    report = signature_audit_report(args.n, args.m, family)
+    try:
+        report = signature_audit_report(args.n, args.m, family)
+    except ContractError as exc:  # the orders, not the program, are at fault
+        print(f"ERROR:input: {exc}", file=sys.stderr)
+        return 2
     print(report.to_json(indent=2))
     return 0 if report.ok else 1
 

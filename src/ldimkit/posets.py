@@ -31,10 +31,18 @@ _MATRIX_CELL_LIMIT = 1 << 30
 
 # Packed order rows: a set of elements is a row of W = ceil(N/64) uint64
 # words, element index j at bit j % 64 of word j // 64.  One array of rows
-# may take at most 256 MB: the verifier holds three N x W arrays, 128 MB each
+# may take at most 256 MB: the verifier holds two N x W arrays, 128 MB each
 # on boolean:15; boolean:16 would need 512 MB each.
 _PACKED_BYTE_LIMIT = 1 << 28
 _ONE = np.uint64(1)
+
+
+def _ground(size: int, what: str) -> int:
+    """``size``, refused with ParameterError from 2^63 on: ids are int64."""
+    if size >= 1 << 63:
+        raise ParameterError(
+            f"{what} would have 2^63 or more elements; ids are int64")
+    return size
 
 
 def id_to_set(eid: int) -> frozenset[int]:
@@ -207,7 +215,8 @@ class BooleanLattice(Poset):
             raise ParameterError(f"boolean lattice needs n >= 1, got {n}")
         self.n = n
         self.kind = f"boolean:{n}"
-        self.ground_size = 1 << n
+        self.ground_size = _ground(1 << min(n, 63),
+                                   f"boolean lattice with n={n}")
 
     def _leq_index(self, i, j):
         return (i | j) == j
@@ -254,7 +263,9 @@ class _Multisets(Poset):
         self.n = n
         self.m = m
         self.kind = f"{name}:{n}:{m}"
-        self.ground_size = m**n - self.id_offset
+        # m**64 - 1 >= 2**63 already, so a larger n is refused uncomputed
+        self.ground_size = _ground(m ** min(n, 64) - self.id_offset,
+                                   f"{name} poset with n={n}, m={m}")
 
     def _digits_at(self, i) -> list:
         """Digit t of the id at index i, for each t in [n]: the multiplicity
@@ -320,14 +331,14 @@ class MultisetSingletonPoset(_Multisets):
 
     def _up_rows(self, idx: np.ndarray) -> np.ndarray:
         # only singleton types have nonempty up-sets, built in one (types x
-        # N) test; its large freed temporary also lifts glibc's trim
-        # threshold above the verifier's per-block temporaries
+        # N) test, run only when idx holds one
         rows = np.zeros((idx.size, (self.ground_size + 63) // 64), np.uint64)
         cols = self._types[0]
         s = np.searchsorted(cols, idx).clip(max=cols.size - 1)
         hit = np.flatnonzero(cols[s] == idx)
-        every = np.arange(self.ground_size)
-        rows[hit] = _pack(self._above(every, s[hit, None]))
+        if hit.size:
+            every = np.arange(self.ground_size)
+            rows[hit] = _pack(self._above(every, s[hit, None]))
         return rows
 
     def _down_rows(self, idx: np.ndarray) -> np.ndarray:
@@ -360,7 +371,7 @@ class Chain(Poset):
         if k < 1:
             raise ParameterError(f"chain needs k >= 1, got {k}")
         self.kind = f"chain:{k}"
-        self.ground_size = k
+        self.ground_size = _ground(k, f"chain with k={k}")
 
     def _leq_index(self, i, j):
         return i <= j
@@ -380,7 +391,7 @@ class Antichain(Poset):
         if k < 1:
             raise ParameterError(f"antichain needs k >= 1, got {k}")
         self.kind = f"antichain:{k}"
-        self.ground_size = k
+        self.ground_size = _ground(k, f"antichain with k={k}")
 
     def _leq_index(self, i, j):
         return i == j
@@ -400,7 +411,7 @@ class ProductPoset(Poset):
         self.p = p
         self.q = q
         self.kind = f"product({p.kind},{q.kind})"
-        self.ground_size = p.ground_size * q.ground_size
+        self.ground_size = _ground(p.ground_size * q.ground_size, self.kind)
 
     def _leq_index(self, i, j):
         size = self.p.ground_size

@@ -121,7 +121,7 @@ class RealizerFamily:
 _ONE = np.uint64(1)
 
 # Rows per block in the member scan and the pair checks, so that the only
-# whole N x W arrays the verifier holds are ``up``, ``earlier`` and ``later``.
+# whole N x W arrays the verifier holds are ``earlier`` and ``later``.
 _ROW_BLOCK = 256
 
 
@@ -186,17 +186,16 @@ def _member_indices(P: Poset, ple: Ple, i: int,
     return arr[np.sort(first_pos)]
 
 
-def _scan_member(P: Poset, up_rows, arr: np.ndarray, i: int,
-                 log: _ViolationLog):
-    """Scan member i's deduplicated placements ``arr`` in row blocks;
-    ``up_rows(block)`` gives the packed strict up-sets of a block's elements.
-    Logs the block's order violations, then yields the block and its
-    ``_placed_so_far`` rows, which carry over from the previous block."""
+def _scan_member(P: Poset, arr: np.ndarray, i: int, log: _ViolationLog):
+    """Scan member i's deduplicated placements ``arr`` in row blocks, each
+    against the packed strict up-sets of its elements.  Logs the block's
+    order violations, then yields the block and its ``_placed_so_far``
+    rows, which carry over from the previous block."""
     carry = np.uint64(0)
     order = None
     for start in range(0, arr.size, _ROW_BLOCK):
         block = arr[start:start + _ROW_BLOCK]
-        up = up_rows(block)  # first, so an oversize poset is refused early
+        up = P.up_rows(block)  # first, so an oversize poset is refused early
         placed = _placed_so_far(block, carry, up.shape[1])
         # b placed before block[q] although block[q] < b in P
         room = max(log.cap - log.totals[ORDER_VIOLATION_IN_PLE], 0)
@@ -245,7 +244,7 @@ def validate_ple(P: Poset, ple: Sequence[int],
     log = _ViolationLog(max_violations_per_kind)
     if ple:
         arr = _member_indices(P, ple, 0, log)
-        for _ in _scan_member(P, P.up_rows, arr, 0, log):
+        for _ in _scan_member(P, arr, 0, log):
             pass
     return VerificationReport(
         accepted=log.clean,
@@ -269,21 +268,22 @@ def verify_local_realizer(P: Poset, family,
 
     Pair bookkeeping is bit-packed: a set of elements is a row of
     W = ceil(N/64) uint64 words, element index j at bit j % 64 of word
-    j // 64, so each N-row matrix below takes N*W*8 bytes.  ``up`` holds
-    each element's strict up-set, from ``P.up_rows()``, which the built-in
-    kinds pack straight from their structure.  Each member is scanned once,
-    in blocks of rows: OR-accumulating one-hot rows of its deduplicated
-    placements gives, for each position q, the elements placed at or before
-    q; AND-ed with the up-set of the element at q, that is q's order
-    violations.  The same rows are OR-ed into ``earlier`` (placed before x
-    in some member) and their complement within the member into ``later``.
-    These three are the only N-row matrices.  The pair checks then run on
-    blocks of rows as word operations (never witnessed ``up & ~later``,
-    reversed ``up & earlier``, never co-occurring ``incomparable & ~(earlier
-    | later)``, one-sided ``incomparable & (earlier ^ later)``), where a
-    block's incomparable pairs a < b in index order come from its rows of
-    ``P.down_rows()`` and ``up``; coordinates are decoded only from nonzero
-    rows.
+    j // 64, so each N-row matrix below takes N*W*8 bytes.  The order is
+    read only as the strict up- and down-sets of a block of rows at a time,
+    from ``P.up_rows(block)`` and ``P.down_rows(block)``, which the
+    built-in kinds pack straight from their structure.  Each member is
+    scanned once, in blocks of rows: OR-accumulating one-hot rows of its
+    deduplicated placements gives, for each position q, the elements placed
+    at or before q; AND-ed with the up-set of the element at q, that is q's
+    order violations.  The same rows are OR-ed into ``earlier`` (placed
+    before x in some member) and their complement within the member into
+    ``later``.  These two are the only N-row matrices, allocated once the
+    packed-byte budget has admitted P.  The pair checks then run on blocks
+    of rows as word operations (never witnessed ``up & ~later``, reversed
+    ``up & earlier``, never co-occurring ``incomparable & ~(earlier |
+    later)``, one-sided ``incomparable & (earlier ^ later)``), where a
+    block's incomparable pairs a < b in index order come from its up and
+    down rows; coordinates are decoded only from nonzero rows.
 
     The capped violations listed for each kind are the first ones in this
     order: duplicates by member, then element index; order violations by
@@ -296,16 +296,16 @@ def verify_local_realizer(P: Poset, family,
     N = P.ground_size
     log = _ViolationLog(max_violations_per_kind)
 
-    up = P.up_rows()
-    earlier = np.zeros_like(up)
-    later = np.zeros_like(up)
+    P._packed_indices(None)  # the budget, before any N-row array
+    earlier = np.zeros((N, (N + 63) // 64), dtype=np.uint64)
+    later = np.zeros_like(earlier)
     occurrences = np.zeros(N, dtype=np.int64)
     for i, ple in enumerate(family.ples):
         arr = _member_indices(P, ple, i, log)
         occurrences[arr] += 1
-        member = np.zeros(up.shape[1], dtype=np.uint64)
+        member = np.zeros(earlier.shape[1], dtype=np.uint64)
         np.bitwise_or.at(member, arr >> 6, _ONE << (arr & 63).astype(np.uint64))
-        for block, placed in _scan_member(P, up.__getitem__, arr, i, log):
+        for block, placed in _scan_member(P, arr, i, log):
             earlier[block] |= placed  # sets the diagonal too, which no mask reads
             later[block] |= member & ~placed
 
@@ -329,11 +329,11 @@ def verify_local_realizer(P: Poset, family,
         index_order = Chain(N)  # its strict up-sets: the pairs a < b by index
         for start in range(0, N, _ROW_BLOCK):
             stop = min(start + _ROW_BLOCK, N)
-            up_b, earlier_b, later_b = (up[start:stop], earlier[start:stop],
-                                        later[start:stop])
             rows = np.arange(start, stop)
+            up_b, earlier_b, later_b = (P.up_rows(rows), earlier[start:stop],
+                                        later[start:stop])
             incomparable = index_order.up_rows(rows) & ~(up_b | P.down_rows(rows))
-            # comparable pairs, oriented a < b in P by construction of `up`
+            # comparable pairs, oriented a < b in P by construction of `up_b`
             collect(COMPARABLE_PAIR_NEVER_WITNESSED, start, up_b & ~later_b)
             collect(COMPARABLE_PAIR_REVERSED, start, up_b & earlier_b)
             collect(PAIR_NEVER_CO_OCCURS, start,

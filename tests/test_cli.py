@@ -101,6 +101,24 @@ def test_build_refuses_oversize_poset_before_building(capsys):
         assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("spec", ["boolean:100000", "multiset:20000:3",
+                                  "singleton:20000"])
+def test_huge_poset_spec_is_usage_error(capsys, tmp_path, spec):
+    path = tmp_path / "one.orders"
+    path.write_text("1\n")
+    for argv in (("verify", "--orders", str(path)), ("build",),
+                 ("encode", "--k", "1", "--d", "1"), ("ldim",)):
+        code, out, err = run(capsys, *argv, "--poset", spec)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("ERROR:usage: ") and err.endswith(
+            " would have 2^63 or more elements; ids are int64\n")
+    code, out, err = run(capsys, "analyze", "signature", "--n", "20000",
+                         "--m", "3", "--orders", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("ERROR:usage: signature audit is limited to m^n <= 256, "
+                   "got 3^20000\n")
+
+
 def test_out_of_range_orders_is_input_error(capsys, tmp_path):
     path = tmp_path / "bad.orders"
     path.write_text("0 9\n")
@@ -216,6 +234,17 @@ def test_solve_offline_sat_model(capsys, tmp_path):
     assert code == 3 and err.startswith("ERROR:internal:") and out == ""
 
 
+def test_solve_model_refuses_d_below_one(capsys, tmp_path):
+    model = tmp_path / "model.txt"
+    model.write_text("s SATISFIABLE\nv 1 -2 3 4 0\n")
+    code, out, err = run(capsys, "solve", "--poset", "chain:2",
+                         "--k", "1", "--d", "0", "--model", str(model))
+    assert (code, out, err) == (2, "", "ERROR:usage: need d >= 1, got 0\n")
+    code, out, err = run(capsys, "solve", "--poset", "chain:2",
+                         "--k", "1", "--d", "1", "--model", str(model))
+    assert code == 0 and "frequency: 1" in err
+
+
 def test_solve_model_with_non_integer_literal(capsys, tmp_path):
     model = tmp_path / "model.txt"
     model.write_text("s SATISFIABLE\nv 1 x 0\n")
@@ -284,6 +313,16 @@ def test_analyze_signature(capsys, tmp_path):
                          "--m", "2", "--orders", str(path))
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_analyze_signature_of_a_non_realizer_is_input_error(capsys,
+                                                           tmp_path):
+    path = tmp_path / "fam.orders"
+    path.write_text("3\n")
+    code, out, err = run(capsys, "analyze", "signature", "--n", "2",
+                         "--m", "2", "--orders", str(path))
+    assert (code, out) == (2, "")
+    assert err == "ERROR:input: family is not a valid local realizer\n"
 
 
 def test_tables(capsys, tmp_path):

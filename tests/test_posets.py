@@ -259,6 +259,23 @@ def test_build_poset_specs():
             build_poset(bad)
 
 
+def test_ground_sets_of_2_63_or_more_are_refused():
+    # ids are int64; the sizes at the edge are computed, the rest refused
+    # without computing 2^n or m^n
+    assert BooleanLattice(62).ground_size == 1 << 62
+    assert SingletonPoset(63).ground_size == (1 << 63) - 1
+    assert MultisetLattice(39, 3).ground_size == 3 ** 39
+    assert Chain((1 << 63) - 1).ground_size == (1 << 63) - 1
+    for make in (lambda: BooleanLattice(63), lambda: SingletonPoset(64),
+                 lambda: MultisetLattice(40, 3),
+                 lambda: MultisetSingletonPoset(20000, 3),
+                 lambda: BooleanLattice(100000), lambda: Chain(1 << 63),
+                 lambda: Antichain(1 << 63),
+                 lambda: ProductPoset(BooleanLattice(40), Chain(1 << 23))):
+        with pytest.raises(ParameterError, match="2\\^63 or more elements"):
+            make()
+
+
 def test_range_errors():
     P = BooleanLattice(2)
     with pytest.raises(RangeError):
