@@ -6,6 +6,7 @@ audit that certifies the interval argument on concrete realizers.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import combinations, groupby
 from math import ceil, log2
@@ -185,14 +186,26 @@ def multiset_lower_bound(n: int, m: int) -> BoundReport:
 
 
 def min_m_certifying(n: int) -> int:
-    """Smallest m for which multiset_lower_bound(n, m) is certifying."""
+    """Smallest m for which multiset_lower_bound(n, m) is certifying.
+
+    m has about n log2(3 n^2) bits, so the search is refused with
+    ParameterError once its upper end passes the decimal digits that
+    ``sys.get_int_max_str_digits()`` lets an int print with (n >= 699 at
+    the default 4300)."""
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
     if multiset_lower_bound(n, 2).certifying:
         return 2
+    digits = sys.get_int_max_str_digits()  # 0: no limit
+    too_long = 10 ** digits if digits else None
     lo, hi = 2, 4
     while not multiset_lower_bound(n, hi).certifying:
         lo, hi = hi, hi * 2
+        if too_long is not None and hi >= too_long:
+            raise ParameterError(
+                f"min-m for n={n}: the search passed m of more than {digits} "
+                "decimal digits, the int printing limit "
+                "(sys.get_int_max_str_digits())")
     while hi - lo > 1:  # invariant: lo not certifying, hi certifying
         mid = (lo + hi) // 2
         if multiset_lower_bound(n, mid).certifying:

@@ -31,8 +31,8 @@ _MATRIX_CELL_LIMIT = 1 << 30
 
 # Packed order rows: a set of elements is a row of W = ceil(N/64) uint64
 # words, element index j at bit j % 64 of word j // 64.  One array of rows
-# may take at most 256 MB: the verifier holds two N x W arrays, 128 MB each
-# on boolean:15; boolean:16 would need 512 MB each.
+# may take at most 256 MB: the verifier holds one N x W array, 128 MB on
+# boolean:15; boolean:16 would need 512 MB.
 _PACKED_BYTE_LIMIT = 1 << 28
 _ONE = np.uint64(1)
 

@@ -121,17 +121,48 @@ class RealizerFamily:
 _ONE = np.uint64(1)
 
 # Rows per block in the member scan and the pair checks, so that the only
-# whole N x W arrays the verifier holds are ``earlier`` and ``later``.
+# whole N x W array the verifier holds is ``earlier``.
 _ROW_BLOCK = 256
 
+# The swap steps of a 64 x 64 bit transpose (Hacker's Delight, 7-3): step s
+# swaps bit c + s of row r with bit c of row r + s, where r and c have bit s
+# clear (``mask`` keeps those c).
+_SWAPS = tuple((np.uint64(s), np.uint64(mask)) for s, mask in (
+    (32, 0x00000000FFFFFFFF), (16, 0x0000FFFF0000FFFF),
+    (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
+    (2, 0x3333333333333333), (1, 0x5555555555555555)))
 
-def _placed_so_far(arr: np.ndarray, carry, words: int) -> np.ndarray:
-    """Row q: the packed set of elements arr[0..q], plus the set ``carry``,
-    in rows of ``words`` words."""
-    placed = np.zeros((arr.size, words), dtype=np.uint64)
-    placed[np.arange(arr.size), arr >> 6] = _ONE << (arr & 63).astype(np.uint64)
-    placed[0] |= carry
-    return np.bitwise_or.accumulate(placed, axis=0, out=placed)
+
+def _placed_so_far(arr: np.ndarray, carry, out: np.ndarray) -> np.ndarray:
+    """Row q of ``out``: the packed set of elements arr[0..q], plus the set
+    ``carry``."""
+    out[:] = 0
+    out[np.arange(arr.size), arr >> 6] = _ONE << (arr & 63).astype(np.uint64)
+    out[0] |= carry
+    return np.bitwise_or.accumulate(out, axis=0, out=out)
+
+
+def _transposed_rows(matrix: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the bit transpose of a packed matrix whose rows
+    are padded with zero rows to a whole number of 64-row tiles: row r of
+    the result has bit c set iff row c of ``matrix`` has bit r set."""
+    W = matrix.shape[1]
+    first, k = start >> 6, ((stop - 1) >> 6) + 1 - (start >> 6)
+    # tiles[i, t, j]: word first + j of row 64 t + i
+    strip = matrix[:, first:first + k].reshape(W, 64, k)
+    tiles = strip.transpose(1, 0, 2).copy()
+    swap = np.empty(32 * W * k, dtype=np.uint64)
+    for s, mask in _SWAPS:
+        lo, hi = tiles.reshape(-1, 2, int(s) * W * k).transpose(1, 0, 2)
+        diff = np.right_shift(lo, s, out=swap.reshape(lo.shape))
+        diff ^= hi
+        diff &= mask
+        hi ^= diff
+        diff <<= s
+        lo ^= diff
+    # now bit i of tiles[b, t, j] is bit 64 (first + j) + b of row 64 t + i
+    rows = tiles.transpose(2, 0, 1).reshape(64 * k, W)
+    return rows[start & 63:(start & 63) + stop - start]
 
 
 def _set_bits(mask: np.ndarray, cap: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -192,14 +223,19 @@ def _scan_member(P: Poset, arr: np.ndarray, i: int, log: _ViolationLog):
     order violations, then yields the block and its ``_placed_so_far``
     rows, which carry over from the previous block."""
     carry = np.uint64(0)
-    order = None
+    order = placed_buf = hits = None
     for start in range(0, arr.size, _ROW_BLOCK):
         block = arr[start:start + _ROW_BLOCK]
         up = P.up_rows(block)  # first, so an oversize poset is refused early
-        placed = _placed_so_far(block, carry, up.shape[1])
+        if placed_buf is None:  # reused by every block of the member
+            placed_buf = np.empty((min(arr.size, _ROW_BLOCK), up.shape[1]),
+                                  dtype=np.uint64)
+            hits = np.empty_like(placed_buf)
+        placed = _placed_so_far(block, carry, placed_buf[:block.size])
         # b placed before block[q] although block[q] < b in P
         room = max(log.cap - log.totals[ORDER_VIOLATION_IN_PLE], 0)
-        count, q, b = _set_bits(placed & up, room)
+        count, q, b = _set_bits(
+            np.bitwise_and(placed, up, out=hits[:block.size]), room)
         del up  # not held while the caller works on the block
         if q.size:
             if order is None:
@@ -212,7 +248,7 @@ def _scan_member(P: Poset, arr: np.ndarray, i: int, log: _ViolationLog):
             count -= listed.size
         log.totals[ORDER_VIOLATION_IN_PLE] += count
         yield block, placed
-        carry = placed[-1]
+        carry = placed[-1].copy()  # the next block overwrites ``placed``
 
 
 def _first_reversing_members(P: Poset, family: RealizerFamily,
@@ -268,7 +304,7 @@ def verify_local_realizer(P: Poset, family,
 
     Pair bookkeeping is bit-packed: a set of elements is a row of
     W = ceil(N/64) uint64 words, element index j at bit j % 64 of word
-    j // 64, so each N-row matrix below takes N*W*8 bytes.  The order is
+    j // 64, so the N-row matrix below takes about N*W*8 bytes.  The order is
     read only as the strict up- and down-sets of a block of rows at a time,
     from ``P.up_rows(block)`` and ``P.down_rows(block)``, which the
     built-in kinds pack straight from their structure.  Each member is
@@ -276,10 +312,12 @@ def verify_local_realizer(P: Poset, family,
     deduplicated placements gives, for each position q, the elements placed
     at or before q; AND-ed with the up-set of the element at q, that is q's
     order violations.  The same rows are OR-ed into ``earlier`` (placed
-    before x in some member) and their complement within the member into
-    ``later``.  These two are the only N-row matrices, allocated once the
-    packed-byte budget has admitted P.  The pair checks then run on blocks
-    of rows as word operations (never witnessed ``up & ~later``, reversed
+    at or before x in some member), the only N-row matrix, allocated once
+    the packed-byte budget has admitted P.  ``later`` (placed after x in
+    some member) is its bit transpose off the diagonal, built for one block
+    of rows at a time from a column strip of ``earlier`` by 64 x 64 bit
+    tile transposes.  The pair checks then run on blocks of rows as word
+    operations (never witnessed ``up & ~later``, reversed
     ``up & earlier``, never co-occurring ``incomparable & ~(earlier |
     later)``, one-sided ``incomparable & (earlier ^ later)``), where a
     block's incomparable pairs a < b in index order come from its up and
@@ -296,18 +334,15 @@ def verify_local_realizer(P: Poset, family,
     N = P.ground_size
     log = _ViolationLog(max_violations_per_kind)
 
-    P._packed_indices(None)  # the budget, before any N-row array
-    earlier = np.zeros((N, (N + 63) // 64), dtype=np.uint64)
-    later = np.zeros_like(earlier)
+    P._packed_indices(None)  # the budget, before the N-row array
+    W = (N + 63) // 64
+    earlier = np.zeros((64 * W, W), dtype=np.uint64)  # whole 64-row tiles
     occurrences = np.zeros(N, dtype=np.int64)
     for i, ple in enumerate(family.ples):
         arr = _member_indices(P, ple, i, log)
         occurrences[arr] += 1
-        member = np.zeros(earlier.shape[1], dtype=np.uint64)
-        np.bitwise_or.at(member, arr >> 6, _ONE << (arr & 63).astype(np.uint64))
         for block, placed in _scan_member(P, arr, i, log):
             earlier[block] |= placed  # sets the diagonal too, which no mask reads
-            later[block] |= member & ~placed
 
     if N == 1:
         lone = P.id_at(0)
@@ -330,8 +365,10 @@ def verify_local_realizer(P: Poset, family,
         for start in range(0, N, _ROW_BLOCK):
             stop = min(start + _ROW_BLOCK, N)
             rows = np.arange(start, stop)
+            # later[a] holds b iff some member places b after a: for a != b,
+            # that is bit a of earlier[b]
             up_b, earlier_b, later_b = (P.up_rows(rows), earlier[start:stop],
-                                        later[start:stop])
+                                        _transposed_rows(earlier, start, stop))
             incomparable = index_order.up_rows(rows) & ~(up_b | P.down_rows(rows))
             # comparable pairs, oriented a < b in P by construction of `up_b`
             collect(COMPARABLE_PAIR_NEVER_WITNESSED, start, up_b & ~later_b)

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -295,6 +296,18 @@ def test_analyze_min_m(capsys):
     code, out, err = run(capsys, "analyze", "min-m", "--n", "2")
     assert code == 0
     assert json.loads(out)["m"] == 25
+
+
+@pytest.mark.parametrize("n", ["700", "20000"])
+def test_analyze_min_m_refuses_unprintable_m(capsys, n):
+    # m for n = 700 has about 4320 digits, past the default 4300 that an
+    # int prints with; n = 20000 would bisect over about 600,000 bits
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "min-m", "--n", n)
+    assert time.perf_counter() - start < 10
+    assert code == 2 and out == ""
+    assert err.startswith("ERROR:usage: min-m for n=")
+    assert "Traceback" not in err
 
 
 def test_analyze_turan(capsys):
