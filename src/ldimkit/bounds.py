@@ -194,11 +194,9 @@ def min_m_certifying(n: int) -> int:
     the default 4300)."""
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
-    if multiset_lower_bound(n, 2).certifying:
-        return 2
     digits = sys.get_int_max_str_digits()  # 0: no limit
     too_long = 10 ** digits if digits else None
-    lo, hi = 2, 4
+    lo, hi = 2, 4  # m = 2 never certifies: its bound < n / log2(6n^2) < n - 1
     while not multiset_lower_bound(n, hi).certifying:
         lo, hi = hi, hi * 2
         if too_long is not None and hi >= too_long:

@@ -36,6 +36,10 @@ _MATRIX_CELL_LIMIT = 1 << 30
 _PACKED_BYTE_LIMIT = 1 << 28
 _ONE = np.uint64(1)
 
+# Rows per block wherever order rows are built or read for many elements,
+# so that the only N-row array ever held is the verifier's ``earlier``.
+_ROW_BLOCK = 256
+
 
 def _ground(size: int, what: str) -> int:
     """``size``, refused with ParameterError from 2^63 on: ids are int64."""
@@ -166,11 +170,11 @@ class Poset:
         them by default): bit j of row r is set iff id_at(idx[r]) <
         id_at(j).  Refused with ParameterError above the packed-byte budget,
         before anything is allocated."""
-        return self._up_rows(self._packed_indices(idx))
+        return self._rows(self._packed_indices(idx), up=True)
 
     def down_rows(self, idx=None) -> np.ndarray:
         """Packed strict down-sets, laid out as in ``up_rows``."""
-        return self._down_rows(self._packed_indices(idx))
+        return self._rows(self._packed_indices(idx), up=False)
 
     def _packed_indices(self, idx) -> np.ndarray:
         rows = self.ground_size if idx is None else len(idx)
@@ -182,25 +186,20 @@ class Poset:
             return np.arange(self.ground_size)
         return np.asarray(idx, dtype=np.int64)
 
-    # Kinds without structural rows pack their order predicate.
-    def _up_rows(self, idx: np.ndarray) -> np.ndarray:
-        return self._predicate_rows(idx, up=True)
-
-    def _down_rows(self, idx: np.ndarray) -> np.ndarray:
-        return self._predicate_rows(idx, up=False)
-
-    def _predicate_rows(self, idx: np.ndarray, up: bool) -> np.ndarray:
-        """``_leq_index`` packed 256 rows at a time, on int32 indices: int64
-        ones double the per-block temporaries and about double the time of
-        the multiset predicates."""
+    def _rows(self, idx: np.ndarray, up: bool) -> np.ndarray:
+        """The packed strict up-sets (``up``) or down-sets of the elements at
+        indices ``idx``; kinds with structural rows state them here.  This
+        one packs ``_leq_index`` ``_ROW_BLOCK`` rows at a time, on int32
+        indices: int64 ones double the per-block temporaries and about
+        double the time of the multiset predicates."""
         self._check_cells()
         cols = np.arange(self.ground_size, dtype=np.int32)
         rows = np.empty((idx.size, (self.ground_size + 63) // 64), np.uint64)
-        for start in range(0, idx.size, 256):
-            block = idx[start:start + 256, None].astype(np.int32)
+        for start in range(0, idx.size, _ROW_BLOCK):
+            block = idx[start:start + _ROW_BLOCK, None].astype(np.int32)
             bits = (self._leq_index(block, cols) if up
                     else self._leq_index(cols, block))
-            rows[start:start + 256] = _pack(bits)
+            rows[start:start + _ROW_BLOCK] = _pack(bits)
         return _clear_diagonal(rows, idx)
 
     def __repr__(self) -> str:
@@ -221,13 +220,7 @@ class BooleanLattice(Poset):
     def _leq_index(self, i, j):
         return (i | j) == j
 
-    def _up_rows(self, idx: np.ndarray) -> np.ndarray:
-        return self._inclusion_rows(idx, up=True)
-
-    def _down_rows(self, idx: np.ndarray) -> np.ndarray:
-        return self._inclusion_rows(idx, up=False)
-
-    def _inclusion_rows(self, idx: np.ndarray, up: bool) -> np.ndarray:
+    def _rows(self, idx: np.ndarray, up: bool) -> np.ndarray:
         """Column y = 64 w + b lies above x iff x >> 6 is a subset of w and
         x & 63 of b, so word w of x's up row is a 64-entry table at x & 63
         when x >> 6 is a subset of w, and 0 otherwise; down rows swap the
@@ -329,24 +322,21 @@ class MultisetSingletonPoset(_Multisets):
         single = cols[np.searchsorted(cols, i).clip(max=cols.size - 1)] == i
         return ((i + 1) % (self.m * power[k]) >= c[k] * power[k]) & ~single
 
-    def _up_rows(self, idx: np.ndarray) -> np.ndarray:
-        # only singleton types have nonempty up-sets, built in one (types x
-        # N) test, run only when idx holds one
+    def _rows(self, idx: np.ndarray, up: bool) -> np.ndarray:
         rows = np.zeros((idx.size, (self.ground_size + 63) // 64), np.uint64)
         cols = self._types[0]
-        s = np.searchsorted(cols, idx).clip(max=cols.size - 1)
-        hit = np.flatnonzero(cols[s] == idx)
-        if hit.size:
-            every = np.arange(self.ground_size)
-            rows[hit] = _pack(self._above(every, s[hit, None]))
-        return rows
-
-    def _down_rows(self, idx: np.ndarray) -> np.ndarray:
+        if up:
+            # only singleton types have nonempty up-sets, built in one (types
+            # x N) test, run only when idx holds one
+            s = np.searchsorted(cols, idx).clip(max=cols.size - 1)
+            hit = np.flatnonzero(cols[s] == idx)
+            if hit.size:
+                every = np.arange(self.ground_size)
+                rows[hit] = _pack(self._above(every, s[hit, None]))
+            return rows
         # held[r, k]: the element at idx[r] lies above type k (column cols[k])
-        cols = self._types[0]
         held = self._above(idx[:, None], np.arange(cols.size))
         words, first = np.unique(cols >> 6, return_index=True)
-        rows = np.zeros((idx.size, (self.ground_size + 63) // 64), np.uint64)
         rows[:, words] = np.bitwise_or.reduceat(
             held.astype(np.uint64) << (cols & 63).astype(np.uint64), first,
             axis=1)
@@ -376,12 +366,11 @@ class Chain(Poset):
     def _leq_index(self, i, j):
         return i <= j
 
-    def _up_rows(self, idx: np.ndarray) -> np.ndarray:
+    def _rows(self, idx: np.ndarray, up: bool) -> np.ndarray:
         n = self.ground_size
-        return _index_prefix(np.array([n]), n) & ~_index_prefix(idx + 1, n)
-
-    def _down_rows(self, idx: np.ndarray) -> np.ndarray:
-        return _index_prefix(idx, self.ground_size)
+        if up:
+            return _index_prefix(np.array([n]), n) & ~_index_prefix(idx + 1, n)
+        return _index_prefix(idx, n)
 
 
 class Antichain(Poset):
@@ -396,10 +385,8 @@ class Antichain(Poset):
     def _leq_index(self, i, j):
         return i == j
 
-    def _up_rows(self, idx: np.ndarray) -> np.ndarray:
+    def _rows(self, idx: np.ndarray, up: bool) -> np.ndarray:
         return np.zeros((idx.size, (self.ground_size + 63) // 64), np.uint64)
-
-    _down_rows = _up_rows
 
 
 class ProductPoset(Poset):
@@ -423,11 +410,11 @@ def canonical_linear_extension(p: Poset) -> list[int]:
     """Deterministic total order extending p: ids by the size of their
     strict down-set, then by id.  a < b in p makes down(a) a proper subset
     of down(b), so this extends every order.  The sizes are counted from
-    ``down_rows`` 256 rows at a time, so that no N-row array is held."""
+    ``down_rows`` a block of rows at a time, so that no N-row array is held."""
     n = p.ground_size
     sizes = np.concatenate([
-        np.bitwise_count(p.down_rows(np.arange(s, min(s + 256, n)))).sum(1)
-        for s in range(0, n, 256)])
+        np.bitwise_count(p.down_rows(range(s, min(s + _ROW_BLOCK, n)))).sum(1)
+        for s in range(0, n, _ROW_BLOCK)])
     return (np.argsort(sizes, kind="stable") + p.id_offset).tolist()
 
 

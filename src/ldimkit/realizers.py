@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .posets import BooleanLattice, Chain, Poset, canonical_linear_extension
+from .posets import (_ONE, _ROW_BLOCK, BooleanLattice, Chain, Poset,
+                     canonical_linear_extension)
 
 Ple = tuple[int, ...]
 
@@ -118,12 +119,6 @@ class RealizerFamily:
         return f"<RealizerFamily size={self.size} frequency={self.frequency}>"
 
 
-_ONE = np.uint64(1)
-
-# Rows per block in the member scan and the pair checks, so that the only
-# whole N x W array the verifier holds is ``earlier``.
-_ROW_BLOCK = 256
-
 # The swap steps of a 64 x 64 bit transpose (Hacker's Delight, 7-3): step s
 # swaps bit c + s of row r with bit c of row r + s, where r and c have bit s
 # clear (``mask`` keeps those c).
@@ -165,38 +160,41 @@ def _transposed_rows(matrix: np.ndarray, start: int, stop: int) -> np.ndarray:
     return rows[start & 63:(start & 63) + stop - start]
 
 
-def _set_bits(mask: np.ndarray, cap: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Number of set bits in a packed matrix, plus the (row, column) of every
+def _set_bits(mask: np.ndarray, cap: int) -> tuple[bool, np.ndarray, np.ndarray]:
+    """Whether a packed matrix has a set bit, plus the (row, column) of every
     set bit in its first nonzero rows, in row-major order: as many rows as
     it takes to hold ``cap`` bits."""
+    found = bool(mask.any())
+    if not found or cap <= 0:
+        return found, np.empty(0, np.intp), np.empty(0, np.intp)
     per_row = np.bitwise_count(mask).sum(axis=1)
-    count = int(per_row.sum())
-    if not count or cap <= 0:
-        return count, np.empty(0, np.intp), np.empty(0, np.intp)
     rows = np.flatnonzero(per_row)
     rows = rows[:np.searchsorted(np.cumsum(per_row[rows]), cap) + 1]
     bits = np.unpackbits(mask[rows].astype("<u8", copy=False).view(np.uint8),
                          axis=1, bitorder="little")
     r, cols = np.nonzero(bits)
-    return count, rows[r], cols
+    return True, rows[r], cols
 
 
 class _ViolationLog:
-    """Collects violations with a per-kind cap and total counts."""
+    """Lists at most ``cap`` violations of each kind; ``clean`` holds until
+    one is found, listed or not."""
 
     def __init__(self, cap: int):
         self.cap = cap
         self.items: list[Violation] = []
-        self.totals: dict[str, int] = {k: 0 for k in VIOLATION_KINDS}
+        self.listed: Counter = Counter()
+        self.clean = True
+
+    def room(self, kind: str) -> int:
+        """How many more violations of ``kind`` may be listed."""
+        return max(self.cap - self.listed[kind], 0)
 
     def add(self, kind: str, a: int, b: int, ple: int | None = None) -> None:
-        self.totals[kind] += 1
-        if self.totals[kind] <= self.cap:
+        self.clean = False
+        if self.room(kind):
+            self.listed[kind] += 1
             self.items.append(Violation(kind, a, b, ple))
-
-    @property
-    def clean(self) -> bool:
-        return not any(self.totals.values())
 
     def sorted_items(self) -> tuple[Violation, ...]:
         return tuple(sorted(
@@ -233,20 +231,18 @@ def _scan_member(P: Poset, arr: np.ndarray, i: int, log: _ViolationLog):
             hits = np.empty_like(placed_buf)
         placed = _placed_so_far(block, carry, placed_buf[:block.size])
         # b placed before block[q] although block[q] < b in P
-        room = max(log.cap - log.totals[ORDER_VIOLATION_IN_PLE], 0)
-        count, q, b = _set_bits(
+        room = log.room(ORDER_VIOLATION_IN_PLE)
+        found, q, b = _set_bits(
             np.bitwise_and(placed, up, out=hits[:block.size]), room)
         del up  # not held while the caller works on the block
+        log.clean &= not found
         if q.size:
             if order is None:
                 order = np.argsort(arr)
             p = order[np.searchsorted(arr, b, sorter=order)]
-            listed = np.lexsort((p, q))[:room]
-            for k in listed:
+            for k in np.lexsort((p, q))[:room]:
                 log.add(ORDER_VIOLATION_IN_PLE, P.id_at(int(block[q[k]])),
                         P.id_at(int(b[k])), i)
-            count -= listed.size
-        log.totals[ORDER_VIOLATION_IN_PLE] += count
         yield block, placed
         carry = placed[-1].copy()  # the next block overwrites ``placed``
 
@@ -349,17 +345,17 @@ def verify_local_realizer(P: Poset, family,
         if occurrences[0] == 0:
             log.add(PAIR_NEVER_CO_OCCURS, lone, lone)
     else:
-        # per pair kind: the (a, b) indices listed so far, and the count
-        listed = {kind: [] for kind in (
-            COMPARABLE_PAIR_NEVER_WITNESSED, COMPARABLE_PAIR_REVERSED,
-            PAIR_NEVER_CO_OCCURS, INCOMPARABLE_PAIR_ONE_SIDED)}
-        counts = dict.fromkeys(listed, 0)
+        def listed(start: int, mask: np.ndarray, room: int):
+            """The first ``room`` (a, b) index pairs of a block's ``mask``."""
+            found, rows, cols = _set_bits(mask, room)
+            log.clean &= not found
+            return zip((rows[:room] + start).tolist(), cols[:room].tolist())
 
         def collect(kind: str, start: int, mask: np.ndarray) -> None:
-            room = max(log.cap - len(listed[kind]), 0)
-            count, rows, cols = _set_bits(mask, room)
-            listed[kind] += zip((rows[:room] + start).tolist(), cols[:room].tolist())
-            counts[kind] += count
+            for ai, bi in listed(start, mask, log.room(kind)):
+                log.add(kind, P.id_at(ai), P.id_at(bi))
+
+        reversed_ = []  # listed reversed pairs, whose members are found last
 
         index_order = Chain(N)  # its strict up-sets: the pairs a < b by index
         for start in range(0, N, _ROW_BLOCK):
@@ -372,20 +368,16 @@ def verify_local_realizer(P: Poset, family,
             incomparable = index_order.up_rows(rows) & ~(up_b | P.down_rows(rows))
             # comparable pairs, oriented a < b in P by construction of `up_b`
             collect(COMPARABLE_PAIR_NEVER_WITNESSED, start, up_b & ~later_b)
-            collect(COMPARABLE_PAIR_REVERSED, start, up_b & earlier_b)
+            reversed_ += listed(start, up_b & earlier_b,
+                                log.cap - len(reversed_))
             collect(PAIR_NEVER_CO_OCCURS, start,
                     incomparable & ~(earlier_b | later_b))
             collect(INCOMPARABLE_PAIR_ONE_SIDED, start,
                     incomparable & (earlier_b ^ later_b))
 
-        reversing = _first_reversing_members(
-            P, family, listed[COMPARABLE_PAIR_REVERSED])
-        for kind, pairs in listed.items():
-            members = (reversing if kind == COMPARABLE_PAIR_REVERSED
-                       else [None] * len(pairs))
-            for (ai, bi), member in zip(pairs, members):
-                log.add(kind, P.id_at(ai), P.id_at(bi), member)
-            log.totals[kind] += counts[kind] - len(pairs)
+        for (ai, bi), member in zip(
+                reversed_, _first_reversing_members(P, family, reversed_)):
+            log.add(COMPARABLE_PAIR_REVERSED, P.id_at(ai), P.id_at(bi), member)
 
     return VerificationReport(
         accepted=log.clean,

@@ -1,4 +1,5 @@
 import json
+import shlex
 import sys
 import time
 import tracemalloc
@@ -189,6 +190,15 @@ def test_solve_sat_and_unsat(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["status"] == "sat" and payload["orders"] == [[0, 1]]
+    code, out, err = run(capsys, "solve", "--poset", "antichain:2",
+                         "--k", "1", "--d", "1", "--format", "json")
+    assert (code, json.loads(out), err) == (1, {"status": "unsat"}, "")
+    code, out, err = run(capsys, "solve", "--poset", "antichain:2",
+                         "--k", "2", "--d", "2", "--format", "json",
+                         "-o", str(out_path))
+    assert code == 0 and json.loads(out)["status"] == "sat"
+    assert (list(map(list, parse_orders_text(out_path.read_text())))
+            == json.loads(out)["orders"])
 
 
 def test_solve_offline_model(capsys, tmp_path):
@@ -253,6 +263,18 @@ def test_solve_model_with_non_integer_literal(capsys, tmp_path):
                          "--k", "1", "--d", "1", "--model", str(model))
     assert code == 3 and out == ""
     assert err == "ERROR:environment: model value 'x' is not an integer literal\n"
+
+
+def test_solver_answering_unknown(capsys):
+    unknown = f"{shlex.quote(sys.executable)} -c 'print(\"s UNKNOWN\")'"
+    code, out, err = run(capsys, "solve", "--poset", "chain:2",
+                         "--k", "1", "--d", "1", "--solver", unknown)
+    assert (code, out, err) == (1, "status: unknown\n", "")
+    code, out, err = run(capsys, "ldim", "--poset", "chain:2",
+                         "--solver", unknown)
+    assert code == 3 and out == ""
+    assert err == ("ERROR:environment: solver returned 'unknown' for "
+                   "chain:2, d=1\n")
 
 
 def test_solver_environment_error(capsys):

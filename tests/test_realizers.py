@@ -142,6 +142,20 @@ def test_violation_cap():
     rep = verify_local_realizer(A, [], max_violations_per_kind=10)
     assert len(rep.violations) == 10
     assert not rep.accepted
+    # at cap 0 nothing is listed, yet a fault of each kind still rejects:
+    # a duplicate, an order violation with its reversed pair, a comparable
+    # pair never witnessed, a pair never co-occurring, a one-sided pair, and
+    # the faulty variants of a built family
+    cases = [(Chain(2), [(0, 1, 1)]), (Chain(2), [(1, 0)]),
+             (Chain(2), [(0,), (1,)]), (Antichain(2), [(0,), (1,)]),
+             (Antichain(2), [(0, 1)])]
+    cases += [(BooleanLattice(4), f) for f in _faulty_variants(b4_family())[1:]]
+    for P, family in cases:
+        rep = verify_local_realizer(P, family, max_violations_per_kind=0)
+        assert not rep.accepted and rep.violations == ()
+        rep = validate_ple(P, family[0], max_violations_per_kind=0)
+        assert rep.accepted == validate_ple(P, family[0]).accepted
+        assert rep.violations == ()
 
 
 def test_build_standard_realizer():
@@ -250,8 +264,7 @@ def test_verify_reads_no_dense_matrix(monkeypatch, spec):
                 + [validate_ple(P, f[0]).to_json() for f in variants])
 
     with monkeypatch.context() as m:  # the rows packed from the predicate
-        m.setattr(type(P), "_up_rows", Poset._up_rows)
-        m.setattr(type(P), "_down_rows", Poset._down_rows)
+        m.setattr(type(P), "_rows", Poset._rows)
         expected = reports(build_poset(spec))
     assert json.loads(expected[0])["accepted"]
     assert not json.loads(expected[2])["accepted"]

@@ -195,6 +195,9 @@ def test_run_solver_round_trip(tmp_path):
     unsat = tmp_path / "unsat.cnf"
     unsat.write_text("p cnf 1 2\n1 0\n-1 0\n")
     assert run_solver(unsat, SATSHIM).status == "unsat"
+    # exit 20 with no status line stands for unsat
+    silent = [sys.executable, "-c", "import sys; sys.exit(20)"]
+    assert run_solver(unsat, silent).status == "unsat"
 
 
 def test_run_solver_environment_errors(tmp_path):
@@ -204,6 +207,8 @@ def test_run_solver_environment_errors(tmp_path):
         run_solver(cnf, ["/nonexistent/solver-binary"])
     with pytest.raises(SolverProtocolError):
         run_solver(cnf, [sys.executable, "-c", "print('hello')"])
+    with pytest.raises(SolverProtocolError, match="exited 10"):
+        run_solver(cnf, [sys.executable, "-c", "import sys; sys.exit(10)"])
     crash = "import sys; sys.stderr.write('no backend here\\n'); sys.exit(7)"
     with pytest.raises(SolverEnvironmentError,
                        match=r"exit 7\): no backend here"):
