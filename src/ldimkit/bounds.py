@@ -162,9 +162,6 @@ def turan_independence_floor(n: int, realizer_size: int) -> BoundReport:
     c = realizer_size / n
     floor = n / (2 * (c + 1))
     ell = n * n / ((2 * c + 1) * n + 2) + 1
-    if ell <= floor:
-        raise ContractError(
-            f"expected ell > floor, got ell={ell} floor={floor}")  # pragma: no cover
     return BoundReport(
         n=n, bound=floor, ceiling=ceil(floor), certifying=False,
         c=c, size=realizer_size, ell=ell, ell_ceiling=ceil(ell))

@@ -19,7 +19,7 @@ from math import ceil
 from pathlib import Path
 
 from .errors import (BoundExceededError, ContractError, DecodeError,
-                     FormatError, ParameterError, RangeError,
+                     FormatError, LdimkitError, ParameterError, RangeError,
                      SolverEnvironmentError, SolverProtocolError)
 
 
@@ -91,7 +91,7 @@ def _cmd_build(args) -> int:
         bound = f"frequency-bound: {fb}"
     report = verify_local_realizer(P, family)
     if not report.accepted:
-        raise ContractError(
+        raise DecodeError(
             f"built family fails verification for {P.kind}")  # pragma: no cover
     _emit_orders(args, family, [
         f"poset: {P.kind}", *head, f"frequency: {report.frequency}", bound,
@@ -201,11 +201,7 @@ def _cmd_analyze(args) -> int:
     # signature
     _require(args, what, "n", "m", "orders")
     family = RealizerFamily(read_orders_file(args.orders))
-    try:
-        report = signature_audit_report(args.n, args.m, family)
-    except ContractError as exc:  # the orders, not the program, are at fault
-        print(f"ERROR:input: {exc}", file=sys.stderr)
-        return 2
+    report = signature_audit_report(args.n, args.m, family)
     print(report.to_json(indent=2))
     return 0 if report.ok else 1
 
@@ -294,20 +290,17 @@ def main(argv=None) -> int:
     except (ParameterError, FormatError) as exc:
         print(f"ERROR:usage: {exc}", file=sys.stderr)
         return 2
-    except RangeError as exc:
+    except (ContractError, RangeError) as exc:
         print(f"ERROR:input: {exc}", file=sys.stderr)
         return 2
     except BoundExceededError as exc:
         print(f"ERROR:bound: {exc}", file=sys.stderr)
         return 1
-    except (SolverEnvironmentError, SolverProtocolError) as exc:
+    except (SolverEnvironmentError, SolverProtocolError, OSError) as exc:
         print(f"ERROR:environment: {exc}", file=sys.stderr)
         return 3
-    except (ContractError, DecodeError) as exc:
+    except LdimkitError as exc:  # DecodeError, or a class not named above
         print(f"ERROR:internal: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"ERROR:environment: {exc}", file=sys.stderr)
         return 3
 
 

@@ -23,8 +23,8 @@ class ContractError(LdimkitError):
 
 
 class DecodeError(LdimkitError):
-    """A SAT model could not be decoded into a consistent realizer family,
-    which signals a solver/encoding inconsistency."""
+    """A family the program produced, decoded or built, fails verification:
+    the program, not its input, is at fault."""
 
 
 class SolverEnvironmentError(LdimkitError):

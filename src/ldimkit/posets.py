@@ -124,7 +124,12 @@ class Poset:
 
     def indices_of(self, ids: Sequence[int]) -> np.ndarray:
         """Vectorized index_of with range validation."""
-        arr = np.asarray(ids, dtype=np.int64)
+        try:
+            arr = np.asarray(ids, dtype=np.int64)
+        except OverflowError:  # an id beyond int64: name the first bad one
+            for a in ids:
+                self.check_id(a)
+            raise
         if arr.size:
             lo = self.id_offset
             hi = lo + self.ground_size

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ParameterError
 from .posets import (_ONE, _ROW_BLOCK, BooleanLattice, Chain, Poset,
                      canonical_linear_extension)
 
@@ -206,7 +206,7 @@ def _member_indices(P: Poset, ple: Ple, i: int,
                     log: _ViolationLog) -> np.ndarray:
     """Element indices of member i, deduplicated, in placement order; each
     repeated element is logged once."""
-    arr = P.indices_of(np.asarray(ple, dtype=np.int64))
+    arr = P.indices_of(ple)
     uniq, first_pos, counts = np.unique(arr, return_index=True,
                                         return_counts=True)
     for idx in uniq[counts > 1]:
@@ -257,7 +257,7 @@ def _first_reversing_members(P: Poset, family: RealizerFamily,
         open_ = found < 0
         if not open_.any():
             break
-        arr = P.indices_of(np.asarray(ple, dtype=np.int64))
+        arr = P.indices_of(ple)
         if arr.size < 2:
             continue
         uniq, first = np.unique(arr, return_index=True)
@@ -387,8 +387,7 @@ def verify_local_realizer(P: Poset, family,
     )
 
 
-def lift_product(P: Poset, Q: Poset, family_p, family_q,
-                 check_inputs: bool = True) -> RealizerFamily:
+def lift_product(P: Poset, Q: Poset, family_p, family_q) -> RealizerFamily:
     """Combine local realizers of P and Q into one of ProductPoset(P, Q).
 
     Each member L of the P-family lifts to the order on
@@ -397,18 +396,11 @@ def lift_product(P: Poset, Q: Poset, family_p, family_q,
     Q-family lift symmetrically.  The result has size |F_P| + |F_Q| and
     frequency at most F_P.frequency + F_Q.frequency.
 
-    With ``check_inputs`` (the default) both input families are verified
-    first and a failing one raises ContractError; pass False only for
-    families already known to be local realizers of their factor.
+    The inputs are not verified here: the result is a local realizer when
+    both inputs are, so callers verify what they pass in, or the lifted
+    family, once.
     """
     family_p, family_q = RealizerFamily(family_p), RealizerFamily(family_q)
-    if check_inputs:
-        for poset, fam, side in ((P, family_p, "P"), (Q, family_q, "Q")):
-            report = verify_local_realizer(poset, fam)
-            if not report.accepted:
-                raise ContractError(
-                    f"input family for factor {side} ({poset.kind}) fails "
-                    f"verification with {len(report.violations)} violation(s)")
     np_size = P.ground_size
     canon_p = [P.index_of(a) for a in canonical_linear_extension(P)]
     canon_q = [Q.index_of(a) for a in canonical_linear_extension(Q)]
@@ -467,7 +459,6 @@ def build_bn_realizer(n: int) -> RealizerFamily:
     # same ids: the lifted id px + 2**p * qy is the bitmask of the joined set
     poset, family = factors[0]
     for q_poset, q_family in factors[1:]:
-        family = lift_product(poset, q_poset, family, q_family,
-                              check_inputs=False)
+        family = lift_product(poset, q_poset, family, q_family)
         poset = BooleanLattice(poset.n + q_poset.n)
     return family

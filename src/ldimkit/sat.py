@@ -223,7 +223,7 @@ class CnfFormula:
 
 @dataclass(frozen=True)
 class SolverResult:
-    status: str  # "sat" | "unsat" | "unknown"
+    status: str  # "sat" | "unsat": any other answer is refused on parsing
     # the true variables, an int64 array: results are never compared
     model: np.ndarray | None = None
 
@@ -254,8 +254,7 @@ def iter_clauses(P: Poset, k: int, d: int, symmetry_break: bool = False
     clauses, in encode's order, so a solver can take them without a list of
     lists.  Refused with ParameterError above 2**24 clauses, before any
     N x N x k table is built."""
-    if k < 1 or d < 1:
-        raise ParameterError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
+    vm = VarMap(P, k, d, symmetry_break)  # refuses k < 1 or d < 1
     # the count is least when every pair is comparable (4k + 1 clauses each,
     # against 6k + 2 for an incomparable one, and no triple of a chain is
     # kept), so a poset too large for that bound is refused unread
@@ -267,7 +266,6 @@ def iter_clauses(P: Poset, k: int, d: int, symmetry_break: bool = False
         raise ParameterError(
             f"{P.kind} with k={k}, d={d} needs at least {total} clauses, "
             f"above the limit of {_CLAUSE_LIMIT}")
-    vm = VarMap(P, k, d, symmetry_break)
     return vm, _clauses(P, vm, d)
 
 
@@ -589,20 +587,18 @@ def parse_dimacs(source) -> CnfFormula:
 
 def parse_model_text(text: str) -> SolverResult | None:
     """Parse solver output in the standard 's'/'v' line format; returns None
-    when no status line is present.  A 'v' line token that is not an
-    integer raises SolverProtocolError."""
+    when no status line is present.  A status other than SATISFIABLE or
+    UNSATISFIABLE (an UNKNOWN from a timeout, say), or a 'v' line token
+    that is not an integer, raises SolverProtocolError."""
     status = None
     values: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("s ") or line == "s":
-            word = line[1:].strip().upper()
-            if word == "SATISFIABLE":
-                status = "sat"
-            elif word == "UNSATISFIABLE":
-                status = "unsat"
-            else:
-                status = "unknown"
+            status = _STATUS.get(line[1:].strip().upper())
+            if status is None:
+                raise SolverProtocolError(
+                    f"solver answered neither sat nor unsat: {line!r}")
         elif line.startswith("v ") or line == "v":
             values.append(line[1:])
     literals = None
@@ -619,6 +615,7 @@ def parse_model_text(text: str) -> SolverResult | None:
     return SolverResult(status, literals[literals > 0])
 
 
+_STATUS = {"SATISFIABLE": "sat", "UNSATISFIABLE": "unsat"}
 _COUNT = re.compile(r"[0-9]+")
 _INT64 = np.iinfo(np.int64)
 
@@ -677,9 +674,10 @@ def run_solver(cnf_path, solver_command) -> SolverResult:
     ``solver_command`` is a command string, split as a shell would, or a
     sequence of arguments.  Accepts 's SATISFIABLE'/'s UNSATISFIABLE'
     status lines with 'v' model lines; exit codes 10/20 stand in when no
-    status line is printed.  A solver that exits with any other nonzero
-    code and no status line has failed: SolverEnvironmentError names the
-    code and its last stderr line.
+    status line is printed.  Any other status line raises
+    SolverProtocolError, so the result is always sat or unsat.  A solver
+    that exits with any other nonzero code and no status line has failed:
+    SolverEnvironmentError names the code and its last stderr line.
     """
     cmd = (shlex.split(solver_command) if isinstance(solver_command, str)
            else list(solver_command)) + [str(cnf_path)]
@@ -813,9 +811,6 @@ def ldim_certificate(P: Poset, d_max: int | None = None,
         result, family = solve_instance(P, k, d, solver_command)
         if result.status == "sat":
             return d, family
-        if result.status != "unsat":
-            raise SolverProtocolError(
-                f"solver returned {result.status!r} for {P.kind}, d={d}")
     raise BoundExceededError(
         f"no local realizer of frequency <= {limit} found for {P.kind}")
 

@@ -8,6 +8,7 @@ import pytest
 
 from ldimkit import fixture_text, parse_orders_text
 from ldimkit.cli import main
+from ldimkit.satshim import main as satshim_main
 
 
 def run(capsys, *argv):
@@ -127,6 +128,65 @@ def test_out_of_range_orders_is_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--poset", "chain:2",
                          "--orders", str(path))
     assert code == 2 and err.startswith("ERROR:input:")
+
+
+@pytest.mark.parametrize("big", [1 << 63, -(1 << 63) - 1])
+def test_orders_id_beyond_int64_is_input_error(capsys, tmp_path, big):
+    path = tmp_path / "big.orders"
+    path.write_text(f"1 {big} 3\n")
+    for argv in (("verify", "--poset", "multiset-singleton:2:2"),
+                 ("analyze", "signature", "--n", "2", "--m", "2")):
+        code, out, err = run(capsys, *argv, "--orders", str(path))
+        assert (code, out, err) == (2, "", (
+            f"ERROR:input: element id {big} out of range for "
+            f"multiset-singleton:2:2\n")), argv
+
+
+@pytest.mark.parametrize("main_of, argv, code, head", [
+    *[(main, ("verify", "--poset", spec, "--orders", "x.orders"), 2,
+       "ERROR:usage: ")
+      for spec in ("boolean:0", "chain:0", "antichain:0", "multiset:0:2",
+                   "multiset:2:1")],
+    (main, ("encode", "--poset", "chain:2", "--k", "0", "--d", "1"), 2,
+     "ERROR:usage: "),
+    (main, ("solve", "--poset", "chain:2", "--k", "0", "--d", "1",
+            "--model", "F"), 2, "ERROR:usage: need k >= 1, got 0\n"),
+    (main, ("ldim", "--poset", "chain:2", "--d-max", "0"), 2,
+     "ERROR:usage: d_max must be >= 1, got 0\n"),
+    (main, ("verify", "--poset", "chain:2", "--orders", "missing.orders"), 3,
+     "ERROR:environment: "),
+    (satshim_main, (), 2, "usage: python -m ldimkit.satshim"),
+])
+def test_refusals(capsys, tmp_path, monkeypatch, main_of, argv, code, head):
+    monkeypatch.chdir(tmp_path)
+    assert main_of(list(argv)) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(head)
+
+
+def test_each_error_class_has_one_outcome(capsys, monkeypatch):
+    # every class of ldimkit.errors is named here, so that a new one cannot
+    # reach the user as a traceback unnoticed
+    import inspect
+    from ldimkit import cli, errors
+    outcomes = {
+        "ParameterError": ("usage", 2), "FormatError": ("usage", 2),
+        "ContractError": ("input", 2), "RangeError": ("input", 2),
+        "BoundExceededError": ("bound", 1),
+        "SolverEnvironmentError": ("environment", 3),
+        "SolverProtocolError": ("environment", 3),
+        "OSError": ("environment", 3),
+        "DecodeError": ("internal", 3), "LdimkitError": ("internal", 3)}
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if cls.__module__ == errors.__name__] + [OSError]
+    assert {cls.__name__ for cls in classes} == set(outcomes)
+    for cls in classes:
+        def fail(args):
+            raise cls("boom")
+        monkeypatch.setattr(cli, "_cmd_tables", fail)
+        category, exit_code = outcomes[cls.__name__]
+        assert run(capsys, "tables", "b4") == (
+            exit_code, "", f"ERROR:{category}: boom\n"), cls
 
 
 def test_build_boolean(capsys, tmp_path):
@@ -265,16 +325,18 @@ def test_solve_model_with_non_integer_literal(capsys, tmp_path):
     assert err == "ERROR:environment: model value 'x' is not an integer literal\n"
 
 
-def test_solver_answering_unknown(capsys):
+def test_solver_answering_unknown(capsys, tmp_path):
+    # an undecided solver is an environment fault, never an unsat answer
     unknown = f"{shlex.quote(sys.executable)} -c 'print(\"s UNKNOWN\")'"
-    code, out, err = run(capsys, "solve", "--poset", "chain:2",
-                         "--k", "1", "--d", "1", "--solver", unknown)
-    assert (code, out, err) == (1, "status: unknown\n", "")
-    code, out, err = run(capsys, "ldim", "--poset", "chain:2",
-                         "--solver", unknown)
-    assert code == 3 and out == ""
-    assert err == ("ERROR:environment: solver returned 'unknown' for "
-                   "chain:2, d=1\n")
+    model = tmp_path / "model.txt"
+    model.write_text("s UNKNOWN\n")
+    for argv in (("solve", "--k", "1", "--d", "1", "--solver", unknown),
+                 ("solve", "--k", "1", "--d", "1", "--model", str(model)),
+                 ("ldim", "--solver", unknown)):
+        code, out, err = run(capsys, *argv, "--poset", "chain:2")
+        assert (code, out, err) == (3, "", (
+            "ERROR:environment: solver answered neither sat nor unsat: "
+            "'s UNKNOWN'\n")), argv
 
 
 def test_solver_environment_error(capsys):

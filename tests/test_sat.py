@@ -184,6 +184,8 @@ def test_parse_model_text():
     assert parse_model_text("no verdict here\n") is None
     with pytest.raises(SolverProtocolError):
         parse_model_text("s SATISFIABLE\n")
+    with pytest.raises(SolverProtocolError, match="'s UNKNOWN'"):
+        parse_model_text("s UNKNOWN\nv 1 0\n")
 
 
 def test_run_solver_round_trip(tmp_path):
