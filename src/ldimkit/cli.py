@@ -104,16 +104,14 @@ def _cmd_encode(args) -> int:
     from .posets import build_poset
 
     P = build_poset(args.poset)
-    formula, vm = encode(P, args.k, args.d)
+    formula, vm = encode(P, args.k, args.d, stream=True)
+    write_dimacs(formula, vm, args.out or sys.stdout, args.map)
     if args.out:
-        write_dimacs(formula, vm, args.out, args.map)
         lines = [f"variables: {formula.variable_count}",
                  f"clauses: {formula.clause_count}", f"cnf: {args.out}"]
         if args.map:
             lines.append(f"map: {args.map}")
         print("\n".join(lines))
-    else:
-        write_dimacs(formula, vm, sys.stdout, args.map)
     return 0
 
 
@@ -134,19 +132,23 @@ def _solve_output(args, family) -> None:
 
 
 def _cmd_solve(args) -> int:
-    from .sat import VarMap, decode_verified, parse_model_text, solve_instance
+    from .sat import VarMap, decode_verified, read_model, solve_instance
     from .posets import build_poset
 
     P = build_poset(args.poset)
     if args.model:
         vm = VarMap(P, args.k, args.d)  # refuses k < 1 or d < 1 up front
-        text = Path(args.model).read_text(encoding="utf-8")
-        result = parse_model_text(text)
+        with open(args.model, encoding="utf-8") as handle:
+            result = read_model(handle)
         if result is None:
             raise SolverProtocolError(
                 f"no solver status line found in {args.model}")
-        family = (decode_verified(result.model, vm, P, args.d)
-                  if result.status == "sat" else None)
+        if result.status == "sat":
+            try:
+                family = decode_verified(result.model, vm, P, args.d)
+            except DecodeError as exc:
+                # the saved file, not the program, names this family
+                raise ContractError(str(exc)) from None
     else:
         result, family = solve_instance(P, args.k, args.d, args.solver)
     if result.status != "sat":

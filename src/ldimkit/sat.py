@@ -46,14 +46,21 @@ of the formula.  Besides the checked scalar lookups ``before``, ``z``,
 element index and order (``before_table``, ``z_table``, ``s_table``,
 ``e_table``).  The clause generator gathers each clause family from
 those tables in int64 blocks and hands their rows on as lists, about a
-thousand at a time, so a solver fed by ``iter_clauses`` never holds a
-whole family as Python lists.  A model is an int64 array of the true
-variables, from either backend; the decoder reads it into a bool array
-over the variables and ranks each order's used elements from the gathered
-before-matrix; it reads no auxiliary variable.  A map file has one line per
-variable, ``role A B i var``, with var read from the tables: ``x``/``y``
-give the pair A, B; ``z`` has ``-`` for B; ``s`` gives A and the count j
-as B; ``e`` has ``-`` for A and the index bound j as B.
+thousand at a time, so neither a solver fed by ``iter_clauses`` nor a
+DIMACS file written from ``encode(..., stream=True)`` holds a whole
+family as Python lists: the file's header count comes from
+``expected_clause_count``, and the writer checks it against the stream.
+A map file has one line per variable, ``role A B i var``, with var read
+from the tables: ``x``/``y`` give the pair A, B; ``z`` has ``-`` for B;
+``s`` gives A and the count j as B; ``e`` has ``-`` for A and the index
+bound j as B.
+
+A model is an int64 array of the true variables, from either backend.
+Solver output, a saved file or a subprocess's stdout alike, is read a
+slice of text at a time, keeping only the positive literals.  The decoder
+marks them in a bool vector over the variables and ranks each order's used
+elements from their before-variables alone, computed for that order; it
+reads no auxiliary variable and no N x N x k table.
 """
 
 from __future__ import annotations
@@ -63,10 +70,10 @@ import shlex
 import subprocess
 import tempfile
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, islice
 from pathlib import Path
 
 import numpy as np
@@ -213,12 +220,15 @@ def _read_only(table: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CnfFormula:
+    """A CNF formula.  ``clauses`` is a list, or a one-pass iterator of
+    ``declared`` clauses, as ``encode(..., stream=True)`` gives it."""
     variable_count: int
-    clauses: list[list[int]]
+    clauses: Iterable[list[int]]
+    declared: int | None = None
 
     @property
     def clause_count(self) -> int:
-        return len(self.clauses)
+        return len(self.clauses) if self.declared is None else self.declared
 
 
 @dataclass(frozen=True)
@@ -228,8 +238,8 @@ class SolverResult:
     model: np.ndarray | None = None
 
 
-def encode(P: Poset, k: int, d: int,
-           symmetry_break: bool = False) -> tuple[CnfFormula, VarMap]:
+def encode(P: Poset, k: int, d: int, symmetry_break: bool = False,
+           stream: bool = False) -> tuple[CnfFormula, VarMap]:
     """Emit the clause families for 'P has a local realizer with at most k
     orders and frequency at most d'.
 
@@ -237,9 +247,15 @@ def encode(P: Poset, k: int, d: int,
     and padded with empty orders, is a model once the counter variables are
     propagated from its z values.  With it, only the order that
     ``ldim_certificate`` describes is; the instance stays satisfiable
-    exactly when the plain one is, and the search solves that one."""
-    vm, clauses = iter_clauses(P, k, d, symmetry_break)
-    return CnfFormula(vm.total_count, list(clauses)), vm
+    exactly when the plain one is, and the search solves that one.
+
+    The clauses are a list, or with ``stream`` the generator of
+    ``iter_clauses``, declared ``expected_clause_count`` long, which
+    ``write_dimacs`` writes without a list."""
+    formula, vm = _streamed(P, k, d, symmetry_break)
+    if not stream:
+        formula = CnfFormula(formula.variable_count, list(formula.clauses))
+    return formula, vm
 
 
 # Instances above 2**24 clauses are refused: at about 180 bytes for each
@@ -254,6 +270,12 @@ def iter_clauses(P: Poset, k: int, d: int, symmetry_break: bool = False
     clauses, in encode's order, so a solver can take them without a list of
     lists.  Refused with ParameterError above 2**24 clauses, before any
     N x N x k table is built."""
+    formula, vm = _streamed(P, k, d, symmetry_break)
+    return vm, formula.clauses
+
+
+def _streamed(P: Poset, k: int, d: int, symmetry_break: bool
+              ) -> tuple[CnfFormula, VarMap]:
     vm = VarMap(P, k, d, symmetry_break)  # refuses k < 1 or d < 1
     # the count is least when every pair is comparable (4k + 1 clauses each,
     # against 6k + 2 for an incomparable one, and no triple of a chain is
@@ -266,7 +288,7 @@ def iter_clauses(P: Poset, k: int, d: int, symmetry_break: bool = False
         raise ParameterError(
             f"{P.kind} with k={k}, d={d} needs at least {total} clauses, "
             f"above the limit of {_CLAUSE_LIMIT}")
-    return vm, _clauses(P, vm, d)
+    return CnfFormula(vm.total_count, _clauses(P, vm, d), total), vm
 
 
 # rows handed on as lists at a time: enough to amortize tolist, few enough
@@ -492,18 +514,27 @@ def write_dimacs(formula: CnfFormula, varmap: VarMap | None, out,
     ``x A B i`` and ``y A B i`` for before(A, B, i) and before(B, A, i)
     with id(A) < id(B), ``z A - i``, ``s A j i`` for s(A, i, j) and
     ``e - j i`` for e(i, j).  A ``map_out`` without a varmap is refused
-    before anything is written."""
+    before anything is written.
+
+    The header states ``formula.clause_count``, and the clauses follow
+    ``_CHUNK_ROWS`` lines at a time, so a streamed formula is never held
+    whole.  A stream that ends at any other count raises DecodeError."""
     if map_out is not None and varmap is None:
         raise ParameterError("a VarMap is required to write a map file")
     opened: list = []
     try:
         handle = _open_sink(out, opened)
-        handle.write(f"p cnf {formula.variable_count} {formula.clause_count}\n")
+        declared = formula.clause_count
+        handle.write(f"p cnf {formula.variable_count} {declared}\n")
         templates = _ClauseTemplates()
-        for start in range(0, formula.clause_count, _CHUNK_ROWS):
-            handle.write("".join([
-                templates[len(clause)] % tuple(clause)
-                for clause in formula.clauses[start:start + _CHUNK_ROWS]]))
+        clauses, written = iter(formula.clauses), 0
+        while chunk := list(islice(clauses, _CHUNK_ROWS)):
+            handle.write("".join([templates[len(clause)] % tuple(clause)
+                                  for clause in chunk]))
+            written += len(chunk)
+        if written != declared:
+            raise DecodeError(
+                f"header declares {declared} clauses, the stream gave {written}")
         if map_out is not None:
             _open_sink(map_out, opened).writelines(_map_lines(varmap))
     finally:
@@ -586,33 +617,88 @@ def parse_dimacs(source) -> CnfFormula:
 
 
 def parse_model_text(text: str) -> SolverResult | None:
-    """Parse solver output in the standard 's'/'v' line format; returns None
-    when no status line is present.  A status other than SATISFIABLE or
+    """``read_model`` of solver output held as a string."""
+    return _read_slices(text[start:start + _MODEL_SLICE]
+                        for start in range(0, len(text), _MODEL_SLICE))
+
+
+# characters of solver output that read_model takes at a time
+_MODEL_SLICE = 1 << 16
+# the line boundaries of str.splitlines
+_LINE_END = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
+def read_model(handle) -> SolverResult | None:
+    """Parse solver output in the standard 's'/'v' line format from a text
+    file object, ``_MODEL_SLICE`` characters at a time; returns None when
+    no status line is present.  A status other than SATISFIABLE or
     UNSATISFIABLE (an UNKNOWN from a timeout, say), or a 'v' line token
-    that is not an integer, raises SolverProtocolError."""
-    status = None
-    values: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("s ") or line == "s":
-            status = _STATUS.get(line[1:].strip().upper())
-            if status is None:
-                raise SolverProtocolError(
-                    f"solver answered neither sat nor unsat: {line!r}")
-        elif line.startswith("v ") or line == "v":
-            values.append(line[1:])
-    literals = None
-    if values:
-        literals = _parse_literals(" ".join(values), lambda token: (
-            SolverProtocolError(
-                f"model value {token!r} is not an integer literal")))
+    that is not an integer, raises SolverProtocolError.
+
+    Lines split and strip as ``str.splitlines`` and ``str.strip`` have
+    them.  A line that ends in the slice is read whole; a longer 'v' line is
+    read a slice at a time, with the unfinished token carried over, so the
+    reader holds one slice of text and the positive literals so far."""
+    return _read_slices(iter(lambda: handle.read(_MODEL_SLICE), ""))
+
+
+def _read_slices(slices: Iterator[str]) -> SolverResult | None:
+    status = bad = None
+    has_values = False
+    kept = [np.empty(0, dtype=np.int64)]
+    mode, carry = "head", ""  # the open line: "head", "v" or "skip"
+    for chunk in chain(slices, [""]):  # the empty slice ends the last line
+        pieces = _LINE_END.split(chunk)
+        values = []
+        for n, piece in enumerate(pieces, 1 - len(pieces)):
+            text, ends = carry + piece, n < 0 or not chunk
+            carry = ""
+            if mode == "head" and not ends:
+                # the line runs on: a 'v ' line is read as it comes, an 's'
+                # line or a 'v' with other blank after it waits for its end
+                head = text.lstrip()
+                if head.startswith("v "):
+                    has_values, mode, text = True, "v", head[1:]
+                elif len(head) > 1 and not (head[0] in "sv"
+                                            and head[1].isspace()):
+                    mode = "skip"
+                else:
+                    carry = head
+                    continue
+            if mode == "v":
+                if not ends and text and not text[-1].isspace():
+                    parts = text.rsplit(None, 1)
+                    text, carry = ["", *parts][-2:]
+                values.append(text)
+            elif mode == "head":
+                line = text.strip()
+                if line.startswith("s ") or line == "s":
+                    status = _STATUS.get(line[1:].strip().upper())
+                    if status is None:
+                        raise SolverProtocolError(
+                            f"solver answered neither sat nor unsat: {line!r}")
+                elif line.startswith("v ") or line == "v":
+                    has_values = True
+                    values.append(line[1:])
+            if ends:
+                mode = "head"
+        if values and bad is None:
+            try:
+                literals = _parse_literals(" ".join(values), lambda token: (
+                    SolverProtocolError(
+                        f"model value {token!r} is not an integer literal")))
+                kept.append(literals[literals > 0])
+            except SolverProtocolError as exc:
+                bad = exc  # a bad status line later still names that first
+    if bad is not None:
+        raise bad
     if status is None:
         return None
     if status != "sat":
         return SolverResult(status)
-    if literals is None:
+    if not has_values:
         raise SolverProtocolError("solver reported SAT without 'v' model lines")
-    return SolverResult(status, literals[literals > 0])
+    return SolverResult(status, np.concatenate(kept))
 
 
 _STATUS = {"SATISFIABLE": "sat", "UNSATISFIABLE": "unsat"}
@@ -681,12 +767,17 @@ def run_solver(cnf_path, solver_command) -> SolverResult:
     """
     cmd = (shlex.split(solver_command) if isinstance(solver_command, str)
            else list(solver_command)) + [str(cnf_path)]
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
-    except OSError as exc:
-        raise SolverEnvironmentError(
-            f"cannot launch solver {cmd[0]!r}: {exc}") from exc
-    result = parse_model_text(proc.stdout)
+    # stdout goes to a temporary file, which read_model takes a slice at a
+    # time, so the model is never held as one string
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as stdout:
+        try:
+            proc = subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE,
+                                  text=True, check=False)
+        except OSError as exc:
+            raise SolverEnvironmentError(
+                f"cannot launch solver {cmd[0]!r}: {exc}") from exc
+        stdout.seek(0)
+        result = read_model(stdout)
     if result is None:
         if proc.returncode == 10:
             raise SolverProtocolError(
@@ -703,6 +794,10 @@ def run_solver(cnf_path, solver_command) -> SolverResult:
     return result
 
 
+# before-variables that decode_realizer computes at a time
+_DECODE_ENTRIES = 1 << 14
+
+
 def decode_realizer(model, varmap: VarMap, P: Poset) -> RealizerFamily:
     """Rebuild the realizer family from the true variables of a model, an
     int64 array as ``SolverResult.model`` holds it or a sequence of ints.
@@ -710,17 +805,29 @@ def decode_realizer(model, varmap: VarMap, P: Poset) -> RealizerFamily:
     Order i consists of the elements whose z variable is true, sorted by the
     pairwise before-variables; raises DecodeError if those do not induce a
     total order.  Empty orders are dropped.  Variables outside
-    1..variable_count are ignored.
+    1..variable_count are ignored.  Each order's before-variables are
+    computed for its used elements only, a block of rows at a time, so no
+    N x N x k table is built.
     """
     literals = np.asarray(model, dtype=np.int64)
-    true = np.zeros(varmap.variable_count + 1, dtype=bool)
-    true[literals[(literals > 0) & (literals <= varmap.variable_count)]] = True
-    used_in, before = true[varmap.z_table], true[varmap.before_table]
+    # the literals mark in place: those below 1 clip to the unused variable
+    # 0, those above variable_count to a last slot that no lookup reads
+    true = np.zeros(varmap.variable_count + 2, dtype=bool)
+    np.put(true, literals, True, mode="clip")
+    true[0] = False
+    elements = np.arange(varmap.n, dtype=np.int64)
     ids = np.asarray(P.element_ids())
     members = []
     for i in range(varmap.k):
-        used = np.flatnonzero(used_in[:, i])
-        rel = before[used[:, None], used, i]
+        used = np.flatnonzero(true[varmap._z_var(elements, i)])
+        rel = np.empty((used.size, used.size), dtype=bool)
+        step = max(1, _DECODE_ENTRIES // max(1, used.size))
+        for s in range(0, used.size, step):
+            a = used[s:s + step, None]
+            var = varmap._pair_var(np.minimum(a, used), np.maximum(a, used),
+                                   i, a > used)
+            np.fill_diagonal(var[:, s:], 0)  # variable 0 is never true
+            rel[s:s + step] = true[var]
         # most elements after it first; ties keep id order, like sorted()
         rank = np.argsort(-rel.sum(axis=1), kind="stable")
         if np.triu(~rel[rank[:, None], rank], 1).any():
@@ -770,7 +877,7 @@ def solve_instance(P: Poset, k: int, d: int, solver_command=None
         result = (SolverResult("sat", np.array(solver.model, dtype=np.int64))
                   if solver.solve() else SolverResult("unsat"))
     else:
-        formula, vm = encode(P, k, d, symmetry_break=True)
+        formula, vm = encode(P, k, d, symmetry_break=True, stream=True)
         with tempfile.TemporaryDirectory() as tmp:
             cnf_path = Path(tmp) / "instance.cnf"
             write_dimacs(formula, vm, cnf_path)

@@ -3,9 +3,10 @@
 Usage: ``python -m ldimkit.satshim <file.cnf>``.  Prints the standard
 competition result lines and exit code: ``s SATISFIABLE`` with one ``v``
 line holding every variable signed, then ``0`` (exit 10), or
-``s UNSATISFIABLE`` (exit 20).  Exit 2 is a usage error, exit 3 an
-unreadable or malformed file.  The whole file is checked before
-``Solver.load_trusted`` takes it, by ``checked_clauses``.
+``s UNSATISFIABLE`` (exit 20).  The ``v`` line is written ``_CHUNK_ROWS``
+literals at a time.  Exit 2 is a usage error, exit 3 an unreadable or
+malformed file.  The whole file is checked before ``Solver.load_trusted``
+takes it, by ``checked_clauses``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .cdcl import Solver
-from .sat import CnfFormula, parse_dimacs
+from .sat import _CHUNK_ROWS, CnfFormula, parse_dimacs
 
 
 def checked_clauses(cnf: CnfFormula) -> list[list[int]]:
@@ -52,8 +53,12 @@ def main(argv: list[str] | None = None) -> int:
     signed = list(range(-1, -cnf.variable_count - 1, -1))
     for v in solver.model:
         signed[v - 1] = v
-    print("s SATISFIABLE")
-    print("v " + " ".join(map(str, signed)) + " 0")
+    write = sys.stdout.write
+    write("s SATISFIABLE\nv ")
+    for start in range(0, len(signed), _CHUNK_ROWS):
+        write((" " if start else "")
+              + " ".join(map(str, signed[start:start + _CHUNK_ROWS])))
+    write(" 0\n")
     return 10
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from ldimkit import DecodeError, RealizerFamily, VarMap
+from ldimkit import (DecodeError, RealizerFamily, SolverProtocolError,
+                     VarMap)
 
 
 def check_family(P, family) -> tuple[bool, int, int]:
@@ -433,3 +434,38 @@ def parse_dimacs(text):
         raise ValueError(
             f"header declares {declared_clauses} clauses, found {len(clauses)}")
     return variable_count, clauses
+
+
+def parse_model_text(text):
+    """(status, positive literals) of solver output, or None without a
+    status line, line by line with str.splitlines and token by token with
+    int(); raises SolverProtocolError, with parse_model_text's message,
+    where parse_model_text raises it."""
+    status = bad = values = None
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line.startswith("s ") or line == "s":
+            status = {"SATISFIABLE": "sat", "UNSATISFIABLE": "unsat"}.get(
+                line[1:].strip().upper())
+            if status is None:
+                raise SolverProtocolError(
+                    f"solver answered neither sat nor unsat: {line!r}")
+        elif line.startswith("v ") or line == "v":
+            if values is None:
+                values = []
+            for token in line[1:].split():
+                try:
+                    values.append(int(token))
+                except ValueError:
+                    bad = bad or SolverProtocolError(
+                        f"model value {token!r} is not an integer literal")
+    if bad is not None:
+        raise bad
+    if status is None:
+        return None
+    if status == "unsat":
+        return status, None
+    if values is None:
+        raise SolverProtocolError("solver reported SAT without 'v' model lines")
+    # a literal beyond int64 is clipped to its limits
+    return status, [min(value, 2**63 - 1) for value in values if value > 0]

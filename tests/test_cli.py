@@ -296,13 +296,21 @@ def test_solve_offline_sat_model(capsys, tmp_path):
     assert code == 0
     assert out == emit_orders_text(decode_realizer(true_vars, vm, P))
     assert err == "status: sat\nfrequency: 2\nsize: 2\n"
+    # a saved model at fault is an input fault, not an internal one
     code, out, err = run(capsys, *args, "--d", "1")
-    assert code == 3
-    assert err.startswith("ERROR:internal: decoded family has frequency 2 > d=1")
+    assert code == 2
+    assert err == "ERROR:input: decoded family has frequency 2 > d=1\n"
     # without its usage variables the model decodes to an empty family
     write_model(v for v in true_vars if v <= vm.pair_block)
     code, out, err = run(capsys, *args, "--d", "2")
-    assert code == 3 and err.startswith("ERROR:internal:") and out == ""
+    assert (code, out) == (2, "")
+    assert err == "ERROR:input: decoded family fails verification\n"
+    # without its before-variables the used elements are in no order
+    write_model(v for v in true_vars if v > vm.pair_block)
+    code, out, err = run(capsys, *args, "--d", "2")
+    assert (code, out) == (2, "")
+    assert err == ("ERROR:input: order 1: before-relation on used elements "
+                   "is not a total order\n")
 
 
 def test_solve_model_refuses_d_below_one(capsys, tmp_path):

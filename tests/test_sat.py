@@ -863,6 +863,178 @@ def test_lone_sign_across_slices(monkeypatch):
                 assert got.tolist() == [lit for lit in want if lit > 0]
 
 
+# solver output for the model reader: comments, several and bare 'v' lines,
+# signs and lone signs, int64 overflow, bad tokens, blanks that are not
+# line ends (no-break space, unit separator), every status case
+_MODEL_TEXTS = [
+    "c comment\ns SATISFIABLE\nv 1 -2 3 0\n",
+    "c a\nc b\ns SATISFIABLE\nv 1 -2\nv 3\nv\nv -4 +5 0\nc done\n",
+    "s SATISFIABLE\nv\n", "s SATISFIABLE\n  v \t\n", "s SATISFIABLE\nv +3 0",
+    "s SATISFIABLE\nv 12 - 3 0\n", "s SATISFIABLE\nv 1 2 -\n",
+    "s SATISFIABLE\nv + 1\nv 2 +", "s SATISFIABLE\nv 1 -\nv 2\n",
+    "s SATISFIABLE\nv 99999999999999999999 -99999999999999999999 7 0\n",
+    "s SATISFIABLE\nv 9223372036854775807 9223372036854775808 0\n",
+    "s SATISFIABLE\nv 1 x 0\n", "v 1 x 0\ns UNKNOWN\n", "v 1 x y\n",
+    "s SATISFIABLE\nv 1\u00a02 3 0\n", "s SATISFIABLE\n\u00a0v 4 0\u00a0\n",
+    "s SATISFIABLE\nv 1\x1f2 0\n", "s SATISFIABLE\nv\u00a01 2\n",
+    "s UNKNOWN\nv 1 0\n", "s  unknown  \n", "s\n", "v 1 2 0\n",
+    "no verdict here\n", "", "s SATISFIABLE\n", "s UNSATISFIABLE\nv 1 0",
+    "s unsatisfiable\ns satisfiable\nv 5", "s SATISFIABLE\nv 1\ns UNSATISFIABLE",
+    "v\ts SATISFIABLE", "s\tSATISFIABLE\nv 1\n", "s\t \nv 1",
+    "  v\t \ns SATISFIABLE", "v\t1 2\ns SATISFIABLE", "vv 1\ns SATISFIABLE",
+    "svelte\ns SATISFIABLE\nvalue 1\nv 2", "s SATISFIABLE\nv 1_0 \u0663 0\n",
+] + [
+    # each line end of str.splitlines, between lines and inside a 'v' line
+    f"c x{end}s SATISFIABLE{end}v 1 -2{end}v 3 0{end}c{end}v 4{end}5 0"
+    for end in ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                "\x85", "\u2028", "\u2029")]
+
+
+def _random_model_text(rng):
+    tokens = ["1", "-2", "+3", "0", "-", "+", "17", "-40", "x", "1.5",
+              "123456789", "99999999999999999999", "-99999999999999999999"]
+    blanks = [" ", "  ", "\t", "\u00a0", "\x1f"]
+    ends = ["\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"]
+    lines = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.choice("vvvvsscx")
+        if kind == "s":
+            line = "s " + rng.choice(["SATISFIABLE", "UNSATISFIABLE",
+                                      "satisfiable", "UNKNOWN"])
+        elif kind == "v":
+            line = "v" + "".join(rng.choice(blanks) + rng.choice(tokens)
+                                 for _ in range(rng.randint(0, 8)))
+        else:
+            line = kind + " " + rng.choice(tokens)
+        lines.append(rng.choice(["", " ", "\u00a0"]) + line
+                     + rng.choice(["", " ", "\t"]))
+    return "".join(line + rng.choice(ends) for line in lines)
+
+
+def _model_or_error(parse, text):
+    try:
+        result = parse(text)
+    except SolverProtocolError as exc:
+        return "error", str(exc)
+    if result is None or isinstance(result, tuple):
+        return result
+    assert result.model is None or result.model.dtype == np.int64
+    return result.status, (None if result.model is None
+                           else result.model.tolist())
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 64])
+def test_model_reader_at_any_slice(monkeypatch, size):
+    import ldimkit.sat
+    monkeypatch.setattr(ldimkit.sat, "_MODEL_SLICE", size)
+    rng = random.Random(size)
+    texts = _MODEL_TEXTS + [_random_model_text(rng) for _ in range(150)]
+    outcomes = Counter()
+    for text in texts:
+        want = _model_or_error(oracle.parse_model_text, text)
+        assert _model_or_error(parse_model_text, text) == want, text
+        assert _model_or_error(lambda text: ldimkit.sat.read_model(
+            io.StringIO(text, newline="")), text) == want, text
+        outcomes[want[0] if want else None] += 1
+    assert outcomes["sat"] and outcomes["unsat"] and outcomes["error"]
+    assert outcomes[None]
+
+
+def _boolean8_model(path):
+    """The built boolean:8 family as a model file of one 'v' line with
+    every variable signed, like the benchmark's."""
+    P = build_poset("boolean:8")
+    vm = VarMap(P, 8)
+    members = [tuple(m) for m in build_bn_realizer(8)]
+    true = _true_variables(vm, members)
+    path.write_text("s SATISFIABLE\nv " + " ".join(
+        str(v if v in true else -v) for v in range(1, vm.variable_count + 1))
+        + " 0\n")
+    return P, vm, members
+
+
+def test_decode_reads_no_before_table(monkeypatch, tmp_path):
+    from ldimkit.sat import read_model
+
+    def refuse(self):
+        raise AssertionError("decode read VarMap.before_table")
+
+    P, vm, members = _boolean8_model(tmp_path / "b8.model")
+    P.element_ids()
+    monkeypatch.setattr(VarMap, "before_table", property(refuse))
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "b8.model", encoding="utf-8") as handle:
+            family = decode_realizer(read_model(handle).model, vm, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(family) == members
+    # the whole-text parse and the N x N x k table took 16.9 MB here
+    assert peak < 4 * 2**20
+    C = Chain(3)
+    small = VarMap(C, 2)
+    with pytest.raises(DecodeError, match="order 2"):
+        decode_realizer([small.z(0, 2), small.z(2, 2)], small, C)
+    assert list(decode_realizer([small.z(1, 1)], small, C)) == [(1,)]
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_write_dimacs_checks_the_declared_count():
+    formula, vm = encode(BooleanLattice(2), 3, 2, True)
+    count = formula.clause_count
+    for declared in (count - 1, count + 1):
+        short = CnfFormula(formula.variable_count, iter(formula.clauses),
+                           declared)
+        with pytest.raises(DecodeError, match=(
+                f"declares {declared} clauses, the stream gave {count}")):
+            write_dimacs(short, vm, io.StringIO())
+    # the streamed formula writes the list's bytes, and holds no list:
+    # the list of this instance takes about 10 MB
+    for spec, k, d, brk in (("boolean:2", 3, 2, True), ("chain:1", 2, 1, True),
+                            ("boolean:3", 24, 3, False)):
+        P = build_poset(spec)
+        listed, vm = encode(P, k, d, brk)
+        streamed, _ = encode(P, k, d, brk, stream=True)
+        assert streamed.clause_count == expected_clause_count(P, k, d, brk)
+        bufs = io.StringIO(), io.StringIO()
+        for formula, buf in zip((listed, streamed), bufs):
+            write_dimacs(formula, vm, buf)
+        assert bufs[0].getvalue() == bufs[1].getvalue()
+    tracemalloc.start()
+    try:
+        streamed, vm = encode(BooleanLattice(4), 48, 3, stream=True)
+        write_dimacs(streamed, vm, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_satshim_writes_the_v_line_in_slices(tmp_path, capsys, monkeypatch):
+    from ldimkit import satshim
+    cnf, empty = tmp_path / "f.cnf", tmp_path / "empty.cnf"
+    cnf.write_text("p cnf 5 2\n-1 0\n2 -3 0\n")
+    empty.write_text("p cnf 0 0\n")
+    outputs = set()
+    for size in (1, 2, 4, 1024):
+        monkeypatch.setattr(satshim, "_CHUNK_ROWS", size)
+        assert satshim.main([str(cnf)]) == 10
+        outputs.add(capsys.readouterr().out)
+        assert satshim.main([str(empty)]) == 10
+        assert capsys.readouterr().out == "s SATISFIABLE\nv  0\n"
+    # one output at every slice size, as one join of the signed variables
+    # writes it
+    (out,) = outputs
+    signed = [int(t) for t in out.splitlines()[1].split()[1:-1]]
+    assert [abs(lit) for lit in signed] == [1, 2, 3, 4, 5]
+    assert out == "s SATISFIABLE\nv " + " ".join(map(str, signed)) + " 0\n"
+
+
 def test_map_lines_name_every_role():
     formula, vm = encode(Chain(2), 3, 1, symmetry_break=True)
     buf = io.StringIO()
