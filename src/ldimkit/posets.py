@@ -31,14 +31,19 @@ _MATRIX_CELL_LIMIT = 1 << 30
 
 # Packed order rows: a set of elements is a row of W = ceil(N/64) uint64
 # words, element index j at bit j % 64 of word j // 64.  One array of rows
-# may take at most 256 MB: the verifier holds one N x W array, 128 MB on
-# boolean:15; boolean:16 would need 512 MB.
+# may take at most 256 MB.  Only the verifier's reject pass holds an N x W
+# array, 128 MB on boolean:15; boolean:16 would need 512 MB, and is refused
+# before either pass.  The accept pass holds tiles of _TILE_BYTES of rows.
 _PACKED_BYTE_LIMIT = 1 << 28
+_TILE_BYTES = 1 << 20
 _ONE = np.uint64(1)
 
 # Rows per block wherever order rows are built or read for many elements,
-# so that the only N-row array ever held is the verifier's ``earlier``.
+# so that the only N-row array ever held is the reject pass's ``earlier``.
 _ROW_BLOCK = 256
+# Columns per step where a row is computed from a (rows x columns) test,
+# a whole number of words, so that the test's temporaries stay small.
+_COLUMN_CHUNK = 1024
 
 
 def _ground(size: int, what: str) -> int:
@@ -331,13 +336,17 @@ class MultisetSingletonPoset(_Multisets):
         rows = np.zeros((idx.size, (self.ground_size + 63) // 64), np.uint64)
         cols = self._types[0]
         if up:
-            # only singleton types have nonempty up-sets, built in one (types
-            # x N) test, run only when idx holds one
+            # only singleton types have nonempty up-sets, built by a (types x
+            # columns) test over _COLUMN_CHUNK columns at a time, run only
+            # when idx holds one
             s = np.searchsorted(cols, idx).clip(max=cols.size - 1)
             hit = np.flatnonzero(cols[s] == idx)
             if hit.size:
-                every = np.arange(self.ground_size)
-                rows[hit] = _pack(self._above(every, s[hit, None]))
+                for c in range(0, self.ground_size, _COLUMN_CHUNK):
+                    chunk = np.arange(c, min(c + _COLUMN_CHUNK,
+                                             self.ground_size))
+                    rows[hit, c >> 6:(c + _COLUMN_CHUNK) >> 6] = _pack(
+                        self._above(chunk, s[hit, None]))
             return rows
         # held[r, k]: the element at idx[r] lies above type k (column cols[k])
         held = self._above(idx[:, None], np.arange(cols.size))

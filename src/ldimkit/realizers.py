@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .posets import (_ONE, _ROW_BLOCK, BooleanLattice, Chain, Poset,
+from .posets import (_ONE, _ROW_BLOCK, _TILE_BYTES, BooleanLattice, Chain,
+                     Poset, _clear_diagonal, _index_prefix,
                      canonical_linear_extension)
 
 Ple = tuple[int, ...]
@@ -128,13 +129,39 @@ _SWAPS = tuple((np.uint64(s), np.uint64(mask)) for s, mask in (
     (2, 0x3333333333333333), (1, 0x5555555555555555)))
 
 
-def _placed_so_far(arr: np.ndarray, carry, out: np.ndarray) -> np.ndarray:
-    """Row q of ``out``: the packed set of elements arr[0..q], plus the set
-    ``carry``."""
+def _placed_so_far(arr: np.ndarray, row: np.ndarray, carry,
+                   out: np.ndarray) -> np.ndarray:
+    """Row q of ``out``: the packed set of elements arr[p] with row[p] <= q,
+    plus the set ``carry``; ``row`` is non-decreasing and the elements are
+    distinct."""
     out[:] = 0
-    out[np.arange(arr.size), arr >> 6] = _ONE << (arr & 63).astype(np.uint64)
+    W = out.shape[1]
+    # distinct elements set distinct bits, so adding them is OR-ing them
+    np.add.at(out.reshape(-1), row * W + (arr >> 6),
+              _ONE << (arr & 63).astype(np.uint64))
     out[0] |= carry
     return np.bitwise_or.accumulate(out, axis=0, out=out)
+
+
+def _earlier_rows(members: list[np.ndarray], start: int, stop: int, W: int):
+    """Rows start..stop-1 of ``earlier``, member by member: for each chunk of
+    at most ``_ROW_BLOCK`` of a member's placements of elements in that
+    range, yields their elements x and, in row q, the packed set of
+    elements the member places at or before x[q].  The placements between
+    two in-range ones go to the later one's row, and the last row of a
+    chunk carries over to the next."""
+    buf = np.empty((min(stop - start, _ROW_BLOCK), W), dtype=np.uint64)
+    for arr in members:
+        pos = np.flatnonzero((arr >= start) & (arr < stop))
+        carry, prev = np.uint64(0), 0
+        for c in range(0, pos.size, _ROW_BLOCK):
+            p = pos[c:c + _ROW_BLOCK]
+            row = np.repeat(np.arange(p.size), np.diff(p, prepend=prev - 1))
+            rows = _placed_so_far(arr[prev:p[-1] + 1], row, carry,
+                                  buf[:p.size])
+            yield arr[p], rows
+            # the next chunk overwrites buf
+            carry, prev = rows[-1].copy(), p[-1] + 1
 
 
 def _transposed_rows(matrix: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -215,56 +242,55 @@ def _member_indices(P: Poset, ple: Ple, i: int,
     return arr[np.sort(first_pos)]
 
 
+def _log_order_violations(P: Poset, arr: np.ndarray, i: int,
+                          block: np.ndarray, hits: np.ndarray,
+                          log: _ViolationLog) -> None:
+    """Log the order violations of member i (placements ``arr``) in
+    ``hits``: bit b of row q is set when b is placed before block[q]
+    although block[q] < b in P."""
+    room = log.room(ORDER_VIOLATION_IN_PLE)
+    found, q, b = _set_bits(hits, room)
+    log.clean &= not found
+    if q.size:
+        order = np.argsort(arr)
+        p = order[np.searchsorted(arr, b, sorter=order)]
+        for k in np.lexsort((p, q))[:room]:
+            log.add(ORDER_VIOLATION_IN_PLE, P.id_at(int(block[q[k]])),
+                    P.id_at(int(b[k])), i)
+
+
 def _scan_member(P: Poset, arr: np.ndarray, i: int, log: _ViolationLog):
-    """Scan member i's deduplicated placements ``arr`` in row blocks, each
-    against the packed strict up-sets of its elements.  Logs the block's
-    order violations, then yields the block and its ``_placed_so_far``
-    rows, which carry over from the previous block."""
+    """Log the order violations of member i, its deduplicated placements
+    ``arr`` read in row blocks: the elements placed at or before each,
+    AND-ed with its packed strict up-set."""
     carry = np.uint64(0)
-    order = placed_buf = hits = None
     for start in range(0, arr.size, _ROW_BLOCK):
         block = arr[start:start + _ROW_BLOCK]
         up = P.up_rows(block)  # first, so an oversize poset is refused early
-        if placed_buf is None:  # reused by every block of the member
-            placed_buf = np.empty((min(arr.size, _ROW_BLOCK), up.shape[1]),
-                                  dtype=np.uint64)
-            hits = np.empty_like(placed_buf)
-        placed = _placed_so_far(block, carry, placed_buf[:block.size])
-        # b placed before block[q] although block[q] < b in P
-        room = log.room(ORDER_VIOLATION_IN_PLE)
-        found, q, b = _set_bits(
-            np.bitwise_and(placed, up, out=hits[:block.size]), room)
-        del up  # not held while the caller works on the block
-        log.clean &= not found
-        if q.size:
-            if order is None:
-                order = np.argsort(arr)
-            p = order[np.searchsorted(arr, b, sorter=order)]
-            for k in np.lexsort((p, q))[:room]:
-                log.add(ORDER_VIOLATION_IN_PLE, P.id_at(int(block[q[k]])),
-                        P.id_at(int(b[k])), i)
-        yield block, placed
-        carry = placed[-1].copy()  # the next block overwrites ``placed``
+        placed = _placed_so_far(block, np.arange(block.size), carry,
+                                np.empty_like(up))
+        _log_order_violations(P, arr, i, block, up & placed, log)
+        carry = placed[-1]
 
 
-def _first_reversing_members(P: Poset, family: RealizerFamily,
+def _first_reversing_members(members: list[np.ndarray],
                              pairs: list[tuple[int, int]]) -> list[int]:
-    """For each index pair (a, b), a < b in P, the first member that places
-    b before a, each element at its first occurrence as the scan reads it."""
+    """For each index pair (a, b), a < b in P, the first of the deduplicated
+    ``members`` that places b before a."""
     a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     found = np.full(a.size, -1)
-    for i, ple in enumerate(family.ples):
+    for i, arr in enumerate(members):
         open_ = found < 0
         if not open_.any():
             break
-        arr = P.indices_of(ple)
         if arr.size < 2:
             continue
-        uniq, first = np.unique(arr, return_index=True)
+        pos = np.argsort(arr)
+        uniq = arr[pos]
         ia = np.searchsorted(uniq, a).clip(max=uniq.size - 1)
         ib = np.searchsorted(uniq, b).clip(max=uniq.size - 1)
         hit = (open_ & (uniq[ia] == a) & (uniq[ib] == b)
-               & (first[ib] < first[ia]))
+               & (pos[ib] < pos[ia]))
         found[hit] = i
     return found.tolist()
 
@@ -275,15 +301,89 @@ def validate_ple(P: Poset, ple: Sequence[int],
     ple = tuple(ple)
     log = _ViolationLog(max_violations_per_kind)
     if ple:
-        arr = _member_indices(P, ple, 0, log)
-        for _ in _scan_member(P, arr, 0, log):
-            pass
+        _scan_member(P, _member_indices(P, ple, 0, log), 0, log)
     return VerificationReport(
         accepted=log.clean,
         frequency=1 if ple else 0,
         size=1,
         violations=log.sorted_items(),
     )
+
+
+def _accepts(P: Poset, members: list[np.ndarray]) -> bool:
+    """The accept pass: whether each row x of ``earlier`` holds every
+    element outside x's strict up-set, and none inside it, apart from x."""
+    N = P.ground_size
+    W = (N + 63) // 64
+    every = _index_prefix(np.array([N]), N)
+    step = max(_TILE_BYTES // (8 * W), 1)
+    for start in range(0, N, step):
+        stop = min(start + step, N)
+        tile = np.zeros((stop - start, W), dtype=np.uint64)
+        for x, rows in _earlier_rows(members, start, stop, W):
+            tile[x - start] |= rows
+        for s in range(start, stop, _ROW_BLOCK):
+            idx = np.arange(s, min(s + _ROW_BLOCK, stop))
+            # the three pair checks at once: a set bit is a pair below x or
+            # incomparable to it never placed before x, or one above x
+            # placed before it
+            bad = tile[s - start:s - start + idx.size] ^ P.up_rows(idx)
+            bad ^= every
+            if _clear_diagonal(bad, idx).any():
+                return False
+    return True
+
+
+def _list_violations(P: Poset, members: list[np.ndarray],
+                     log: _ViolationLog) -> None:
+    """The reject pass: build the whole ``earlier``, logging each member's
+    order violations from the rows that go into it, then list the pair
+    violations from it."""
+    N = P.ground_size
+    W = (N + 63) // 64
+    earlier = np.zeros((64 * W, W), dtype=np.uint64)  # whole 64-row tiles
+    for i, arr in enumerate(members):
+        for x, rows in _earlier_rows([arr], 0, N, W):
+            earlier[x] |= rows  # sets the diagonal too, which no mask reads
+            _log_order_violations(P, arr, i, x, P.up_rows(x) & rows, log)
+
+    if N == 1:
+        if not earlier[0, 0]:
+            log.add(PAIR_NEVER_CO_OCCURS, P.id_at(0), P.id_at(0))
+        return
+
+    def listed(start: int, mask: np.ndarray, room: int):
+        """The first ``room`` (a, b) index pairs of a block's ``mask``."""
+        found, rows, cols = _set_bits(mask, room)
+        log.clean &= not found
+        return zip((rows[:room] + start).tolist(), cols[:room].tolist())
+
+    def collect(kind: str, start: int, mask: np.ndarray) -> None:
+        for ai, bi in listed(start, mask, log.room(kind)):
+            log.add(kind, P.id_at(ai), P.id_at(bi))
+
+    reversed_ = []  # listed reversed pairs, whose members are found last
+
+    index_order = Chain(N)  # its strict up-sets: the pairs a < b by index
+    for start in range(0, N, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, N)
+        rows = np.arange(start, stop)
+        # later[a] holds b iff some member places b after a: for a != b,
+        # that is bit a of earlier[b]
+        up_b, earlier_b, later_b = (P.up_rows(rows), earlier[start:stop],
+                                    _transposed_rows(earlier, start, stop))
+        incomparable = index_order.up_rows(rows) & ~(up_b | P.down_rows(rows))
+        # comparable pairs, oriented a < b in P by construction of `up_b`
+        collect(COMPARABLE_PAIR_NEVER_WITNESSED, start, up_b & ~later_b)
+        reversed_ += listed(start, up_b & earlier_b, log.cap - len(reversed_))
+        collect(PAIR_NEVER_CO_OCCURS, start,
+                incomparable & ~(earlier_b | later_b))
+        collect(INCOMPARABLE_PAIR_ONE_SIDED, start,
+                incomparable & (earlier_b ^ later_b))
+
+    for (ai, bi), member in zip(
+            reversed_, _first_reversing_members(members, reversed_)):
+        log.add(COMPARABLE_PAIR_REVERSED, P.id_at(ai), P.id_at(bi), member)
 
 
 def verify_local_realizer(P: Poset, family,
@@ -298,26 +398,41 @@ def verify_local_realizer(P: Poset, family,
     witnessed in order and never reversed.  Violations are reported per kind,
     canonically sorted, capped at ``max_violations_per_kind`` each.
 
-    Pair bookkeeping is bit-packed: a set of elements is a row of
-    W = ceil(N/64) uint64 words, element index j at bit j % 64 of word
-    j // 64, so the N-row matrix below takes about N*W*8 bytes.  The order is
-    read only as the strict up- and down-sets of a block of rows at a time,
-    from ``P.up_rows(block)`` and ``P.down_rows(block)``, which the
-    built-in kinds pack straight from their structure.  Each member is
-    scanned once, in blocks of rows: OR-accumulating one-hot rows of its
-    deduplicated placements gives, for each position q, the elements placed
-    at or before q; AND-ed with the up-set of the element at q, that is q's
-    order violations.  The same rows are OR-ed into ``earlier`` (placed
-    at or before x in some member), the only N-row matrix, allocated once
-    the packed-byte budget has admitted P.  ``later`` (placed after x in
-    some member) is its bit transpose off the diagonal, built for one block
-    of rows at a time from a column strip of ``earlier`` by 64 x 64 bit
-    tile transposes.  The pair checks then run on blocks of rows as word
-    operations (never witnessed ``up & ~later``, reversed
-    ``up & earlier``, never co-occurring ``incomparable & ~(earlier |
-    later)``, one-sided ``incomparable & (earlier ^ later)``), where a
-    block's incomparable pairs a < b in index order come from its up and
-    down rows; coordinates are decoded only from nonzero rows.
+    Sets of elements are bit-packed: a row of W = ceil(N/64) uint64 words,
+    element index j at bit j % 64 of word j // 64.  The order is read only
+    as packed strict up- and down-sets of a block of rows at a time, from
+    ``P.up_rows(block)`` and ``P.down_rows(block)``.  Row x of ``earlier``
+    is the set of elements placed at or before x in some member.  One
+    builder makes rows start..stop-1 of it: for each deduplicated member it
+    takes the placements of elements in that range in chunks of
+    ``_ROW_BLOCK``, scatters the placements up to each one into its row and
+    OR-accumulates the rows, the last row carried to the next chunk.
+
+    Two passes.  The accept pass deduplicates each member once and counts
+    occurrences; a duplicate, or an element in no member, hands over to the
+    reject pass.  It builds ``earlier`` a tile of ``_TILE_BYTES // (8 W)``
+    rows at a time (at least one row) and holds that tile only.  A row x
+    passes when it holds every element outside the strict up-set of x and
+    none inside it, x aside: that is, no comparable pair below x is never
+    witnessed, none above x is reversed or out of order in a member, and no
+    incomparable pair misses the order that ends at x.  It reads only up
+    rows and stops at the first block of 256 rows with a failing row.
+    Every row passing is acceptance.
+
+    The reject pass, run on any other family, lists the violations.  It
+    holds the whole N-row ``earlier``, the only N-row array, once the
+    packed-byte budget has admitted P (checked before anything else, so
+    ``build`` refuses alike), built by the same builder; the rows of each
+    member, AND-ed with the up rows of their elements, are its order
+    violations, which ``validate_ple`` finds by its own block scan.
+    ``later`` (placed after x in some member) is its bit transpose off the
+    diagonal, built for one block of rows at a time from a column strip of
+    ``earlier`` by 64 x 64 bit tile transposes.  The pair checks run on
+    blocks of rows as word operations (never witnessed ``up & ~later``,
+    reversed ``up & earlier``, never co-occurring ``incomparable &
+    ~(earlier | later)``, one-sided ``incomparable & (earlier ^ later)``),
+    where a block's incomparable pairs a < b in index order come from its
+    up and down rows; coordinates are decoded only from nonzero rows.
 
     The capped violations listed for each kind are the first ones in this
     order: duplicates by member, then element index; order violations by
@@ -327,58 +442,17 @@ def verify_local_realizer(P: Poset, family,
     The listed violations are then sorted by (kind, a, b, ple).
     """
     family = RealizerFamily(family)
-    N = P.ground_size
     log = _ViolationLog(max_violations_per_kind)
-
-    P._packed_indices(None)  # the budget, before the N-row array
-    W = (N + 63) // 64
-    earlier = np.zeros((64 * W, W), dtype=np.uint64)  # whole 64-row tiles
-    occurrences = np.zeros(N, dtype=np.int64)
-    for i, ple in enumerate(family.ples):
-        arr = _member_indices(P, ple, i, log)
+    P._packed_indices(None)  # the reject pass's budget, before anything else
+    # held through both passes, in the smallest dtype that holds an index
+    index_type = np.min_scalar_type(P.ground_size - 1)
+    members = [_member_indices(P, ple, i, log).astype(index_type)
+               for i, ple in enumerate(family.ples)]
+    occurrences = np.zeros(P.ground_size, dtype=np.int64)
+    for arr in members:
         occurrences[arr] += 1
-        for block, placed in _scan_member(P, arr, i, log):
-            earlier[block] |= placed  # sets the diagonal too, which no mask reads
-
-    if N == 1:
-        lone = P.id_at(0)
-        if occurrences[0] == 0:
-            log.add(PAIR_NEVER_CO_OCCURS, lone, lone)
-    else:
-        def listed(start: int, mask: np.ndarray, room: int):
-            """The first ``room`` (a, b) index pairs of a block's ``mask``."""
-            found, rows, cols = _set_bits(mask, room)
-            log.clean &= not found
-            return zip((rows[:room] + start).tolist(), cols[:room].tolist())
-
-        def collect(kind: str, start: int, mask: np.ndarray) -> None:
-            for ai, bi in listed(start, mask, log.room(kind)):
-                log.add(kind, P.id_at(ai), P.id_at(bi))
-
-        reversed_ = []  # listed reversed pairs, whose members are found last
-
-        index_order = Chain(N)  # its strict up-sets: the pairs a < b by index
-        for start in range(0, N, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, N)
-            rows = np.arange(start, stop)
-            # later[a] holds b iff some member places b after a: for a != b,
-            # that is bit a of earlier[b]
-            up_b, earlier_b, later_b = (P.up_rows(rows), earlier[start:stop],
-                                        _transposed_rows(earlier, start, stop))
-            incomparable = index_order.up_rows(rows) & ~(up_b | P.down_rows(rows))
-            # comparable pairs, oriented a < b in P by construction of `up_b`
-            collect(COMPARABLE_PAIR_NEVER_WITNESSED, start, up_b & ~later_b)
-            reversed_ += listed(start, up_b & earlier_b,
-                                log.cap - len(reversed_))
-            collect(PAIR_NEVER_CO_OCCURS, start,
-                    incomparable & ~(earlier_b | later_b))
-            collect(INCOMPARABLE_PAIR_ONE_SIDED, start,
-                    incomparable & (earlier_b ^ later_b))
-
-        for (ai, bi), member in zip(
-                reversed_, _first_reversing_members(P, family, reversed_)):
-            log.add(COMPARABLE_PAIR_REVERSED, P.id_at(ai), P.id_at(bi), member)
-
+    if not (log.clean and occurrences.all() and _accepts(P, members)):
+        _list_violations(P, members, log)
     return VerificationReport(
         accepted=log.clean,
         frequency=int(occurrences.max(initial=0)),

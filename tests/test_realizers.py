@@ -3,16 +3,17 @@ import json
 import operator
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldimkit import realizers
 import numpy as np
-from ldimkit import (Antichain, BooleanLattice, Chain, ParameterError, Poset,
-                     ProductPoset, RangeError, RealizerFamily, SingletonPoset,
-                     b4_family, b7_family, build_bn_realizer, build_poset,
+from ldimkit import (Antichain, BooleanLattice, Chain, MultisetLattice,
+                     ParameterError, Poset, ProductPoset, RangeError,
+                     RealizerFamily, SingletonPoset, b4_family, b7_family, build_bn_realizer, build_poset,
                      build_singleton_realizer, build_standard_realizer,
                      canonical_linear_extension, lift_product, validate_ple,
                      verify_local_realizer)
@@ -300,6 +301,26 @@ def test_verify_peak_memory():
     assert peak < 2 * matrix_bytes  # one N-row array and block temporaries
 
 
+def test_accept_pass_holds_no_n_row_array(monkeypatch):
+    P = SingletonPoset(13)
+    family = RealizerFamily(build_singleton_realizer(13))
+    matrix_bytes = P.ground_size * 8 * ((P.ground_size + 63) // 64)
+    verify_local_realizer(P, family)  # warm-up
+
+    def refuse(*args):
+        raise AssertionError("an accepted family reached the reject pass")
+
+    monkeypatch.setattr(realizers, "_list_violations", refuse)
+    monkeypatch.setattr(realizers, "_transposed_rows", refuse)
+    tracemalloc.start()
+    try:
+        assert verify_local_realizer(P, family).accepted
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix_bytes / 2  # tiles of rows, not N rows
+
+
 # ------------------------------------------------- property test vs. oracle
 
 
@@ -335,18 +356,28 @@ def _base_family(P):
         return build_standard_realizer(P.n)
     if isinstance(P, SingletonPoset):
         return build_singleton_realizer(P.n)
+    if isinstance(P, ProductPoset):
+        return lift_product(P.p, P.q, _base_family(P.p), _base_family(P.q))
+    if isinstance(P, MultisetLattice) and P.n > 1:  # chain:m times the rest
+        rest = MultisetLattice(P.n - 1, P.m)
+        return lift_product(Chain(P.m), rest, _base_family(Chain(P.m)),
+                            _base_family(rest))
     canon = canonical_linear_extension(P)
     sizes = np.bitwise_count(P.down_rows()).sum(axis=1)
     return [canon, sorted(canon, key=lambda a: (sizes[P.index_of(a)], -a))]
 
 
-@st.composite
-def families(draw):
-    spec = draw(st.sampled_from(PROPERTY_POSETS))
+def _property_poset(spec):
     if spec.startswith("relabelled-"):
-        P = _Relabelled(build_poset(spec.removeprefix("relabelled-")))
-    else:
-        P = build_poset(spec)
+        return _Relabelled(build_poset(spec.removeprefix("relabelled-")))
+    if "*" in spec:
+        return ProductPoset(*map(build_poset, spec.split("*")))
+    return build_poset(spec)
+
+
+@st.composite
+def families(draw, specs=PROPERTY_POSETS):
+    P = _property_poset(draw(st.sampled_from(specs)))
     ids = list(P.element_ids())
     members = [list(m) for m in _base_family(P)] if draw(st.booleans()) else []
     members += draw(st.lists(st.permutations(ids), max_size=2))
@@ -396,6 +427,45 @@ def test_verifier_matches_oracle(case):
     scan = (DUPLICATE_IN_PLE, ORDER_VIOLATION_IN_PLE)
     assert rep.violations == _expected(found, scan, cap)
     assert rep.accepted == (not any(found[k] for k in scan))
+
+
+TILED_POSETS = ("chain:1", "antichain:1", "chain:70", "antichain:70",
+                "boolean:7", "singleton:8", "multiset:3:3",
+                "boolean:3*chain:9")
+
+
+@st.composite
+def valid_families(draw, specs):
+    """A local realizer, its members in any order, some of them twice."""
+    P = _property_poset(draw(st.sampled_from(specs)))
+    members = draw(st.permutations([tuple(m) for m in _base_family(P)]))
+    members += draw(st.lists(st.sampled_from(members), max_size=2))
+    return P, members, 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(valid_families(TILED_POSETS), families(TILED_POSETS)),
+       st.sampled_from((8, 136, 1 << 20)), st.sampled_from((7, 256)))
+# 0 and 69 never co-occur: only the last row, a tile of its own, shows it
+@example((Chain(70), [tuple(range(69)), tuple(range(1, 70))], 100), 8, 7)
+def test_accept_pass_matches_reject_pass(case, tile_bytes, block):
+    """With tiles of one row up to one tile for all, the accept pass accepts
+    exactly the families the reject pass accepts, with the same report."""
+    P, family, cap = case
+    decisions = []
+
+    def accept_pass(P, members, run=realizers._accepts):
+        decisions.append(run(P, members))
+        return decisions[-1]
+
+    with (mock.patch.object(realizers, "_TILE_BYTES", tile_bytes),
+          mock.patch.object(realizers, "_ROW_BLOCK", block)):
+        with mock.patch.object(realizers, "_accepts", accept_pass):
+            report = verify_local_realizer(P, family, cap)
+        with mock.patch.object(realizers, "_accepts", lambda *args: False):
+            listed = verify_local_realizer(P, family, cap)
+    assert (decisions == [True]) == listed.accepted
+    assert report == listed
 
 
 # ------------------------------------------------------------ golden reports
