@@ -129,37 +129,28 @@ _SWAPS = tuple((np.uint64(s), np.uint64(mask)) for s, mask in (
     (2, 0x3333333333333333), (1, 0x5555555555555555)))
 
 
-def _placed_so_far(arr: np.ndarray, row: np.ndarray, carry,
-                   out: np.ndarray) -> np.ndarray:
-    """Row q of ``out``: the packed set of elements arr[p] with row[p] <= q,
-    plus the set ``carry``; ``row`` is non-decreasing and the elements are
-    distinct."""
-    out[:] = 0
-    W = out.shape[1]
-    # distinct elements set distinct bits, so adding them is OR-ing them
-    np.add.at(out.reshape(-1), row * W + (arr >> 6),
-              _ONE << (arr & 63).astype(np.uint64))
-    out[0] |= carry
-    return np.bitwise_or.accumulate(out, axis=0, out=out)
-
-
-def _earlier_rows(members: list[np.ndarray], start: int, stop: int, W: int):
-    """Rows start..stop-1 of ``earlier``, member by member: for each chunk of
-    at most ``_ROW_BLOCK`` of a member's placements of elements in that
-    range, yields their elements x and, in row q, the packed set of
-    elements the member places at or before x[q].  The placements between
-    two in-range ones go to the later one's row, and the last row of a
-    chunk carries over to the next."""
-    buf = np.empty((min(stop - start, _ROW_BLOCK), W), dtype=np.uint64)
+def _earlier_rows(members: list[np.ndarray], wanted: np.ndarray, W: int):
+    """Rows of ``earlier`` at the elements ``wanted`` (a bool mask over
+    element indices), member by member: for each chunk of at most
+    ``_ROW_BLOCK`` of a member's placements of wanted elements, yields their
+    elements x and, in row q, the packed set of elements the member places
+    at or before x[q].  The placements between two wanted ones go to the
+    later one's row, and the last row of a chunk carries over to the next."""
+    buf = np.empty((min(np.count_nonzero(wanted), _ROW_BLOCK), W),
+                   dtype=np.uint64)
     for arr in members:
-        pos = np.flatnonzero((arr >= start) & (arr < stop))
+        pos = np.flatnonzero(wanted[arr])
         carry, prev = np.uint64(0), 0
         for c in range(0, pos.size, _ROW_BLOCK):
             p = pos[c:c + _ROW_BLOCK]
             row = np.repeat(np.arange(p.size), np.diff(p, prepend=prev - 1))
-            rows = _placed_so_far(arr[prev:p[-1] + 1], row, carry,
-                                  buf[:p.size])
-            yield arr[p], rows
+            placed, rows = arr[prev:p[-1] + 1], buf[:p.size]
+            rows[:] = 0
+            # distinct elements set distinct bits, so adding them is OR-ing
+            np.add.at(rows.reshape(-1), row * W + (placed >> 6),
+                      _ONE << (placed & 63).astype(np.uint64))
+            rows[0] |= carry
+            yield arr[p], np.bitwise_or.accumulate(rows, axis=0, out=rows)
             # the next chunk overwrites buf
             carry, prev = rows[-1].copy(), p[-1] + 1
 
@@ -242,6 +233,14 @@ def _member_indices(P: Poset, ple: Ple, i: int,
     return arr[np.sort(first_pos)]
 
 
+def _positions(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The index in ``arr`` of each of ``values``; a value not in ``arr``
+    gets an index that holds another value."""
+    order = np.argsort(arr)
+    return order[np.searchsorted(arr, values, sorter=order)
+                 .clip(max=arr.size - 1)]
+
+
 def _log_order_violations(P: Poset, arr: np.ndarray, i: int,
                           block: np.ndarray, hits: np.ndarray,
                           log: _ViolationLog) -> None:
@@ -252,47 +251,44 @@ def _log_order_violations(P: Poset, arr: np.ndarray, i: int,
     found, q, b = _set_bits(hits, room)
     log.clean &= not found
     if q.size:
-        order = np.argsort(arr)
-        p = order[np.searchsorted(arr, b, sorter=order)]
+        p = _positions(arr, b)
         for k in np.lexsort((p, q))[:room]:
             log.add(ORDER_VIOLATION_IN_PLE, P.id_at(int(block[q[k]])),
                     P.id_at(int(b[k])), i)
 
 
-def _scan_member(P: Poset, arr: np.ndarray, i: int, log: _ViolationLog):
-    """Log the order violations of member i, its deduplicated placements
-    ``arr`` read in row blocks: the elements placed at or before each,
-    AND-ed with its packed strict up-set."""
-    carry = np.uint64(0)
-    for start in range(0, arr.size, _ROW_BLOCK):
-        block = arr[start:start + _ROW_BLOCK]
-        up = P.up_rows(block)  # first, so an oversize poset is refused early
-        placed = _placed_so_far(block, np.arange(block.size), carry,
-                                np.empty_like(up))
-        _log_order_violations(P, arr, i, block, up & placed, log)
-        carry = placed[-1]
+def _scan_members(P: Poset, members: list[np.ndarray], wanted: np.ndarray,
+                  log: _ViolationLog, pairs=()) -> list[int]:
+    """Log the order violations of the deduplicated ``members``, in order,
+    from their rows at the ``wanted`` elements AND-ed with the up rows of
+    those elements, and return, for each index pair (a, b) of ``pairs``, the
+    first member whose row at a holds b, or -1.  Once the log is not clean
+    and lists no more order violations, only the rows of the pairs without
+    a member are read, and the scan stops when every pair has one."""
+    W = (P.ground_size + 63) // 64
+    a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    first = np.full(a.size, -1)
 
+    def settled() -> bool:
+        """Whether only the pairs' members are left to find."""
+        return not (log.clean or log.room(ORDER_VIOLATION_IN_PLE))
 
-def _first_reversing_members(members: list[np.ndarray],
-                             pairs: list[tuple[int, int]]) -> list[int]:
-    """For each index pair (a, b), a < b in P, the first of the deduplicated
-    ``members`` that places b before a."""
-    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    found = np.full(a.size, -1)
     for i, arr in enumerate(members):
-        open_ = found < 0
-        if not open_.any():
-            break
-        if arr.size < 2:
-            continue
-        pos = np.argsort(arr)
-        uniq = arr[pos]
-        ia = np.searchsorted(uniq, a).clip(max=uniq.size - 1)
-        ib = np.searchsorted(uniq, b).clip(max=uniq.size - 1)
-        hit = (open_ & (uniq[ia] == a) & (uniq[ib] == b)
-               & (pos[ib] < pos[ia]))
-        found[hit] = i
-    return found.tolist()
+        if settled():
+            if (first >= 0).all():
+                break
+            wanted = np.zeros(P.ground_size, dtype=bool)
+            wanted[a[first < 0]] = True
+        for x, rows in _earlier_rows([arr], wanted, W):
+            hits = P.up_rows(x) & rows
+            _log_order_violations(P, arr, i, x, hits, log)
+            k = np.flatnonzero(first < 0)
+            q = _positions(x, a[k])
+            bit = hits[q, b[k] >> 6] >> (b[k] & 63).astype(np.uint64)
+            first[k[(x[q] == a[k]) & (bit & _ONE != 0)]] = i
+            if settled() and (first >= 0).all():
+                break
+    return first.tolist()
 
 
 def validate_ple(P: Poset, ple: Sequence[int],
@@ -301,7 +297,9 @@ def validate_ple(P: Poset, ple: Sequence[int],
     ple = tuple(ple)
     log = _ViolationLog(max_violations_per_kind)
     if ple:
-        _scan_member(P, _member_indices(P, ple, 0, log), 0, log)
+        arr = _member_indices(P, ple, 0, log)
+        P.up_rows(arr[:_ROW_BLOCK])  # refuses an oversize P before the scan
+        _scan_members(P, [arr], np.broadcast_to(True, P.ground_size), log)
     return VerificationReport(
         accepted=log.clean,
         frequency=1 if ple else 0,
@@ -319,8 +317,10 @@ def _accepts(P: Poset, members: list[np.ndarray]) -> bool:
     step = max(_TILE_BYTES // (8 * W), 1)
     for start in range(0, N, step):
         stop = min(start + step, N)
+        wanted = np.zeros(N, dtype=bool)
+        wanted[start:stop] = True
         tile = np.zeros((stop - start, W), dtype=np.uint64)
-        for x, rows in _earlier_rows(members, start, stop, W):
+        for x, rows in _earlier_rows(members, wanted, W):
             tile[x - start] |= rows
         for s in range(start, stop, _ROW_BLOCK):
             idx = np.arange(s, min(s + _ROW_BLOCK, stop))
@@ -336,16 +336,15 @@ def _accepts(P: Poset, members: list[np.ndarray]) -> bool:
 
 def _list_violations(P: Poset, members: list[np.ndarray],
                      log: _ViolationLog) -> None:
-    """The reject pass: build the whole ``earlier``, logging each member's
-    order violations from the rows that go into it, then list the pair
-    violations from it."""
+    """The reject pass: build the whole ``earlier``, list the pair
+    violations from it, then scan the members at the rows that hold a
+    reversed pair for their order violations and for the first member that
+    reverses each listed pair."""
     N = P.ground_size
     W = (N + 63) // 64
     earlier = np.zeros((64 * W, W), dtype=np.uint64)  # whole 64-row tiles
-    for i, arr in enumerate(members):
-        for x, rows in _earlier_rows([arr], 0, N, W):
-            earlier[x] |= rows  # sets the diagonal too, which no mask reads
-            _log_order_violations(P, arr, i, x, P.up_rows(x) & rows, log)
+    for x, rows in _earlier_rows(members, np.broadcast_to(True, N), W):
+        earlier[x] |= rows  # sets the diagonal too, which no mask reads
 
     if N == 1:
         if not earlier[0, 0]:
@@ -362,8 +361,8 @@ def _list_violations(P: Poset, members: list[np.ndarray],
         for ai, bi in listed(start, mask, log.room(kind)):
             log.add(kind, P.id_at(ai), P.id_at(bi))
 
-    reversed_ = []  # listed reversed pairs, whose members are found last
-
+    reversed_ = []  # listed reversed pairs, whose members the scan finds
+    reversing = np.zeros(N, dtype=bool)  # rows a of the reversed pairs
     index_order = Chain(N)  # its strict up-sets: the pairs a < b by index
     for start in range(0, N, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, N)
@@ -375,14 +374,17 @@ def _list_violations(P: Poset, members: list[np.ndarray],
         incomparable = index_order.up_rows(rows) & ~(up_b | P.down_rows(rows))
         # comparable pairs, oriented a < b in P by construction of `up_b`
         collect(COMPARABLE_PAIR_NEVER_WITNESSED, start, up_b & ~later_b)
-        reversed_ += listed(start, up_b & earlier_b, log.cap - len(reversed_))
+        up_b &= earlier_b  # the reversed pairs, in place: up_b is done
+        reversing[start:stop] = up_b.any(axis=1)
+        reversed_ += listed(start, up_b, log.cap - len(reversed_))
         collect(PAIR_NEVER_CO_OCCURS, start,
                 incomparable & ~(earlier_b | later_b))
         collect(INCOMPARABLE_PAIR_ONE_SIDED, start,
                 incomparable & (earlier_b ^ later_b))
 
+    del up_b, later_b, incomparable  # free the last block before the scan
     for (ai, bi), member in zip(
-            reversed_, _first_reversing_members(members, reversed_)):
+            reversed_, _scan_members(P, members, reversing, log, reversed_)):
         log.add(COMPARABLE_PAIR_REVERSED, P.id_at(ai), P.id_at(bi), member)
 
 
@@ -403,10 +405,11 @@ def verify_local_realizer(P: Poset, family,
     as packed strict up- and down-sets of a block of rows at a time, from
     ``P.up_rows(block)`` and ``P.down_rows(block)``.  Row x of ``earlier``
     is the set of elements placed at or before x in some member.  One
-    builder makes rows start..stop-1 of it: for each deduplicated member it
-    takes the placements of elements in that range in chunks of
-    ``_ROW_BLOCK``, scatters the placements up to each one into its row and
-    OR-accumulates the rows, the last row carried to the next chunk.
+    builder makes its rows at a mask of wanted elements: for each
+    deduplicated member it takes the placements of wanted elements in
+    chunks of ``_ROW_BLOCK``, scatters the placements up to each one into
+    its row and OR-accumulates the rows, the last row carried to the next
+    chunk.
 
     Two passes.  The accept pass deduplicates each member once and counts
     occurrences; a duplicate, or an element in no member, hands over to the
@@ -419,27 +422,31 @@ def verify_local_realizer(P: Poset, family,
     rows and stops at the first block of 256 rows with a failing row.
     Every row passing is acceptance.
 
-    The reject pass, run on any other family, lists the violations.  It
-    holds the whole N-row ``earlier``, the only N-row array, once the
-    packed-byte budget has admitted P (checked before anything else, so
-    ``build`` refuses alike), built by the same builder; the rows of each
-    member, AND-ed with the up rows of their elements, are its order
-    violations, which ``validate_ple`` finds by its own block scan.
-    ``later`` (placed after x in some member) is its bit transpose off the
-    diagonal, built for one block of rows at a time from a column strip of
-    ``earlier`` by 64 x 64 bit tile transposes.  The pair checks run on
-    blocks of rows as word operations (never witnessed ``up & ~later``,
-    reversed ``up & earlier``, never co-occurring ``incomparable &
-    ~(earlier | later)``, one-sided ``incomparable & (earlier ^ later)``),
-    where a block's incomparable pairs a < b in index order come from its
-    up and down rows; coordinates are decoded only from nonzero rows.
+    The reject pass, run on any other family, lists the violations in three
+    steps.  It builds the whole N-row ``earlier``, the only N-row array,
+    once the packed-byte budget has admitted P (checked before anything
+    else, so ``build`` refuses alike), reading no order rows.  The pair
+    checks then run on blocks of rows as word operations (never witnessed
+    ``up & ~later``, reversed ``up & earlier``, never co-occurring
+    ``incomparable & ~(earlier | later)``, one-sided ``incomparable &
+    (earlier ^ later)``), where ``later`` (placed after x in some member)
+    is the bit transpose of ``earlier`` off the diagonal, built for one
+    block of rows at a time from a column strip by 64 x 64 bit tile
+    transposes, and a block's incomparable pairs a < b in index order come
+    from its up and down rows; coordinates are decoded only from nonzero
+    rows.  Last, one ordered member scan, the one ``validate_ple`` runs on
+    every row, rebuilds each member's rows at the rows a that hold a
+    reversed pair and ANDs them with their up rows: a set bit b is an order
+    violation of that member, and the first member with b in its row at a
+    is the one listed for the reversed pair (a, b).  Once the order
+    violations are listed in full, it reads only the rows of the pairs
+    still without a member, and it stops when none is left.
 
     The capped violations listed for each kind are the first ones in this
     order: duplicates by member, then element index; order violations by
     member, then the position of the later-placed element, then that of the
-    earlier one; pair violations by element index (a, then b).  Only listed
-    reversed pairs are traced back to the first member that reverses them.
-    The listed violations are then sorted by (kind, a, b, ple).
+    earlier one; pair violations by element index (a, then b).  The listed
+    violations are then sorted by (kind, a, b, ple).
     """
     family = RealizerFamily(family)
     log = _ViolationLog(max_violations_per_kind)

@@ -25,9 +25,8 @@ usage variables.  Two auxiliary roles follow them:
   neighbours.  With the units z(A0, 1) and -z(A0, i) for i > d (A0 the
   element at index 0) it removes the k! relabellings of the orders, so an
   unsat d is refuted once.  ``solve_instance`` and ``ldim_certificate``
-  always break the symmetry; ``encode`` and ``iter_clauses`` do when asked,
-  since a realizer whose members are not in the lex-leader order is then
-  no model.
+  always break the symmetry; ``encode`` does when asked, since a realizer
+  whose members are not in the lex-leader order is then no model.
 
 Only what P leaves open is encoded.  For a comparable pair A < B, k unit
 clauses set the reverse variable before(B, A, i) false, and no clause that
@@ -46,10 +45,10 @@ of the formula.  Besides the checked scalar lookups ``before``, ``z``,
 element index and order (``before_table``, ``z_table``, ``s_table``,
 ``e_table``).  The clause generator gathers each clause family from
 those tables in int64 blocks and hands their rows on as lists, about a
-thousand at a time, so neither a solver fed by ``iter_clauses`` nor a
-DIMACS file written from ``encode(..., stream=True)`` holds a whole
-family as Python lists: the file's header count comes from
-``expected_clause_count``, and the writer checks it against the stream.
+thousand at a time, so neither a solver nor a DIMACS file fed from
+``encode(..., stream=True)`` holds a whole family as Python lists: the
+file's header count comes from ``expected_clause_count``, and the writer
+checks it against the stream.
 A map file has one line per variable, ``role A B i var``, with var read
 from the tables: ``x``/``y`` give the pair A, B; ``z`` has ``-`` for B;
 ``s`` gives A and the count j as B; ``e`` has ``-`` for A and the index
@@ -238,6 +237,12 @@ class SolverResult:
     model: np.ndarray | None = None
 
 
+# Instances above 2**24 clauses are refused: at about 180 bytes for each
+# clause a solver holds, that is about 3 GB.  boolean:5 at d = 4, the largest
+# query in view, has about 1.9M.
+_CLAUSE_LIMIT = 1 << 24
+
+
 def encode(P: Poset, k: int, d: int, symmetry_break: bool = False,
            stream: bool = False) -> tuple[CnfFormula, VarMap]:
     """Emit the clause families for 'P has a local realizer with at most k
@@ -249,33 +254,11 @@ def encode(P: Poset, k: int, d: int, symmetry_break: bool = False,
     ``ldim_certificate`` describes is; the instance stays satisfiable
     exactly when the plain one is, and the search solves that one.
 
-    The clauses are a list, or with ``stream`` the generator of
-    ``iter_clauses``, declared ``expected_clause_count`` long, which
-    ``write_dimacs`` writes without a list."""
-    formula, vm = _streamed(P, k, d, symmetry_break)
-    if not stream:
-        formula = CnfFormula(formula.variable_count, list(formula.clauses))
-    return formula, vm
-
-
-# Instances above 2**24 clauses are refused: at about 180 bytes for each
-# clause a solver holds, that is about 3 GB.  boolean:5 at d = 4, the largest
-# query in view, has about 1.9M.
-_CLAUSE_LIMIT = 1 << 24
-
-
-def iter_clauses(P: Poset, k: int, d: int, symmetry_break: bool = False
-                 ) -> tuple[VarMap, Iterator[list[int]]]:
-    """The VarMap of encode(P, k, d, symmetry_break) and a generator of its
-    clauses, in encode's order, so a solver can take them without a list of
-    lists.  Refused with ParameterError above 2**24 clauses, before any
-    N x N x k table is built."""
-    formula, vm = _streamed(P, k, d, symmetry_break)
-    return vm, formula.clauses
-
-
-def _streamed(P: Poset, k: int, d: int, symmetry_break: bool
-              ) -> tuple[CnfFormula, VarMap]:
+    The clauses are a list, or with ``stream`` a generator of them in the
+    same order, declared ``expected_clause_count`` long, which a solver
+    loads and ``write_dimacs`` writes without a list.  Refused with
+    ParameterError above 2**24 clauses, before any N x N x k table is
+    built."""
     vm = VarMap(P, k, d, symmetry_break)  # refuses k < 1 or d < 1
     # the count is least when every pair is comparable (4k + 1 clauses each,
     # against 6k + 2 for an incomparable one, and no triple of a chain is
@@ -288,7 +271,10 @@ def _streamed(P: Poset, k: int, d: int, symmetry_break: bool
         raise ParameterError(
             f"{P.kind} with k={k}, d={d} needs at least {total} clauses, "
             f"above the limit of {_CLAUSE_LIMIT}")
-    return CnfFormula(vm.total_count, _clauses(P, vm, d), total), vm
+    clauses = _clauses(P, vm, d)
+    if stream:
+        return CnfFormula(vm.total_count, clauses, total), vm
+    return CnfFormula(vm.total_count, list(clauses)), vm
 
 
 # rows handed on as lists at a time: enough to amortize tolist, few enough
@@ -868,16 +854,15 @@ def solve_instance(P: Poset, k: int, d: int, solver_command=None
     On sat the family comes from decode_verified, so it is a verified local
     realizer of frequency at most d.
     """
+    formula, vm = encode(P, k, d, symmetry_break=True, stream=True)
     if solver_command is None:
         from .cdcl import Solver
 
-        vm, clauses = iter_clauses(P, k, d, symmetry_break=True)
         solver = Solver(vm.total_count)
-        solver.load_trusted(clauses)
+        solver.load_trusted(formula.clauses)
         result = (SolverResult("sat", np.array(solver.model, dtype=np.int64))
                   if solver.solve() else SolverResult("unsat"))
     else:
-        formula, vm = encode(P, k, d, symmetry_break=True, stream=True)
         with tempfile.TemporaryDirectory() as tmp:
             cnf_path = Path(tmp) / "instance.cnf"
             write_dimacs(formula, vm, cnf_path)

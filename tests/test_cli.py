@@ -276,12 +276,12 @@ def test_solve_offline_model(capsys, tmp_path):
 def test_solve_offline_sat_model(capsys, tmp_path):
     from ldimkit import BooleanLattice, decode_realizer, emit_orders_text
     from ldimkit.cdcl import Solver
-    from ldimkit.sat import iter_clauses
+    from ldimkit.sat import encode
 
     P = BooleanLattice(2)
-    vm, clauses = iter_clauses(P, 2, 2)
+    formula, vm = encode(P, 2, 2, stream=True)
     solver = Solver(vm.variable_count)
-    solver.load_trusted(clauses)
+    solver.load_trusted(formula.clauses)
     assert solver.solve()
     true_vars = solver.model
     model = tmp_path / "model.txt"

@@ -524,6 +524,23 @@ def test_row_blocks(monkeypatch, block):
     for name in GOLDEN_CASES:
         test_golden_reports(name)
     test_verifier_matches_oracle()
+    test_violation_cap()  # cap 0 with violations past the first chunk
+
+
+def test_each_reversal_read_once(monkeypatch):
+    """The reject pass reads the up rows of a block once for its pair checks
+    and once more only at the rows that hold a reversed pair."""
+    P, family = _golden_case("b7-swapped")
+    asked = []
+
+    def counting(self, idx=None, rows=Poset.up_rows):
+        asked.append(len(idx))
+        return rows(self, idx)
+
+    monkeypatch.setattr(BooleanLattice, "up_rows", counting)
+    assert not verify_local_realizer(P, family).accepted
+    # the accept pass reads at most N, the pair checks N
+    assert sum(asked) < 3 * P.ground_size
 
 
 @pytest.mark.parametrize("block", [1, 7, 256])

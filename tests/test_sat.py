@@ -20,7 +20,7 @@ from ldimkit import (Antichain, BooleanLattice, Chain, DecodeError,
                      parse_dimacs, parse_model_text, run_solver,
                      solve_instance, verify_local_realizer, write_dimacs)
 from ldimkit.cdcl import Solver
-from ldimkit.sat import CnfFormula, iter_clauses
+from ldimkit.sat import CnfFormula
 from ldimkit.satshim import checked_clauses
 
 from tests import oracle
@@ -452,9 +452,9 @@ def test_symmetry_break_matches_oracle(spec, k, d):
     formula, vm = encode(P, k, d, symmetry_break=True)
     assert formula.variable_count == vm.total_count
     assert formula.clauses == list(oracle.clauses(P, VarMap(P, k), d, True))
-    streamed_vm, streamed = iter_clauses(P, k, d, symmetry_break=True)
+    streamed, streamed_vm = encode(P, k, d, symmetry_break=True, stream=True)
     assert streamed_vm.total_count == vm.total_count
-    assert list(streamed) == formula.clauses
+    assert list(streamed.clauses) == formula.clauses
 
 
 @pytest.mark.parametrize("spec,k,d", _ORACLE_INSTANCES)
@@ -546,12 +546,12 @@ def test_dimacs_bytes_pinned(spec, k, d, brk, digest, map_digest):
     assert hashlib.sha256(map_buf.getvalue().encode()).hexdigest() == map_digest
 
 
-def test_iter_clauses_streams():
+def test_encode_streams_clauses():
     # the whole list for this instance is 79,791 clauses and about 10 MB
     tracemalloc.start()
     try:
-        vm, clauses = iter_clauses(BooleanLattice(4), 48, 3)
-        first = list(islice(clauses, 1000))
+        formula, vm = encode(BooleanLattice(4), 48, 3, stream=True)
+        first = list(islice(formula.clauses, 1000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -559,13 +559,13 @@ def test_iter_clauses_streams():
     assert peak < 4 * 2**20
 
 
-def test_iter_clauses_refuses_oversize():
+def test_encode_stream_refuses_oversize():
     # 2 * 11,934,720 kept transitivity clauses alone pass the 2**24 limit,
     # though the bound with every pair comparable does not
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match="clauses"):
-            iter_clauses(BooleanLattice(8), 2, 1)
+            encode(BooleanLattice(8), 2, 1, stream=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
