@@ -31,15 +31,16 @@ _MATRIX_CELL_LIMIT = 1 << 30
 
 # Packed order rows: a set of elements is a row of W = ceil(N/64) uint64
 # words, element index j at bit j % 64 of word j // 64.  One array of rows
-# may take at most 256 MB.  Only the verifier's reject pass holds an N x W
-# array, 128 MB on boolean:15; boolean:16 would need 512 MB, and is refused
-# before either pass.  The accept pass holds tiles of _TILE_BYTES of rows.
+# may take at most 256 MB.  The verifier holds no N x W array: both of its
+# passes hold tiles of _TILE_BYTES of rows.  It still checks the budget for
+# all N rows (512 MB on boolean:16, refused), so that ``build`` and
+# ``verify`` refuse the same posets.
 _PACKED_BYTE_LIMIT = 1 << 28
 _TILE_BYTES = 1 << 20
 _ONE = np.uint64(1)
 
 # Rows per block wherever order rows are built or read for many elements,
-# so that the only N-row array ever held is the reject pass's ``earlier``.
+# so that no N-row array is held.
 _ROW_BLOCK = 256
 # Columns per step where a row is computed from a (rows x columns) test,
 # a whole number of words, so that the test's temporaries stay small.

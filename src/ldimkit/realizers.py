@@ -120,62 +120,37 @@ class RealizerFamily:
         return f"<RealizerFamily size={self.size} frequency={self.frequency}>"
 
 
-# The swap steps of a 64 x 64 bit transpose (Hacker's Delight, 7-3): step s
-# swaps bit c + s of row r with bit c of row r + s, where r and c have bit s
-# clear (``mask`` keeps those c).
-_SWAPS = tuple((np.uint64(s), np.uint64(mask)) for s, mask in (
-    (32, 0x00000000FFFFFFFF), (16, 0x0000FFFF0000FFFF),
-    (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
-    (2, 0x3333333333333333), (1, 0x5555555555555555)))
-
-
 def _earlier_rows(members: list[np.ndarray], wanted: np.ndarray, W: int):
     """Rows of ``earlier`` at the elements ``wanted`` (a bool mask over
-    element indices), member by member: for each chunk of at most
-    ``_ROW_BLOCK`` of a member's placements of wanted elements, yields their
-    elements x and, in row q, the packed set of elements the member places
-    at or before x[q].  The placements between two wanted ones go to the
-    later one's row, and the last row of a chunk carries over to the next."""
-    buf = np.empty((min(np.count_nonzero(wanted), _ROW_BLOCK), W),
+    element indices), member by member, as ``_prefix_rows`` yields them."""
+    buf = np.empty((min(np.count_nonzero(wanted), _ROW_BLOCK), W + 1),
                    dtype=np.uint64)
     for arr in members:
-        pos = np.flatnonzero(wanted[arr])
-        carry, prev = np.uint64(0), 0
-        for c in range(0, pos.size, _ROW_BLOCK):
-            p = pos[c:c + _ROW_BLOCK]
-            row = np.repeat(np.arange(p.size), np.diff(p, prepend=prev - 1))
-            placed, rows = arr[prev:p[-1] + 1], buf[:p.size]
-            rows[:] = 0
-            # distinct elements set distinct bits, so adding them is OR-ing
-            np.add.at(rows.reshape(-1), row * W + (placed >> 6),
-                      _ONE << (placed & 63).astype(np.uint64))
-            rows[0] |= carry
-            yield arr[p], np.bitwise_or.accumulate(rows, axis=0, out=rows)
-            # the next chunk overwrites buf
-            carry, prev = rows[-1].copy(), p[-1] + 1
+        yield from _prefix_rows(arr, np.flatnonzero(wanted[arr]), buf)
 
 
-def _transposed_rows(matrix: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the bit transpose of a packed matrix whose rows
-    are padded with zero rows to a whole number of 64-row tiles: row r of
-    the result has bit c set iff row c of ``matrix`` has bit r set."""
-    W = matrix.shape[1]
-    first, k = start >> 6, ((stop - 1) >> 6) + 1 - (start >> 6)
-    # tiles[i, t, j]: word first + j of row 64 t + i
-    strip = matrix[:, first:first + k].reshape(W, 64, k)
-    tiles = strip.transpose(1, 0, 2).copy()
-    swap = np.empty(32 * W * k, dtype=np.uint64)
-    for s, mask in _SWAPS:
-        lo, hi = tiles.reshape(-1, 2, int(s) * W * k).transpose(1, 0, 2)
-        diff = np.right_shift(lo, s, out=swap.reshape(lo.shape))
-        diff ^= hi
-        diff &= mask
-        hi ^= diff
-        diff <<= s
-        lo ^= diff
-    # now bit i of tiles[b, t, j] is bit 64 (first + j) + b of row 64 t + i
-    rows = tiles.transpose(2, 0, 1).reshape(64 * k, W)
-    return rows[start & 63:(start & 63) + stop - start]
+def _prefix_rows(arr: np.ndarray, pos: np.ndarray, buf: np.ndarray):
+    """For each chunk of at most ``_ROW_BLOCK`` of the ascending positions
+    ``pos`` in the placements ``arr``, yields their elements x and, in row
+    q of ``buf``, the packed set of elements placed at or before x[q].  The
+    placements between two of ``pos`` go to the later one's row, and the
+    last row of a chunk carries over to the next.  A row of ``buf`` has a
+    spare word: with a stride of whole 4 KiB pages, the column-wise
+    accumulate would miss the cache on every word (3x slower at W = 512)."""
+    stride = buf.shape[1]
+    carry, prev = np.uint64(0), 0
+    for c in range(0, pos.size, _ROW_BLOCK):
+        p = pos[c:c + _ROW_BLOCK]
+        row = np.repeat(np.arange(p.size), np.diff(p, prepend=prev - 1))
+        placed, rows = arr[prev:p[-1] + 1], buf[:p.size, :stride - 1]
+        rows[:] = 0
+        # distinct elements set distinct bits, so adding them is OR-ing
+        np.add.at(buf[:p.size].reshape(-1), row * stride + (placed >> 6),
+                  _ONE << (placed & 63).astype(np.uint64))
+        rows[0] |= carry
+        yield arr[p], np.bitwise_or.accumulate(rows, axis=0, out=rows)
+        # the next chunk overwrites buf
+        carry, prev = rows[-1].copy(), p[-1] + 1
 
 
 def _set_bits(mask: np.ndarray, cap: int) -> tuple[bool, np.ndarray, np.ndarray]:
@@ -298,7 +273,10 @@ def validate_ple(P: Poset, ple: Sequence[int],
     log = _ViolationLog(max_violations_per_kind)
     if ple:
         arr = _member_indices(P, ple, 0, log)
-        P.up_rows(arr[:_ROW_BLOCK])  # refuses an oversize P before the scan
+        # refuse an oversize P before the scan allocates: the budget of its
+        # first block, and the kinds that cannot build any row
+        P._packed_indices(arr[:_ROW_BLOCK])
+        P.up_rows(arr[:0])
         _scan_members(P, [arr], np.broadcast_to(True, P.ground_size), log)
     return VerificationReport(
         accepted=log.clean,
@@ -336,20 +314,14 @@ def _accepts(P: Poset, members: list[np.ndarray]) -> bool:
 
 def _list_violations(P: Poset, members: list[np.ndarray],
                      log: _ViolationLog) -> None:
-    """The reject pass: build the whole ``earlier``, list the pair
-    violations from it, then scan the members at the rows that hold a
-    reversed pair for their order violations and for the first member that
-    reverses each listed pair."""
+    """The reject pass: build ``earlier`` and ``later`` a tile of rows at a
+    time and list the pair violations from them, then scan the members at
+    the rows that hold a reversed pair for their order violations and for
+    the first member that reverses each listed pair."""
     N = P.ground_size
     W = (N + 63) // 64
-    earlier = np.zeros((64 * W, W), dtype=np.uint64)  # whole 64-row tiles
-    for x, rows in _earlier_rows(members, np.broadcast_to(True, N), W):
-        earlier[x] |= rows  # sets the diagonal too, which no mask reads
-
-    if N == 1:
-        if not earlier[0, 0]:
-            log.add(PAIR_NEVER_CO_OCCURS, P.id_at(0), P.id_at(0))
-        return
+    if N == 1 and not any(arr.size for arr in members):  # no pair to check
+        log.add(PAIR_NEVER_CO_OCCURS, P.id_at(0), P.id_at(0))
 
     def listed(start: int, mask: np.ndarray, room: int):
         """The first ``room`` (a, b) index pairs of a block's ``mask``."""
@@ -361,28 +333,55 @@ def _list_violations(P: Poset, members: list[np.ndarray],
         for ai, bi in listed(start, mask, log.room(kind)):
             log.add(kind, P.id_at(ai), P.id_at(bi))
 
+    # rows per tile: the two tiles share _TILE_BYTES
+    step = min(max(_TILE_BYTES // (16 * W), 1), N)
+    tiles = np.empty((2, step, W), dtype=np.uint64)
+    buf = np.empty((min(step, _ROW_BLOCK), W + 1), dtype=np.uint64)
+    # each member's packed element set, of which its rows are subsets, and
+    # its positions of tile t's elements, order[starts[t]:starts[t + 1]]
+    sets = np.zeros((len(members), W), dtype=np.uint64)
+    groups = []
+    for placed, arr in zip(sets, members):
+        np.add.at(placed, arr >> 6, _ONE << (arr & 63).astype(np.uint64))
+        # arr's dtype, whose stable sort is a radix sort; step may not fit it
+        tile_of = (arr // np.intp(step)).astype(arr.dtype)
+        order = np.argsort(tile_of, kind="stable")
+        groups.append((order.astype(arr.dtype), np.searchsorted(
+            tile_of[order], np.arange(-(-N // step) + 1))))
     reversed_ = []  # listed reversed pairs, whose members the scan finds
     reversing = np.zeros(N, dtype=bool)  # rows a of the reversed pairs
     index_order = Chain(N)  # its strict up-sets: the pairs a < b by index
-    for start in range(0, N, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, N)
-        rows = np.arange(start, stop)
-        # later[a] holds b iff some member places b after a: for a != b,
-        # that is bit a of earlier[b]
-        up_b, earlier_b, later_b = (P.up_rows(rows), earlier[start:stop],
-                                    _transposed_rows(earlier, start, stop))
-        incomparable = index_order.up_rows(rows) & ~(up_b | P.down_rows(rows))
-        # comparable pairs, oriented a < b in P by construction of `up_b`
-        collect(COMPARABLE_PAIR_NEVER_WITNESSED, start, up_b & ~later_b)
-        up_b &= earlier_b  # the reversed pairs, in place: up_b is done
-        reversing[start:stop] = up_b.any(axis=1)
-        reversed_ += listed(start, up_b, log.cap - len(reversed_))
-        collect(PAIR_NEVER_CO_OCCURS, start,
-                incomparable & ~(earlier_b | later_b))
-        collect(INCOMPARABLE_PAIR_ONE_SIDED, start,
-                incomparable & (earlier_b ^ later_b))
+    for t, first in enumerate(range(0, N, step)):
+        last = min(first + step, N)
+        # later[a] holds b iff some member places b after a
+        earlier, later = tiles[:, :last - first]
+        tiles.fill(0)
+        for arr, placed, (order, starts) in zip(members, sets, groups):
+            pos = order[starts[t]:starts[t + 1]].astype(np.intp)
+            for x, rows in _prefix_rows(arr, pos, buf):
+                # the diagonal goes to earlier, which no mask reads there
+                earlier[x - first] |= rows
+                later[x - first] |= rows ^ placed
+        for start in range(first, last, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, last)
+            rows = np.arange(start, stop)
+            span = slice(start - first, stop - first)
+            up_b, earlier_b, later_b = (P.up_rows(rows), earlier[span],
+                                        later[span])
+            incomparable = (index_order.up_rows(rows)
+                            & ~(up_b | P.down_rows(rows)))
+            # comparable pairs, oriented a < b in P by construction of `up_b`
+            collect(COMPARABLE_PAIR_NEVER_WITNESSED, start, up_b & ~later_b)
+            up_b &= earlier_b  # the reversed pairs, in place: up_b is done
+            reversing[start:stop] = up_b.any(axis=1)
+            reversed_ += listed(start, up_b, log.cap - len(reversed_))
+            collect(PAIR_NEVER_CO_OCCURS, start,
+                    incomparable & ~(earlier_b | later_b))
+            collect(INCOMPARABLE_PAIR_ONE_SIDED, start,
+                    incomparable & (earlier_b ^ later_b))
 
-    del up_b, later_b, incomparable  # free the last block before the scan
+    # free the last tiles and block before the scan
+    del tiles, buf, earlier, later, earlier_b, later_b, up_b, incomparable
     for (ai, bi), member in zip(
             reversed_, _scan_members(P, members, reversing, log, reversed_)):
         log.add(COMPARABLE_PAIR_REVERSED, P.id_at(ai), P.id_at(bi), member)
@@ -405,11 +404,10 @@ def verify_local_realizer(P: Poset, family,
     as packed strict up- and down-sets of a block of rows at a time, from
     ``P.up_rows(block)`` and ``P.down_rows(block)``.  Row x of ``earlier``
     is the set of elements placed at or before x in some member.  One
-    builder makes its rows at a mask of wanted elements: for each
-    deduplicated member it takes the placements of wanted elements in
-    chunks of ``_ROW_BLOCK``, scatters the placements up to each one into
-    its row and OR-accumulates the rows, the last row carried to the next
-    chunk.
+    builder makes a deduplicated member's rows at some of its placements:
+    it takes them in chunks of ``_ROW_BLOCK``, scatters the placements up
+    to each one into its row and OR-accumulates the rows, the last row
+    carried to the next chunk.
 
     Two passes.  The accept pass deduplicates each member once and counts
     occurrences; a duplicate, or an element in no member, hands over to the
@@ -422,25 +420,26 @@ def verify_local_realizer(P: Poset, family,
     rows and stops at the first block of 256 rows with a failing row.
     Every row passing is acceptance.
 
-    The reject pass, run on any other family, lists the violations in three
-    steps.  It builds the whole N-row ``earlier``, the only N-row array,
-    once the packed-byte budget has admitted P (checked before anything
-    else, so ``build`` refuses alike), reading no order rows.  The pair
-    checks then run on blocks of rows as word operations (never witnessed
-    ``up & ~later``, reversed ``up & earlier``, never co-occurring
-    ``incomparable & ~(earlier | later)``, one-sided ``incomparable &
-    (earlier ^ later)``), where ``later`` (placed after x in some member)
-    is the bit transpose of ``earlier`` off the diagonal, built for one
-    block of rows at a time from a column strip by 64 x 64 bit tile
-    transposes, and a block's incomparable pairs a < b in index order come
-    from its up and down rows; coordinates are decoded only from nonzero
-    rows.  Last, one ordered member scan, the one ``validate_ple`` runs on
-    every row, rebuilds each member's rows at the rows a that hold a
-    reversed pair and ANDs them with their up rows: a set bit b is an order
-    violation of that member, and the first member with b in its row at a
-    is the one listed for the reversed pair (a, b).  Once the order
-    violations are listed in full, it reads only the rows of the pairs
-    still without a member, and it stops when none is left.
+    The reject pass, run on any other family, lists the violations in two
+    steps, and it too holds no N-row array.  It builds ``earlier`` and
+    ``later`` (row x: the elements placed after x in some member) together,
+    a tile of ``_TILE_BYTES // (16 W)`` rows of each at a time, from each
+    member's placements of the tile's elements, grouped by tile once: a
+    member's row in ``later`` is its row in ``earlier`` XOR-ed with its
+    packed element set, also built once.  The pair checks then run on the
+    tile's blocks of rows as word operations (never witnessed ``up &
+    ~later``, reversed ``up & earlier``, never co-occurring ``incomparable &
+    ~(earlier | later)``, one-sided ``incomparable & (earlier ^ later)``),
+    where a block's incomparable pairs a < b in index order come from its up
+    and down rows; coordinates are decoded only from nonzero rows.  Last,
+    one ordered member scan, the one ``validate_ple`` runs on every row,
+    rebuilds each member's rows at the rows a that hold a reversed pair and
+    ANDs them with their up rows: a set bit b is an order violation of that
+    member, and the first member with b in its row at a is the one listed
+    for the reversed pair (a, b).  Once the order violations are listed in
+    full, it reads only the rows of the pairs still without a member, and it
+    stops when none is left.  The packed-byte budget is checked before
+    anything else, so ``build`` and ``verify`` refuse the same posets.
 
     The capped violations listed for each kind are the first ones in this
     order: duplicates by member, then element index; order violations by
@@ -450,7 +449,7 @@ def verify_local_realizer(P: Poset, family,
     """
     family = RealizerFamily(family)
     log = _ViolationLog(max_violations_per_kind)
-    P._packed_indices(None)  # the reject pass's budget, before anything else
+    P._packed_indices(None)  # build's budget too, before anything else
     # held through both passes, in the smallest dtype that holds an index
     index_type = np.min_scalar_type(P.ground_size - 1)
     members = [_member_indices(P, ple, i, log).astype(index_type)

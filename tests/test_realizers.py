@@ -311,10 +311,23 @@ def test_accept_pass_holds_no_n_row_array(monkeypatch):
         raise AssertionError("an accepted family reached the reject pass")
 
     monkeypatch.setattr(realizers, "_list_violations", refuse)
-    monkeypatch.setattr(realizers, "_transposed_rows", refuse)
     tracemalloc.start()
     try:
         assert verify_local_realizer(P, family).accepted
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix_bytes / 2  # tiles of rows, not N rows
+
+
+def test_reject_pass_holds_no_n_row_array():
+    P = SingletonPoset(13)
+    family = RealizerFamily(build_singleton_realizer(13)[:-1])
+    matrix_bytes = P.ground_size * 8 * ((P.ground_size + 63) // 64)
+    verify_local_realizer(P, family)  # warm-up
+    tracemalloc.start()
+    try:
+        assert not verify_local_realizer(P, family).accepted
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -527,6 +540,39 @@ def test_row_blocks(monkeypatch, block):
     test_violation_cap()  # cap 0 with violations past the first chunk
 
 
+def test_validate_ple_reads_each_row_once(monkeypatch):
+    P = BooleanLattice(12)
+    asked = []
+
+    def counting(self, idx=None, rows=Poset.up_rows):
+        asked.append(len(idx))
+        return rows(self, idx)
+
+    monkeypatch.setattr(BooleanLattice, "up_rows", counting)
+    assert not validate_ple(P, range(19, -1, -1)).accepted
+    assert sum(asked) == 20
+
+
+def test_reject_pass_with_uint8_indices():
+    """On 256 elements the members hold their indices as uint8, while one
+    tile holds all 256 rows."""
+    P = BooleanLattice(8)
+    family = build_bn_realizer(8)[:-1]
+    report = verify_local_realizer(P, family)
+    assert not report.accepted
+    with mock.patch.object(realizers, "_TILE_BYTES", 8):
+        assert verify_local_realizer(P, family) == report
+
+
+@pytest.mark.parametrize("tile_bytes", [8, 136])
+def test_reject_tiles(monkeypatch, tile_bytes):
+    """Tiles of one row (8 bytes) and of a few rows (136) on both passes."""
+    monkeypatch.setattr(realizers, "_TILE_BYTES", tile_bytes)
+    for name in GOLDEN_CASES:
+        test_golden_reports(name)
+    test_verifier_matches_oracle()
+
+
 def test_each_reversal_read_once(monkeypatch):
     """The reject pass reads the up rows of a block once for its pair checks
     and once more only at the rows that hold a reversed pair."""
@@ -541,23 +587,6 @@ def test_each_reversal_read_once(monkeypatch):
     assert not verify_local_realizer(P, family).accepted
     # the accept pass reads at most N, the pair checks N
     assert sum(asked) < 3 * P.ground_size
-
-
-@pytest.mark.parametrize("block", [1, 7, 256])
-def test_transposed_rows(block):
-    rng = np.random.default_rng(block)
-    for N in (1, 63, 64, 65, 127, 130, 257):
-        W = (N + 63) // 64
-        matrix = np.zeros((64 * W, W), dtype=np.uint64)
-        matrix[:N] = rng.integers(0, 1 << 64, size=(N, W), dtype=np.uint64)
-        bits = np.unpackbits(matrix.astype("<u8").view(np.uint8), axis=1,
-                             bitorder="little")
-        for start in range(0, N, block):
-            stop = min(start + block, N)
-            expected = np.packbits(np.ascontiguousarray(bits.T[start:stop]),
-                                   axis=1, bitorder="little").view("<u8")
-            got = realizers._transposed_rows(matrix, start, stop)
-            assert np.array_equal(got, expected), (N, start, stop)
 
 
 GOLDEN_SHA256 = {
