@@ -31,10 +31,11 @@ _MATRIX_CELL_LIMIT = 1 << 30
 
 # Packed order rows: a set of elements is a row of W = ceil(N/64) uint64
 # words, element index j at bit j % 64 of word j // 64.  One array of rows
-# may take at most 256 MB.  The verifier holds no N x W array: both of its
-# passes hold tiles of _TILE_BYTES of rows.  It still checks the budget for
-# all N rows (512 MB on boolean:16, refused), so that ``build`` and
-# ``verify`` refuse the same posets.
+# may take at most 256 MB.  The verifier holds no N x W array: the one tile
+# walk of both its passes holds _TILE_BYTES of rows, shared by ``earlier``
+# and, when rejecting, ``later``.  It still checks the budget for all N rows
+# (512 MB on boolean:16, refused), so that ``build`` and ``verify`` refuse
+# the same posets.
 _PACKED_BYTE_LIMIT = 1 << 28
 _TILE_BYTES = 1 << 20
 _ONE = np.uint64(1)

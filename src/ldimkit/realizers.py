@@ -120,15 +120,6 @@ class RealizerFamily:
         return f"<RealizerFamily size={self.size} frequency={self.frequency}>"
 
 
-def _earlier_rows(members: list[np.ndarray], wanted: np.ndarray, W: int):
-    """Rows of ``earlier`` at the elements ``wanted`` (a bool mask over
-    element indices), member by member, as ``_prefix_rows`` yields them."""
-    buf = np.empty((min(np.count_nonzero(wanted), _ROW_BLOCK), W + 1),
-                   dtype=np.uint64)
-    for arr in members:
-        yield from _prefix_rows(arr, np.flatnonzero(wanted[arr]), buf)
-
-
 def _prefix_rows(arr: np.ndarray, pos: np.ndarray, buf: np.ndarray):
     """For each chunk of at most ``_ROW_BLOCK`` of the ascending positions
     ``pos`` in the placements ``arr``, yields their elements x and, in row
@@ -241,6 +232,8 @@ def _scan_members(P: Poset, members: list[np.ndarray], wanted: np.ndarray,
     and lists no more order violations, only the rows of the pairs without
     a member are read, and the scan stops when every pair has one."""
     W = (P.ground_size + 63) // 64
+    buf = np.empty((min(np.count_nonzero(wanted), _ROW_BLOCK), W + 1),
+                   dtype=np.uint64)
     a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     first = np.full(a.size, -1)
 
@@ -254,7 +247,7 @@ def _scan_members(P: Poset, members: list[np.ndarray], wanted: np.ndarray,
                 break
             wanted = np.zeros(P.ground_size, dtype=bool)
             wanted[a[first < 0]] = True
-        for x, rows in _earlier_rows([arr], wanted, W):
+        for x, rows in _prefix_rows(arr, np.flatnonzero(wanted[arr]), buf):
             hits = P.up_rows(x) & rows
             _log_order_violations(P, arr, i, x, hits, log)
             k = np.flatnonzero(first < 0)
@@ -286,40 +279,69 @@ def validate_ple(P: Poset, ple: Sequence[int],
     )
 
 
-def _accepts(P: Poset, members: list[np.ndarray]) -> bool:
-    """The accept pass: whether each row x of ``earlier`` holds every
-    element outside x's strict up-set, and none inside it, apart from x."""
+def _dirty_blocks(P: Poset, members: list[np.ndarray], planes: int):
+    """The blocks of at most ``_ROW_BLOCK`` rows that fail the row test, in
+    row order, each as its rows, its rows of ``earlier`` (and, with two planes,
+    of ``later``), and its up (and down) rows.  The planes are built a tile
+    of rows at a time, the tiles sharing ``_TILE_BYTES``.  Row x passes when
+    ``earlier[x]`` holds every element outside the strict up-set of x and
+    none inside it, and ``later[x]`` likewise for the strict down-set, x
+    aside."""
     N = P.ground_size
     W = (N + 63) // 64
     every = _index_prefix(np.array([N]), N)
-    step = max(_TILE_BYTES // (8 * W), 1)
-    for start in range(0, N, step):
-        stop = min(start + step, N)
-        wanted = np.zeros(N, dtype=bool)
-        wanted[start:stop] = True
-        tile = np.zeros((stop - start, W), dtype=np.uint64)
-        for x, rows in _earlier_rows(members, wanted, W):
-            tile[x - start] |= rows
-        for s in range(start, stop, _ROW_BLOCK):
-            idx = np.arange(s, min(s + _ROW_BLOCK, stop))
-            # the three pair checks at once: a set bit is a pair below x or
-            # incomparable to it never placed before x, or one above x
-            # placed before it
-            bad = tile[s - start:s - start + idx.size] ^ P.up_rows(idx)
-            bad ^= every
-            if _clear_diagonal(bad, idx).any():
-                return False
-    return True
+    step = min(max(_TILE_BYTES // (8 * planes * W), 1), N)
+    tiles = np.empty((planes, step, W), dtype=np.uint64)
+    buf = np.empty((min(step, _ROW_BLOCK), W + 1), dtype=np.uint64)
+    # each member's positions of tile t's elements, order[starts[t]:
+    # starts[t + 1]], and for later its packed element set, of which its
+    # rows are subsets
+    groups = []
+    for arr in members:
+        # arr's dtype, whose stable sort is a radix sort; step may not fit it
+        tile_of = (arr // np.intp(step)).astype(arr.dtype)
+        order = np.argsort(tile_of, kind="stable")
+        placed = None
+        if planes == 2:
+            placed = np.zeros(W, dtype=np.uint64)
+            np.add.at(placed, arr >> 6, _ONE << (arr & 63).astype(np.uint64))
+        groups.append((arr, placed, order.astype(arr.dtype), np.searchsorted(
+            tile_of[order], np.arange(-(-N // step) + 1))))
+    for t, first in enumerate(range(0, N, step)):
+        last = min(first + step, N)
+        tile = tiles[:, :last - first]
+        tile.fill(0)
+        for arr, placed, order, starts in groups:
+            pos = order[starts[t]:starts[t + 1]].astype(np.intp)
+            for x, rows in _prefix_rows(arr, pos, buf):
+                # later[a] holds b iff some member places b after a; the
+                # diagonal goes to earlier, which no mask reads there
+                tile[0, x - first] |= rows
+                if placed is not None:
+                    tile[1, x - first] |= rows ^ placed
+        for start in range(first, last, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, last)
+            rows = np.arange(start, stop)
+            block = tile[:, start - first:stop - first]
+            ends = [f(rows) for f in (P.up_rows, P.down_rows)[:planes]]
+            if any(_clear_diagonal(plane ^ end ^ every, rows).any()
+                   for plane, end in zip(block, ends)):
+                yield rows, *block, *ends
+
+
+def _accepts(P: Poset, members: list[np.ndarray]) -> bool:
+    """The accept pass: whether every row of ``earlier`` passes the row
+    test."""
+    return not any(_dirty_blocks(P, members, 1))
 
 
 def _list_violations(P: Poset, members: list[np.ndarray],
                      log: _ViolationLog) -> None:
-    """The reject pass: build ``earlier`` and ``later`` a tile of rows at a
-    time and list the pair violations from them, then scan the members at
-    the rows that hold a reversed pair for their order violations and for
-    the first member that reverses each listed pair."""
+    """The reject pass: list the pair violations of the blocks that fail the
+    row test, then scan the members at the rows that hold a reversed pair
+    for their order violations and for the first member that reverses each
+    listed pair."""
     N = P.ground_size
-    W = (N + 63) // 64
     if N == 1 and not any(arr.size for arr in members):  # no pair to check
         log.add(PAIR_NEVER_CO_OCCURS, P.id_at(0), P.id_at(0))
 
@@ -333,55 +355,24 @@ def _list_violations(P: Poset, members: list[np.ndarray],
         for ai, bi in listed(start, mask, log.room(kind)):
             log.add(kind, P.id_at(ai), P.id_at(bi))
 
-    # rows per tile: the two tiles share _TILE_BYTES
-    step = min(max(_TILE_BYTES // (16 * W), 1), N)
-    tiles = np.empty((2, step, W), dtype=np.uint64)
-    buf = np.empty((min(step, _ROW_BLOCK), W + 1), dtype=np.uint64)
-    # each member's packed element set, of which its rows are subsets, and
-    # its positions of tile t's elements, order[starts[t]:starts[t + 1]]
-    sets = np.zeros((len(members), W), dtype=np.uint64)
-    groups = []
-    for placed, arr in zip(sets, members):
-        np.add.at(placed, arr >> 6, _ONE << (arr & 63).astype(np.uint64))
-        # arr's dtype, whose stable sort is a radix sort; step may not fit it
-        tile_of = (arr // np.intp(step)).astype(arr.dtype)
-        order = np.argsort(tile_of, kind="stable")
-        groups.append((order.astype(arr.dtype), np.searchsorted(
-            tile_of[order], np.arange(-(-N // step) + 1))))
     reversed_ = []  # listed reversed pairs, whose members the scan finds
     reversing = np.zeros(N, dtype=bool)  # rows a of the reversed pairs
     index_order = Chain(N)  # its strict up-sets: the pairs a < b by index
-    for t, first in enumerate(range(0, N, step)):
-        last = min(first + step, N)
-        # later[a] holds b iff some member places b after a
-        earlier, later = tiles[:, :last - first]
-        tiles.fill(0)
-        for arr, placed, (order, starts) in zip(members, sets, groups):
-            pos = order[starts[t]:starts[t + 1]].astype(np.intp)
-            for x, rows in _prefix_rows(arr, pos, buf):
-                # the diagonal goes to earlier, which no mask reads there
-                earlier[x - first] |= rows
-                later[x - first] |= rows ^ placed
-        for start in range(first, last, _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, last)
-            rows = np.arange(start, stop)
-            span = slice(start - first, stop - first)
-            up_b, earlier_b, later_b = (P.up_rows(rows), earlier[span],
-                                        later[span])
-            incomparable = (index_order.up_rows(rows)
-                            & ~(up_b | P.down_rows(rows)))
-            # comparable pairs, oriented a < b in P by construction of `up_b`
-            collect(COMPARABLE_PAIR_NEVER_WITNESSED, start, up_b & ~later_b)
-            up_b &= earlier_b  # the reversed pairs, in place: up_b is done
-            reversing[start:stop] = up_b.any(axis=1)
-            reversed_ += listed(start, up_b, log.cap - len(reversed_))
-            collect(PAIR_NEVER_CO_OCCURS, start,
-                    incomparable & ~(earlier_b | later_b))
-            collect(INCOMPARABLE_PAIR_ONE_SIDED, start,
-                    incomparable & (earlier_b ^ later_b))
+    for rows, earlier_b, later_b, up_b, down_b in _dirty_blocks(P, members, 2):
+        start = rows[0]
+        # the pairs a < b by index that are incomparable, in place of down_b
+        incomparable = np.invert(up_b | down_b, out=down_b)
+        incomparable &= index_order.up_rows(rows)
+        # comparable pairs, oriented a < b in P by construction of `up_b`
+        collect(COMPARABLE_PAIR_NEVER_WITNESSED, start, up_b & ~later_b)
+        up_b &= earlier_b  # the reversed pairs, in place: up_b is done
+        reversing[rows] = up_b.any(axis=1)
+        reversed_ += listed(start, up_b, log.cap - len(reversed_))
+        collect(PAIR_NEVER_CO_OCCURS, start,
+                incomparable & ~(earlier_b | later_b))
+        collect(INCOMPARABLE_PAIR_ONE_SIDED, start,
+                incomparable & (earlier_b ^ later_b))
 
-    # free the last tiles and block before the scan
-    del tiles, buf, earlier, later, earlier_b, later_b, up_b, incomparable
     for (ai, bi), member in zip(
             reversed_, _scan_members(P, members, reversing, log, reversed_)):
         log.add(COMPARABLE_PAIR_REVERSED, P.id_at(ai), P.id_at(bi), member)
@@ -403,43 +394,43 @@ def verify_local_realizer(P: Poset, family,
     element index j at bit j % 64 of word j // 64.  The order is read only
     as packed strict up- and down-sets of a block of rows at a time, from
     ``P.up_rows(block)`` and ``P.down_rows(block)``.  Row x of ``earlier``
-    is the set of elements placed at or before x in some member.  One
-    builder makes a deduplicated member's rows at some of its placements:
-    it takes them in chunks of ``_ROW_BLOCK``, scatters the placements up
-    to each one into its row and OR-accumulates the rows, the last row
-    carried to the next chunk.
+    is the set of elements placed at or before x in some member, row x of
+    ``later`` the set placed after x.  One builder makes a deduplicated
+    member's rows at some of its placements: it takes them in chunks of
+    ``_ROW_BLOCK``, scatters the placements up to each one into its row and
+    OR-accumulates the rows, the last row carried to the next chunk.
 
-    Two passes.  The accept pass deduplicates each member once and counts
-    occurrences; a duplicate, or an element in no member, hands over to the
-    reject pass.  It builds ``earlier`` a tile of ``_TILE_BYTES // (8 W)``
-    rows at a time (at least one row) and holds that tile only.  A row x
-    passes when it holds every element outside the strict up-set of x and
-    none inside it, x aside: that is, no comparable pair below x is never
-    witnessed, none above x is reversed or out of order in a member, and no
-    incomparable pair misses the order that ends at x.  It reads only up
-    rows and stops at the first block of 256 rows with a failing row.
-    Every row passing is acceptance.
+    One tile walk serves both passes, and neither holds an N-row array.
+    It groups each member's positions by tile once and builds ``earlier``,
+    and for the reject pass also ``later``, a tile of rows at a time, the
+    tiles sharing ``_TILE_BYTES`` (at least one row each); a member's row
+    in ``later`` is its row in ``earlier`` XOR-ed with its packed element
+    set.  It yields only the blocks of 256 rows that fail the row test:
+    row x passes when ``earlier[x]`` holds every element outside the
+    strict up-set of x and none inside it, and ``later[x]`` likewise for
+    the strict down-set, x aside.  A passing row has no violation in any
+    of the pair checks below, so skipping its block is sound.
+
+    The accept pass deduplicates each member once and counts occurrences;
+    a duplicate, or an element in no member, hands over to the reject
+    pass.  It walks ``earlier`` alone, reading only up rows, and stops at
+    the first failing block; none failing is acceptance.
 
     The reject pass, run on any other family, lists the violations in two
-    steps, and it too holds no N-row array.  It builds ``earlier`` and
-    ``later`` (row x: the elements placed after x in some member) together,
-    a tile of ``_TILE_BYTES // (16 W)`` rows of each at a time, from each
-    member's placements of the tile's elements, grouped by tile once: a
-    member's row in ``later`` is its row in ``earlier`` XOR-ed with its
-    packed element set, also built once.  The pair checks then run on the
-    tile's blocks of rows as word operations (never witnessed ``up &
-    ~later``, reversed ``up & earlier``, never co-occurring ``incomparable &
-    ~(earlier | later)``, one-sided ``incomparable & (earlier ^ later)``),
-    where a block's incomparable pairs a < b in index order come from its up
-    and down rows; coordinates are decoded only from nonzero rows.  Last,
-    one ordered member scan, the one ``validate_ple`` runs on every row,
-    rebuilds each member's rows at the rows a that hold a reversed pair and
-    ANDs them with their up rows: a set bit b is an order violation of that
-    member, and the first member with b in its row at a is the one listed
-    for the reversed pair (a, b).  Once the order violations are listed in
-    full, it reads only the rows of the pairs still without a member, and it
-    stops when none is left.  The packed-byte budget is checked before
-    anything else, so ``build`` and ``verify`` refuse the same posets.
+    steps.  The pair checks run on each failing block as word operations
+    (never witnessed ``up & ~later``, reversed ``up & earlier``, never
+    co-occurring ``incomparable & ~(earlier | later)``, one-sided
+    ``incomparable & (earlier ^ later)``), where a block's incomparable
+    pairs a < b in index order come from its up and down rows; coordinates
+    are decoded only from nonzero rows.  Last, one ordered member scan, the
+    one ``validate_ple`` runs on every row, rebuilds each member's rows at
+    the rows a that hold a reversed pair and ANDs them with their up rows:
+    a set bit b is an order violation of that member, and the first member
+    with b in its row at a is the one listed for the reversed pair (a, b).
+    Once the order violations are listed in full, it reads only the rows
+    of the pairs still without a member, and it stops when none is left.
+    The packed-byte budget is checked before anything else, so ``build``
+    and ``verify`` refuse the same posets.
 
     The capped violations listed for each kind are the first ones in this
     order: duplicates by member, then element index; order violations by

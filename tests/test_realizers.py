@@ -589,6 +589,27 @@ def test_each_reversal_read_once(monkeypatch):
     assert sum(asked) < 3 * P.ground_size
 
 
+def test_reject_pass_lists_only_dirty_blocks(monkeypatch):
+    """The reject pass lists pairs only in the blocks of rows that fail the
+    row test: on b7-swapped, the blocks of the three elements of its
+    violations (the index order's up rows are read only there)."""
+    monkeypatch.setattr(realizers, "_ROW_BLOCK", 7)
+    P, family = _golden_case("b7-swapped")
+    asked = []
+
+    def counting(self, idx=None, rows=Chain.up_rows):
+        asked.extend(idx.tolist())
+        return rows(self, idx)
+
+    monkeypatch.setattr(Chain, "up_rows", counting)
+    report = verify_local_realizer(P, family)
+    assert not report.accepted
+    blocks = sorted({P.index_of(x) // 7 for v in report.violations
+                     for x in (v.a, v.b)})
+    assert blocks == [0, 4]
+    assert asked == [r for k in blocks for r in range(7 * k, 7 * k + 7)]
+
+
 GOLDEN_SHA256 = {
     "b4-swapped": (
         "a45320dc1a8b0605d52cfdf6cb05fc0c60c0123e1eab8f5f0eaecd7b604ab93e",

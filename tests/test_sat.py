@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from ldimkit import (Antichain, BooleanLattice, Chain, DecodeError,
-                     ParameterError, SingletonPoset, SolverEnvironmentError,
-                     SolverProtocolError, VarMap, b4_family, b7_family,
-                     build_bn_realizer,
+                     ParameterError, Poset, SingletonPoset,
+                     SolverEnvironmentError, SolverProtocolError, VarMap,
+                     b4_family, b7_family, build_bn_realizer,
                      build_poset, decode_realizer, encode,
                      expected_clause_count, ldim_certificate, ldim_exact,
                      parse_dimacs, parse_model_text, run_solver,
@@ -366,6 +366,55 @@ def test_frozen_ldim_values():
         rep = verify_local_realizer(P, fam)
         assert rep.accepted and rep.frequency <= d
     assert ldim_exact(Chain(3)) == 1
+
+
+class _Induced(Poset):
+    """The subposet of ``base`` induced on ``ids``, its element i being
+    ids[i]."""
+
+    def __init__(self, base: Poset, ids):
+        self.kind = f"induced-{base.kind}"
+        self.ground_size = len(ids)
+        self.base, self.at = base, base.indices_of(ids)
+
+    def _leq_index(self, i, j):
+        return self.base._leq_index(self.at[i], self.at[j])
+
+
+def test_standard_example_s3_has_ldim_3():
+    # S_3: the singletons and the 2-sets of boolean:3, each singleton below
+    # all 2-sets but one; d = 3 means d = 2 is unsat at k = 6, and ldim is
+    # monotone on induced subposets, so ldim(boolean:n) >= 3 for n >= 3
+    S3 = _Induced(BooleanLattice(3), [1, 2, 4, 3, 5, 6])
+    assert [[S3.leq(i, j) for j in range(3, 6)] for i in range(3)] == [
+        [True, True, False], [True, False, True], [False, True, True]]
+    d, fam = ldim_certificate(S3)
+    assert d == 3
+    rep = verify_local_realizer(S3, fam)
+    assert rep.accepted and rep.frequency == 3
+
+
+# A frequency-4 local realizer of singleton:5, found by
+# solve_instance(build_poset("singleton:5"), 62, 4) (about 30 s, so the
+# solve stays out of tier-1): ldim(singleton:5) <= 4.
+SINGLETON_5_FREQUENCY_4 = """\
+4 2 1 7 3 6 16 22 17 18 5 19 23 20 8 31 30 28 21 24 27 29 10 11 26 25 9 12 15 14 13
+8 16 1 24 2 26 18 11 25 10 17 19 4 29
+30 28 20 24 18 14 22 10 6 12 26 1 31 21 27
+17 9 20 12 29 2 15 5 6
+5 16 21 8 28 13 25 2 11 23
+9 4 14 15 3 23 19 31
+3 27 4
+8 13 15 12 14 9 11 10 16 25 26 29 27 21 31 24 28 30 20 23 19 5 17 18 6 22 3 7
+13
+"""
+
+
+def test_singleton5_frequency_4_witness():
+    family = [tuple(map(int, line.split()))
+              for line in SINGLETON_5_FREQUENCY_4.splitlines()]
+    rep = verify_local_realizer(build_poset("singleton:5"), family)
+    assert (rep.accepted, rep.frequency, rep.size) == (True, 4, 9)
 
 
 def test_half_k_agrees_with_full_k():
