@@ -24,8 +24,8 @@ _EXPORTS = {
         "verify_local_realizer", "lift_product", "build_standard_realizer",
         "build_bn_realizer"],
     "orders_io": [
-        "parse_orders_text", "emit_orders_text", "read_orders_file",
-        "write_orders_file"],
+        "parse_orders_text", "parse_orders_family", "emit_orders_text",
+        "read_orders_file", "read_orders_family", "write_orders_file"],
     "fixtures": ["b4_family", "b7_family", "fixture_text"],
     "singletons": [
         "default_block_width", "singleton_frequency_bound", "block_partition",

@@ -41,13 +41,12 @@ def _print_report_text(report, out=None) -> None:
 
 
 def _cmd_verify(args) -> int:
-    from .orders_io import read_orders_file
+    from .orders_io import read_orders_family
     from .posets import build_poset
-    from .realizers import RealizerFamily, verify_local_realizer
+    from .realizers import verify_local_realizer
 
     P = build_poset(args.poset)
-    family = RealizerFamily(read_orders_file(args.orders))
-    report = verify_local_realizer(P, family)
+    report = verify_local_realizer(P, read_orders_family(args.orders))
     if args.format == "json":
         print(report.to_json(indent=2))
     else:
@@ -121,7 +120,7 @@ def _solve_output(args, family) -> None:
 
         payload = {"status": "sat", "frequency": family.frequency,
                    "size": family.size,
-                   "orders": [list(p) for p in family]}
+                   "orders": [ids.tolist() for ids in family.arrays]}
         print(json.dumps(payload, indent=2))
         if args.out:
             write_orders_file(args.out, family)
@@ -183,8 +182,7 @@ def _require(args, what: str, *names: str) -> None:
 def _cmd_analyze(args) -> int:
     from .bounds import (min_m_certifying, multiset_lower_bound,
                          signature_audit_report, turan_independence_floor)
-    from .orders_io import read_orders_file
-    from .realizers import RealizerFamily
+    from .orders_io import read_orders_family
 
     what = args.what
     if what == "multiset-bound":
@@ -202,8 +200,8 @@ def _cmd_analyze(args) -> int:
         return 0
     # signature
     _require(args, what, "n", "m", "orders")
-    family = RealizerFamily(read_orders_file(args.orders))
-    report = signature_audit_report(args.n, args.m, family)
+    report = signature_audit_report(args.n, args.m,
+                                    read_orders_family(args.orders))
     print(report.to_json(indent=2))
     return 0 if report.ok else 1
 

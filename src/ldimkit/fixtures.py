@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ParameterError
-from .orders_io import parse_orders_text
+from .orders_io import parse_orders_family
 from .realizers import RealizerFamily
 
 ORDERS4_TEXT = """\
@@ -49,10 +49,10 @@ def fixture_text(which: str) -> str:
 @lru_cache(maxsize=None)
 def b4_family() -> RealizerFamily:
     """The embedded frequency-3 local realizer of boolean:4."""
-    return RealizerFamily(parse_orders_text(ORDERS4_TEXT))
+    return parse_orders_family(ORDERS4_TEXT)
 
 
 @lru_cache(maxsize=None)
 def b7_family() -> RealizerFamily:
     """The embedded frequency-5 local realizer of boolean:7."""
-    return RealizerFamily(parse_orders_text(ORDERS7_TEXT))
+    return parse_orders_family(ORDERS7_TEXT)

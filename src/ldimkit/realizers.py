@@ -15,6 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,22 +77,49 @@ class VerificationReport:
         return {v.kind for v in self.violations}
 
 
+def _id_array(member) -> np.ndarray:
+    """A member as a read-only array of element ids.  An int64 array is
+    held as it is; anything else is copied into one.  A member with an id
+    beyond int64, which no poset has, is kept as an object array of Python
+    ints, so that the range check names that id."""
+    if not (isinstance(member, np.ndarray) and member.dtype == np.int64):
+        if not isinstance(member, (np.ndarray, Sequence)):
+            member = tuple(member)
+        try:
+            member = np.array(member, dtype=np.int64)
+        except OverflowError:
+            member = np.array(member, dtype=object)
+    member.setflags(write=False)
+    return member
+
+
 class RealizerFamily:
-    """An immutable list of PLEs with cached per-element member counts.
-    Wrapping a family again reuses its member tuples."""
+    """An immutable list of PLEs, held only as one read-only id array per
+    member (``arrays``); an int64 array passed in is held as it is and
+    made read-only.  The tuple view (``ples``, iteration, indexing) is
+    built on first use.  Wrapping a family again returns that family."""
+
+    def __new__(cls, ples: Iterable[Sequence[int]] = ()):
+        return ples if isinstance(ples, cls) else super().__new__(cls)
 
     def __init__(self, ples: Iterable[Sequence[int]]):
-        self.ples: tuple[Ple, ...] = tuple(tuple(p) for p in ples)
+        if ples is not self:
+            self.arrays: tuple[np.ndarray, ...] = tuple(map(_id_array, ples))
+
+    @cached_property
+    def ples(self) -> tuple[Ple, ...]:
+        return tuple(tuple(arr.tolist()) for arr in self.arrays)
 
     @cached_property
     def _member_counts(self) -> Counter:
         """element id -> number of members containing it; a member counts
         each of its elements once, as the verifier does."""
-        return Counter(a for ple in self.ples for a in set(ple))
+        return Counter(chain.from_iterable(
+            set(arr.tolist()) for arr in self.arrays))
 
     @property
     def size(self) -> int:
-        return len(self.ples)
+        return len(self.arrays)
 
     @cached_property
     def frequency(self) -> int:
@@ -102,7 +130,7 @@ class RealizerFamily:
         return self._member_counts[a]
 
     def __len__(self) -> int:
-        return len(self.ples)
+        return len(self.arrays)
 
     def __iter__(self):
         return iter(self.ples)
@@ -111,7 +139,9 @@ class RealizerFamily:
         return self.ples[i]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RealizerFamily) and self.ples == other.ples
+        return (isinstance(other, RealizerFamily)
+                and len(self.arrays) == len(other.arrays)
+                and all(map(np.array_equal, self.arrays, other.arrays)))
 
     def __hash__(self):
         return hash(self.ples)
@@ -186,7 +216,7 @@ class _ViolationLog:
             key=lambda v: (v.kind, v.a, v.b, -1 if v.ple is None else v.ple)))
 
 
-def _member_indices(P: Poset, ple: Ple, i: int,
+def _member_indices(P: Poset, ple: Sequence[int], i: int,
                     log: _ViolationLog) -> np.ndarray:
     """Element indices of member i, deduplicated, in placement order; each
     repeated element is logged once."""
@@ -327,6 +357,7 @@ def _dirty_blocks(P: Poset, members: list[np.ndarray], planes: int):
             if any(_clear_diagonal(plane ^ end ^ every, rows).any()
                    for plane, end in zip(block, ends)):
                 yield rows, *block, *ends
+            del ends  # before the next block's rows are built
 
 
 def _accepts(P: Poset, members: list[np.ndarray]) -> bool:
@@ -372,6 +403,7 @@ def _list_violations(P: Poset, members: list[np.ndarray],
                 incomparable & ~(earlier_b | later_b))
         collect(INCOMPARABLE_PAIR_ONE_SIDED, start,
                 incomparable & (earlier_b ^ later_b))
+        del up_b, down_b, incomparable  # before the walk builds the next
 
     for (ai, bi), member in zip(
             reversed_, _scan_members(P, members, reversing, log, reversed_)):
@@ -390,10 +422,11 @@ def verify_local_realizer(P: Poset, family,
     witnessed in order and never reversed.  Violations are reported per kind,
     canonically sorted, capped at ``max_violations_per_kind`` each.
 
-    Sets of elements are bit-packed: a row of W = ceil(N/64) uint64 words,
-    element index j at bit j % 64 of word j // 64.  The order is read only
-    as packed strict up- and down-sets of a block of rows at a time, from
-    ``P.up_rows(block)`` and ``P.down_rows(block)``.  Row x of ``earlier``
+    The members are read as the family's id arrays; its tuple view is never
+    built.  Sets of elements are bit-packed: a row of W = ceil(N/64) uint64
+    words, element index j at bit j % 64 of word j // 64.  The order is read
+    only as packed strict up- and down-sets of a block of rows at a time,
+    from ``P.up_rows(block)`` and ``P.down_rows(block)``.  Row x of ``earlier``
     is the set of elements placed at or before x in some member, row x of
     ``later`` the set placed after x.  One builder makes a deduplicated
     member's rows at some of its placements: it takes them in chunks of
@@ -443,8 +476,8 @@ def verify_local_realizer(P: Poset, family,
     P._packed_indices(None)  # build's budget too, before anything else
     # held through both passes, in the smallest dtype that holds an index
     index_type = np.min_scalar_type(P.ground_size - 1)
-    members = [_member_indices(P, ple, i, log).astype(index_type)
-               for i, ple in enumerate(family.ples)]
+    members = [_member_indices(P, ids, i, log).astype(index_type)
+               for i, ids in enumerate(family.arrays)]
     occurrences = np.zeros(P.ground_size, dtype=np.int64)
     for arr in members:
         occurrences[arr] += 1
@@ -473,16 +506,15 @@ def lift_product(P: Poset, Q: Poset, family_p, family_q) -> RealizerFamily:
     """
     family_p, family_q = RealizerFamily(family_p), RealizerFamily(family_q)
     np_size = P.ground_size
-    canon_p = [P.index_of(a) for a in canonical_linear_extension(P)]
-    canon_q = [Q.index_of(a) for a in canonical_linear_extension(Q)]
-    lifted: list[Ple] = []
-    for ple in family_p.ples:
-        cols = [P.index_of(a) for a in ple]
-        lifted.append(tuple(px + np_size * qy for px in cols for qy in canon_q))
-    for ple in family_q.ples:
-        rows = [Q.index_of(a) for a in ple]
-        lifted.append(tuple(px + np_size * qy for qy in rows for px in canon_p))
-    return RealizerFamily(lifted)
+    canon_p = P.indices_of(canonical_linear_extension(P))
+    canon_q = Q.indices_of(canonical_linear_extension(Q))
+    # index px + np_size * qy, rows by position in the member, columns by
+    # the other factor's canonical order
+    return RealizerFamily(
+        [(P.indices_of(ple)[:, None] + np_size * canon_q).ravel()
+         for ple in family_p.arrays]
+        + [(np_size * Q.indices_of(ple)[:, None] + canon_p).ravel()
+           for ple in family_q.arrays])
 
 
 def build_standard_realizer(n: int) -> RealizerFamily:
@@ -491,13 +523,10 @@ def build_standard_realizer(n: int) -> RealizerFamily:
     Forms a local realizer of frequency n."""
     if n < 1:
         raise ParameterError(f"build_standard_realizer needs n >= 1, got {n}")
-    canon = canonical_linear_extension(BooleanLattice(n))
-    members = []
-    for i in range(n):
-        bit = 1 << i
-        members.append(tuple(a for a in canon if not a & bit)
-                       + tuple(a for a in canon if a & bit))
-    return RealizerFamily(members)
+    canon = np.array(canonical_linear_extension(BooleanLattice(n)))
+    # a stable sort on bit i keeps the canonical order inside each block
+    return RealizerFamily(canon[np.argsort(canon >> i & 1, kind="stable")]
+                          for i in range(n))
 
 
 def build_bn_realizer(n: int) -> RealizerFamily:

@@ -68,7 +68,7 @@ import re
 import shlex
 import subprocess
 import tempfile
-import warnings
+from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -80,6 +80,7 @@ import numpy as np
 from .errors import (BoundExceededError, DecodeError, FormatError,
                      ParameterError, SolverEnvironmentError,
                      SolverProtocolError)
+from .intparse import _SIGN_SLICE, parse_ints
 from .posets import Poset, _pack
 from .realizers import RealizerFamily, verify_local_realizer
 
@@ -588,8 +589,9 @@ def parse_dimacs(source) -> CnfFormula:
     body.append(text[end:])
     if variable_count is None:
         raise FormatError("missing DIMACS 'p cnf' header")
-    literals = _parse_literals(" ".join(body), lambda token: (
-        FormatError(f"DIMACS token {token!r} is not an integer literal")))
+    literals = parse_ints(" ".join(body), lambda token: (
+        FormatError(f"DIMACS token {token!r} is not an integer literal")),
+        _SIGN_SLICE)
     flat = literals.tolist()
     ends = np.flatnonzero(literals == 0).tolist()
     if flat and flat[-1] != 0:
@@ -610,8 +612,6 @@ def parse_model_text(text: str) -> SolverResult | None:
 
 # characters of solver output that read_model takes at a time
 _MODEL_SLICE = 1 << 16
-# the line boundaries of str.splitlines
-_LINE_END = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 def read_model(handle) -> SolverResult | None:
@@ -631,13 +631,13 @@ def read_model(handle) -> SolverResult | None:
 def _read_slices(slices: Iterator[str]) -> SolverResult | None:
     status = bad = None
     has_values = False
-    kept = [np.empty(0, dtype=np.int64)]
+    kept = array("q")  # the positive literals so far, grown in place
     mode, carry = "head", ""  # the open line: "head", "v" or "skip"
     for chunk in chain(slices, [""]):  # the empty slice ends the last line
-        pieces = _LINE_END.split(chunk)
         values = []
-        for n, piece in enumerate(pieces, 1 - len(pieces)):
-            text, ends = carry + piece, n < 0 or not chunk
+        for piece in chunk.splitlines(keepends=True) or [""]:
+            line = (piece.splitlines() or [""])[0]
+            text, ends = carry + line, line != piece or not chunk
             carry = ""
             if mode == "head" and not ends:
                 # the line runs on: a 'v ' line is read as it comes, an 's'
@@ -670,10 +670,11 @@ def _read_slices(slices: Iterator[str]) -> SolverResult | None:
                 mode = "head"
         if values and bad is None:
             try:
-                literals = _parse_literals(" ".join(values), lambda token: (
+                literals = parse_ints(" ".join(values), lambda token: (
                     SolverProtocolError(
-                        f"model value {token!r} is not an integer literal")))
-                kept.append(literals[literals > 0])
+                        f"model value {token!r} is not an integer literal")),
+                    _SIGN_SLICE)
+                kept.frombytes(literals[literals > 0].tobytes())
             except SolverProtocolError as exc:
                 bad = exc  # a bad status line later still names that first
     if bad is not None:
@@ -684,60 +685,11 @@ def _read_slices(slices: Iterator[str]) -> SolverResult | None:
         return SolverResult(status)
     if not has_values:
         raise SolverProtocolError("solver reported SAT without 'v' model lines")
-    return SolverResult(status, np.concatenate(kept))
+    return SolverResult(status, np.frombuffer(kept, dtype=np.int64))
 
 
 _STATUS = {"SATISFIABLE": "sat", "UNSATISFIABLE": "unsat"}
 _COUNT = re.compile(r"[0-9]+")
-_INT64 = np.iinfo(np.int64)
-
-
-# characters of text that _lone_sign reads at a time
-_SIGN_SLICE = 1 << 16
-
-
-def _lone_sign(text: str) -> bool:
-    """Whether some '+' or '-' of ASCII text has no digit after it: numpy
-    reads a lone sign as 0, or joins it to the next token.  Slice by slice,
-    so the check holds a few bytes per character of one slice only."""
-    for start in range(0, len(text), _SIGN_SLICE):
-        raw = np.frombuffer(text[start:start + _SIGN_SLICE + 1].encode()
-                            + b" ", dtype=np.uint8)
-        head = raw[:_SIGN_SLICE]
-        after = raw[np.flatnonzero((head == ord("+")) | (head == ord("-")))
-                    + 1]
-        if ((after < ord("0")) | (after > ord("9"))).any():
-            return True
-    return False
-
-
-def _parse_literals(text: str, bad_token) -> np.ndarray:
-    """The integers of whitespace-separated text, each token read as int()
-    reads it; raises ``bad_token(token)`` for the first token int()
-    rejects.  ASCII text that numpy parses in one pass, as it does plain
-    literals, is read that way; anything else token by token.  A literal
-    beyond int64 is clipped to its limits, where it names no variable
-    either way."""
-    if text.isascii() and text and not text.isspace() \
-            and not _lone_sign(text):
-        try:
-            with warnings.catch_warnings():
-                # numpy before 2.3 warns and stops at a token it cannot read
-                warnings.simplefilter("error", DeprecationWarning)
-                literals = np.fromstring(text, dtype=np.int64, sep=" ")
-            # numpy reads a literal beyond int64, of either sign, as the
-            # maximum
-            if _INT64.min < literals.min() and literals.max() < _INT64.max:
-                return literals
-        except (ValueError, DeprecationWarning):
-            pass
-    values = []
-    for token in text.split():
-        try:
-            values.append(min(max(int(token), _INT64.min), _INT64.max))
-        except ValueError:
-            raise bad_token(token) from None
-    return np.array(values, dtype=np.int64)
 
 
 def run_solver(cnf_path, solver_command) -> SolverResult:
@@ -821,7 +773,7 @@ def decode_realizer(model, varmap: VarMap, P: Poset) -> RealizerFamily:
                 f"order {i + 1}: before-relation on used elements is not "
                 f"a total order")
         if used.size:
-            members.append(tuple(ids[used[rank]].tolist()))
+            members.append(ids[used[rank]])
     return RealizerFamily(members)
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParameterError
 from .posets import SingletonPoset, canonical_linear_extension
 from .realizers import RealizerFamily
@@ -61,44 +63,64 @@ def block_partition(n: int, d: int) -> BlockPartition:
 @dataclass(frozen=True)
 class SingletonRealizerPlan:
     """The full construction: global orders L and L' plus the per-block
-    orders, each tagged with its (block index, J) pair."""
+    orders, each tagged with its (block index, J) pair.  The orders are
+    held once, as the id arrays of ``family()``, L and L' first; ``L``,
+    ``L_prime`` and ``block_orders`` read them as tuples."""
 
     partition: BlockPartition
-    L: tuple[int, ...]
-    L_prime: tuple[int, ...]
-    block_orders: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
-    # entries are (block index, J as ascending ground elements, the order)
+    tags: tuple[tuple[int, tuple[int, ...]], ...]
+    # (block index, J as ascending ground elements) of each block order
+    orders: RealizerFamily
 
     def family(self) -> RealizerFamily:
-        return RealizerFamily(
-            [self.L, self.L_prime] + [order for _, _, order in self.block_orders])
+        return self.orders
+
+    @property
+    def L(self) -> tuple[int, ...]:
+        return self.orders[0]
+
+    @property
+    def L_prime(self) -> tuple[int, ...]:
+        return self.orders[1]
+
+    @property
+    def block_orders(self) -> tuple[tuple[int, tuple[int, ...],
+                                          tuple[int, ...]], ...]:
+        """(block index, J, the order) of each block order."""
+        return tuple((i, J, order) for (i, J), order
+                     in zip(self.tags, self.orders.ples[2:]))
 
 
 def build_singleton_plan(n: int, d: int | None = None) -> SingletonRealizerPlan:
     _validate(n)  # before the default width, which has its own n >= 2 check
     partition = block_partition(n, default_block_width(n) if d is None else d)
-    top = 1 << n
 
     # the canonical order: singletons by id, then larger sets by (size, id)
-    L = tuple(canonical_linear_extension(SingletonPoset(n)))
-    L_prime = L[:n][::-1] + L[n:][::-1]
-
-    block_orders = []
+    L = np.array(canonical_linear_extension(SingletonPoset(n)))
+    orders = [L, np.concatenate([L[:n][::-1], L[n:][::-1]])]
+    ids = np.arange(1, 1 << n)
+    sets = ids[np.bitwise_count(ids) >= 2]  # by id
+    tags = []
     for i, block in enumerate(partition.blocks, start=1):
-        low = block[0] - 1  # a block is a run of consecutive elements
-        block_mask = ((1 << len(block)) - 1) << low
-        for j in range(1, 1 << len(block)):  # nonempty J <= block, by mask
-            j_mask = j << low
-            trace = block_mask & ~j_mask  # sets counted here meet the block in this trace
-            a_group = [a for a in range(1, top)
-                       if a.bit_count() >= 2 and (a & block_mask) == trace]
-            j_elems = tuple(x for x in block if j_mask >> (x - 1) & 1)
-            s_group = [1 << (x - 1) for x in j_elems]
-            block_orders.append((i, j_elems, tuple(a_group + s_group)))
+        low, width = block[0] - 1, len(block)  # a block is a run of elements
+        # the sets grouped by their trace on the block, in id order inside
+        # each group
+        trace = sets >> low & ((1 << width) - 1)
+        order = np.argsort(trace, kind="stable")
+        grouped = sets[order]
+        starts = np.searchsorted(trace[order], np.arange((1 << width) + 1))
+        for j in range(1, 1 << width):  # nonempty J <= block, by mask
+            # the order: the sets that meet the block in its elements
+            # outside J, then the singletons of J
+            rest = ((1 << width) - 1) ^ j
+            j_elems = tuple(x for x in block if j >> (x - 1 - low) & 1)
+            tags.append((i, j_elems))
+            orders.append(np.concatenate([
+                grouped[starts[rest]:starts[rest + 1]],
+                [1 << (x - 1) for x in j_elems]]))
 
-    return SingletonRealizerPlan(
-        partition=partition, L=L, L_prime=L_prime,
-        block_orders=tuple(block_orders))
+    return SingletonRealizerPlan(partition=partition, tags=tuple(tags),
+                                 orders=RealizerFamily(orders))
 
 
 def build_singleton_realizer(n: int, d: int | None = None) -> RealizerFamily:

@@ -871,3 +871,79 @@ GOLDEN_CAP_1 = {
   ]
 }""",
 }
+
+
+def _lift_by_loops(P, Q, family_p, family_q):
+    """lift_product, element by element."""
+    canon_p = [P.index_of(a) for a in canonical_linear_extension(P)]
+    canon_q = [Q.index_of(a) for a in canonical_linear_extension(Q)]
+    n = P.ground_size
+    return ([tuple(P.index_of(a) + n * qy for a in ple for qy in canon_q)
+             for ple in family_p]
+            + [tuple(px + n * Q.index_of(a) for a in ple for px in canon_p)
+               for ple in family_q])
+
+
+def _singleton_orders_by_loops(n, d):
+    """The singleton construction's orders, set by set."""
+    from ldimkit.singletons import block_partition
+
+    L = tuple(canonical_linear_extension(SingletonPoset(n)))
+    orders = [L, L[:n][::-1] + L[n:][::-1]]
+    for block in block_partition(n, d).blocks:
+        block_mask = sum(1 << (x - 1) for x in block)
+        for j in range(1, 1 << len(block)):
+            j_mask = j << (block[0] - 1)
+            orders.append(tuple(
+                a for a in range(1, 1 << n) if a.bit_count() >= 2
+                and a & block_mask == block_mask & ~j_mask) + tuple(
+                1 << (x - 1) for x in block if j_mask >> (x - 1) & 1))
+    return orders
+
+
+def _is_id_family(family) -> bool:
+    return all(ids.dtype == np.int64 and not ids.flags.writeable
+               for ids in family.arrays)
+
+
+def test_builders_match_their_loop_versions():
+    from ldimkit import build_singleton_plan
+
+    for n in range(1, 6):
+        fam = build_standard_realizer(n)
+        canon = canonical_linear_extension(BooleanLattice(n))
+        assert _is_id_family(fam) and list(fam) == [
+            tuple(a for a in canon if not a >> i & 1)
+            + tuple(a for a in canon if a >> i & 1) for i in range(n)]
+    cases = [(BooleanLattice(4), BooleanLattice(3), b4_family(),
+              build_standard_realizer(3)),
+             (Chain(3), SingletonPoset(3), [(0, 1, 2), (2,)],
+              build_singleton_realizer(3, 1)),
+             (Antichain(2), Chain(1), [(1, 0), (0, 1)], [(0,)])]
+    for P, Q, fp, fq in cases:
+        lifted = lift_product(P, Q, fp, fq)
+        assert _is_id_family(lifted)
+        assert list(lifted) == _lift_by_loops(P, Q, fp, fq)
+    for n, d in [(2, 1), (3, 2), (5, 2), (6, 3), (7, 7), (9, 3)]:
+        plan = build_singleton_plan(n, d)
+        assert _is_id_family(plan.family())
+        assert list(plan.family()) == _singleton_orders_by_loops(n, d)
+        assert [order for _, _, order in plan.block_orders] == list(
+            plan.family())[2:]
+
+
+def test_family_storage():
+    fam = RealizerFamily([(3, 1), [2], np.array([5, 4], dtype=np.uint8)])
+    assert _is_id_family(fam) and list(fam) == [(3, 1), (2,), (5, 4)]
+    assert fam.occurrences(4) == 1 and fam.frequency == 1
+    ids = np.array([7, 8])
+    held = RealizerFamily([ids])
+    assert held.arrays[0] is ids and not ids.flags.writeable
+    with pytest.raises(ValueError):
+        held.arrays[0][0] = 1
+    big = RealizerFamily([(1, 1 << 63)])
+    assert big.arrays[0].dtype == object and list(big) == [(1, 1 << 63)]
+    with pytest.raises(RangeError, match=f"element id {1 << 80} out of range"):
+        verify_local_realizer(Chain(2), [(0, 1), (1 << 80, -5)])
+    assert RealizerFamily(fam) is fam
+    assert RealizerFamily([(1, 2)]) != RealizerFamily([(1, 2), ()])

@@ -1095,3 +1095,22 @@ def test_map_lines_name_every_role():
     # s(A, i, j) as "s A j i", e(i, j) as "e - j i"
     assert lines[12:] == ["s 0 1 1 13", "s 0 1 2 14", "s 1 1 1 15",
                           "s 1 1 2 16", "e - 1 1 17", "e - 1 2 18"]
+
+
+def test_model_reader_holds_the_literals_once(tmp_path):
+    from ldimkit.sat import read_model
+
+    _boolean8_model(tmp_path / "b8.model")
+    with open(tmp_path / "b8.model", encoding="utf-8") as handle:
+        want = read_model(handle).model
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "b8.model", encoding="utf-8") as handle:
+            model = read_model(handle).model
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.tolist() == want.tolist()
+    # one array per slice joined at the end held the 1.14 MB model twice,
+    # a 2.35 MB peak here; the one growing buffer peaks at 1.71 MB
+    assert peak < model.nbytes + 2**20
