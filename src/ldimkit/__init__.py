@@ -32,9 +32,11 @@ _EXPORTS = {
         "build_singleton_plan", "build_singleton_realizer"],
     "sat": [
         "VarMap", "CnfFormula", "SolverResult", "encode",
-        "expected_clause_count", "write_dimacs", "parse_dimacs",
-        "parse_model_text", "read_model", "run_solver", "decode_realizer",
-        "solve_instance", "ldim_certificate", "ldim_exact"],
+        "expected_clause_count", "decode_realizer", "solve_instance",
+        "ldim_certificate", "ldim_exact"],
+    "dimacs": [
+        "write_dimacs", "parse_dimacs", "parse_model_text", "read_model",
+        "run_solver"],
     "bounds": [
         "ConflictGraph", "BoundReport", "SignatureAuditReport",
         "conflict_graph", "independent_set", "iter_independent_sets",

@@ -4,10 +4,12 @@ Exit codes: 0 success/accepted/sat, 1 rejected/unsat/audit-failed or no
 frequency up to ``ldim --d-max`` works, 2 usage or malformed input, 3
 environment or internal failure.  Errors are printed to stderr as
 ``ERROR:<category>: <message>``.  Each subcommand imports the modules it
-uses when it runs, so ``tables`` never loads the SAT layer.  The SAT
-commands import ``sat`` first: where no bytecode is cached, a process
-compiles the modules from source, and compiling the largest one before
-numpy loads keeps that transient memory under the process's peak.
+uses when it runs, so ``tables`` never loads the SAT layer, and only
+``encode``, ``solve --model`` and ``--solver`` load ``dimacs``, the DIMACS
+and model I/O.  The SAT commands import ``sat`` first: where no bytecode
+is cached, a process compiles the modules from source, and compiling the
+largest one before numpy loads keeps that transient memory under the
+process's peak.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    from .sat import encode, write_dimacs
+    from .sat import encode
+    from .dimacs import write_dimacs
     from .posets import build_poset
 
     P = build_poset(args.poset)
@@ -131,11 +134,13 @@ def _solve_output(args, family) -> None:
 
 
 def _cmd_solve(args) -> int:
-    from .sat import VarMap, decode_verified, read_model, solve_instance
+    from .sat import VarMap, decode_verified, solve_instance
     from .posets import build_poset
 
     P = build_poset(args.poset)
     if args.model:
+        from .dimacs import read_model
+
         vm = VarMap(P, args.k, args.d)  # refuses k < 1 or d < 1 up front
         with open(args.model, encoding="utf-8") as handle:
             result = read_model(handle)

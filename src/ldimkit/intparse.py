@@ -17,11 +17,12 @@ _INT64 = np.iinfo(np.int64)
 _SIGN_SLICE = 1 << 16
 
 
-def _lone_sign(text: str, step: int) -> bool:
+def _lone_sign(text: str) -> bool:
     """Whether some '+' or '-' of ASCII text has no digit after it: numpy
-    reads a lone sign as 0, or joins it to the next token.  ``step``
+    reads a lone sign as 0, or joins it to the next token.  ``_SIGN_SLICE``
     characters at a time, so the check holds a few bytes per character of
     one slice only."""
+    step = _SIGN_SLICE
     for start in range(0, len(text), step):
         raw = np.frombuffer(text[start:start + step + 1].encode() + b" ",
                             dtype=np.uint8)
@@ -33,17 +34,15 @@ def _lone_sign(text: str, step: int) -> bool:
     return False
 
 
-def parse_ints(text: str, bad_token, sign_slice: int = _SIGN_SLICE
-               ) -> np.ndarray:
+def parse_ints(text: str, bad_token) -> np.ndarray:
     """The integers of whitespace-separated text, each token read as int()
     reads it; raises ``bad_token(token)`` for the first token int()
     rejects.  ASCII text that numpy parses in one pass, as it does plain
     decimal ids and literals, is read that way; anything else token by
     token.  A value beyond int64 is clipped to its limits, so an int64
-    limit in the result may stand for a token beyond it.  The check for
-    lone signs reads ``sign_slice`` characters at a time."""
+    limit in the result may stand for a token beyond it."""
     if text.isascii() and text and not text.isspace() \
-            and not _lone_sign(text, sign_slice):
+            and not _lone_sign(text):
         try:
             with warnings.catch_warnings():
                 # numpy before 2.3 warns and stops at a token it cannot read

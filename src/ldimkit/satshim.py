@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from .cdcl import Solver
-from .sat import _CHUNK_ROWS, CnfFormula, parse_dimacs
+from .dimacs import parse_dimacs
+from .sat import _CHUNK_ROWS, CnfFormula
 
 
 def checked_clauses(cnf: CnfFormula) -> list[list[int]]:

@@ -459,17 +459,39 @@ def test_console_script_entry():
     assert cli.main(["--help"]) == 0
 
 
+def _imports(*argv):
+    """A fresh interpreter run with ``argv``, and the modules it imported."""
+    import subprocess
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True)
+    return proc, {line.rsplit("|", 1)[-1].strip()
+                  for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+
+
 def test_subcommands_import_what_they_use():
     # `tables` loads neither the SAT layer nor the bounds
-    import subprocess
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ldimkit",
-                           "tables", "b4"], capture_output=True, text=True)
+    proc, imported = _imports("-m", "ldimkit", "tables", "b4")
     assert proc.returncode == 0 and proc.stdout == fixture_text("b4")
-    imported = {line.rsplit("|", 1)[-1].strip()
-                for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
     assert {"ldimkit", "ldimkit.cli", "ldimkit.fixtures"} <= imported
-    assert not imported & {"ldimkit.sat", "ldimkit.cdcl", "ldimkit.bounds"}
+    assert not imported & {"ldimkit.sat", "ldimkit.dimacs", "ldimkit.cdcl",
+                           "ldimkit.bounds"}
+    # `ldim` solves in process: no DIMACS and model I/O, no bounds, no
+    # singleton construction, and no process machinery beyond what numpy
+    # and argparse load
+    proc, imported = _imports("-m", "ldimkit", "ldim", "--poset", "antichain:2")
+    assert proc.returncode == 0 and proc.stdout == "2\n"
+    assert {"ldimkit.sat", "ldimkit.cdcl"} <= imported
+    assert not imported & {"ldimkit.dimacs", "ldimkit.bounds",
+                           "ldimkit.singletons"}
+    _, base = _imports("-c", "import numpy, argparse")
+    assert not (imported - base) & {"subprocess", "shlex", "signal",
+                                    "selectors"}
+    # `encode` writes DIMACS and solves nothing
+    proc, imported = _imports("-m", "ldimkit", "encode", "--poset", "chain:2",
+                              "--k", "1", "--d", "1")
+    assert proc.returncode == 0 and proc.stdout.startswith("p cnf ")
+    assert "ldimkit.dimacs" in imported and "ldimkit.cdcl" not in imported
 
 
 def test_package_names_resolve_on_access():

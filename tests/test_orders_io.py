@@ -103,7 +103,10 @@ def _int_reading(text: str):
 
 def _array_reading(text: str, sign_slice: int):
     try:
-        values = parse_ints(text, _Bad, sign_slice)
+        # a function-scoped fixture would not be reset between examples
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ldimkit.intparse, "_SIGN_SLICE", sign_slice)
+            values = parse_ints(text, _Bad)
     except _Bad as exc:
         return "bad", exc.args[0]
     assert values.dtype == np.int64

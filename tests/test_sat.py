@@ -15,7 +15,7 @@ from ldimkit import (Antichain, BooleanLattice, Chain, DecodeError,
                      ParameterError, Poset, SingletonPoset,
                      SolverEnvironmentError, SolverProtocolError, VarMap,
                      b4_family, b7_family, build_bn_realizer,
-                     build_poset, decode_realizer, encode,
+                     build_poset, decode_realizer, emit_orders_text, encode,
                      expected_clause_count, ldim_certificate, ldim_exact,
                      parse_dimacs, parse_model_text, run_solver,
                      solve_instance, verify_local_realizer, write_dimacs)
@@ -434,6 +434,64 @@ def test_ldim_d_max_exhausted():
         ldim_certificate(Antichain(2), d_max=1)
 
 
+# The printed d and the -o witness bytes of `ldim` on perfbench's ldim-search
+# posets, and the witness of S_3, as a search that posed every d from 1
+# gave them: each query is solved from scratch, so skipping one changes no
+# answer and no witness
+LDIM_WITNESSES = {
+    "chain:4": (1, "0 1 2 3\n"),
+    "antichain:3": (2, "2 1 0\n0 1 2\n"),
+    "boolean:2": (2, "0 2 1 3\n0 1 2 3\n"),
+    "boolean:3": (3, "0 4 1 5 2 3\n0 2 6 1 5\n0 1 4 6 3 7\n2 3 4 5 6 7\n"),
+    "multiset-singleton:2:3": (
+        3, "6 3 2 1 8 5 4\n3 1 7 4 2 8\n2 1 3 6 7 5\n4 5 6 8 7\n"),
+}
+S3_WITNESS = "2 1 5 0 3 4\n2 0 4 1 3\n1 0 3 2 5\n4 5\n"
+
+
+@pytest.mark.parametrize("spec", list(LDIM_WITNESSES))
+def test_ldim_output_is_pinned(tmp_path, capsys, spec):
+    from ldimkit.cli import main
+    d, witness = LDIM_WITNESSES[spec]
+    path = tmp_path / "w.orders"
+    assert main(["ldim", "--poset", spec, "-o", str(path)]) == 0
+    assert capsys.readouterr() == (f"{d}\n", "")
+    assert path.read_bytes() == witness.encode()
+
+
+def test_s3_witness_is_pinned():
+    S3 = _Induced(BooleanLattice(3), [1, 2, 4, 3, 5, 6])
+    d, family = ldim_certificate(S3)
+    assert (d, emit_orders_text(family)) == (3, S3_WITNESS)
+
+
+def test_only_a_chain_poses_d1(monkeypatch, capsys):
+    # an incomparable pair needs two members holding both its elements, so
+    # the search starts at d = 2 without asking; a chain is still asked
+    import ldimkit.sat
+    from ldimkit.cli import main
+    asked = []
+    solve = ldimkit.sat.solve_instance
+
+    def recording(P, k, d, solver_command=None):
+        asked.append(d)
+        return solve(P, k, d, solver_command)
+
+    monkeypatch.setattr(ldimkit.sat, "solve_instance", recording)
+    S3 = _Induced(BooleanLattice(3), [1, 2, 4, 3, 5, 6])
+    for P, want in ((Antichain(2), [2]), (S3, [2, 3]), (Chain(3), [1]),
+                    (Chain(1), [1])):
+        asked.clear()
+        assert ldim_certificate(P)[0] == want[-1]
+        assert asked == want, P.kind
+    asked.clear()
+    assert main(["ldim", "--poset", "antichain:2", "--d-max", "1"]) == 1
+    assert capsys.readouterr() == ("", (
+        "ERROR:bound: no local realizer of frequency <= 1 found for "
+        "antichain:2\n"))
+    assert asked == []
+
+
 # ------------------------------------ table-built encoder and decoder vs. oracle
 
 
@@ -818,6 +876,10 @@ def test_frozen_ldim_boolean4():
     assert d == 3
     rep = verify_local_realizer(P, fam)
     assert rep.accepted and rep.frequency == 3
+    # the `ldim -o` bytes, as a search that posed d = 1 gave them
+    assert emit_orders_text(fam) == (
+        "0 4 2 6 8 10 14 1 3 7 9 11\n0 1 8 2 9 10 11 4 6 12 14 5 13 7\n"
+        "0 3 4 5 7 8 12 13 10 14 11 15\n12 1 5 9 13 2 3 6 15\n")
 
 
 # ------------------------------------------------------------ DIMACS reading
@@ -897,10 +959,10 @@ def test_parse_dimacs_names_a_bad_token(tmp_path):
 
 
 def test_lone_sign_across_slices(monkeypatch):
-    import ldimkit.sat
+    import ldimkit.intparse
     texts = ["1 -2 0 +3 0", "1 - 2 0", "1 2 0 -", "-1 +", "+ 1", "-10 -20 0"]
     for size in (1, 2, 3, 4):
-        monkeypatch.setattr(ldimkit.sat, "_SIGN_SLICE", size)
+        monkeypatch.setattr(ldimkit.intparse, "_SIGN_SLICE", size)
         for text in texts:
             try:
                 want = [int(token) for token in text.split()]
@@ -972,10 +1034,24 @@ def _model_or_error(parse, text):
                            else result.model.tolist())
 
 
+def test_sat_reads_the_io_names_from_dimacs(monkeypatch):
+    import ldimkit.dimacs
+    import ldimkit.sat
+    for name in ("write_dimacs", "parse_dimacs", "parse_model_text",
+                 "read_model", "run_solver"):
+        assert getattr(ldimkit.sat, name) is getattr(ldimkit.dimacs, name)
+    # the private names are not read through sat, so that a patch of one
+    # there fails instead of patching nothing
+    for name in ("_MODEL_SLICE", "_DIMACS_LINE", "_SIGN_SLICE", "no_such"):
+        with pytest.raises(AttributeError, match=name):
+            monkeypatch.setattr(ldimkit.sat, name, 1)
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 64])
 def test_model_reader_at_any_slice(monkeypatch, size):
+    import ldimkit.dimacs
     import ldimkit.sat
-    monkeypatch.setattr(ldimkit.sat, "_MODEL_SLICE", size)
+    monkeypatch.setattr(ldimkit.dimacs, "_MODEL_SLICE", size)
     rng = random.Random(size)
     texts = _MODEL_TEXTS + [_random_model_text(rng) for _ in range(150)]
     outcomes = Counter()
