@@ -80,7 +80,7 @@ def _cmd_build(args) -> int:
             f"build supports boolean:<n> and singleton:<n>, got {P.kind}")
     if isinstance(P, BooleanLattice) and args.d is not None:
         raise ParameterError("--d applies to singleton posets only")
-    P._packed_indices(None)  # verify's budget, before the family is built
+    P._check_block_budget()  # verify's budget, before the family is built
     if isinstance(P, BooleanLattice):
         family = build_bn_realizer(P.n)
         head, bound = [], f"bound: {ceil(5 * P.n / 7)}"

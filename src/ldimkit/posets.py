@@ -31,11 +31,9 @@ _MATRIX_CELL_LIMIT = 1 << 30
 
 # Packed order rows: a set of elements is a row of W = ceil(N/64) uint64
 # words, element index j at bit j % 64 of word j // 64.  One array of rows
-# may take at most 256 MB.  The verifier holds no N x W array: the one tile
-# walk of both its passes holds _TILE_BYTES of rows, shared by ``earlier``
-# and, when rejecting, ``later``.  It still checks the budget for all N rows
-# (512 MB on boolean:16, refused), so that ``build`` and ``verify`` refuse
-# the same posets.
+# may take at most 256 MB.  The verifier holds no N x W array, so ``build``
+# and ``verify`` check the budget for one block of _ROW_BLOCK rows, and
+# ``up_rows()`` with no index for all N rows.
 _PACKED_BYTE_LIMIT = 1 << 28
 _TILE_BYTES = 1 << 20
 _ONE = np.uint64(1)
@@ -187,6 +185,9 @@ class Poset:
     def down_rows(self, idx=None) -> np.ndarray:
         """Packed strict down-sets, laid out as in ``up_rows``."""
         return self._rows(self._packed_indices(idx), up=False)
+
+    def _check_block_budget(self) -> None:
+        self._packed_indices(range(min(self.ground_size, _ROW_BLOCK)))
 
     def _packed_indices(self, idx) -> np.ndarray:
         rows = self.ground_size if idx is None else len(idx)

@@ -21,9 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .posets import (_ONE, _ROW_BLOCK, _TILE_BYTES, BooleanLattice, Chain,
-                     Poset, _clear_diagonal, _index_prefix,
-                     canonical_linear_extension)
+from .posets import (_ONE, _ROW_BLOCK, _TILE_BYTES, BooleanLattice, Poset,
+                     _clear_diagonal, _index_prefix, canonical_linear_extension)
 
 Ple = tuple[int, ...]
 
@@ -177,17 +176,15 @@ def _prefix_rows(arr: np.ndarray, pos: np.ndarray, buf: np.ndarray):
 def _set_bits(mask: np.ndarray, cap: int) -> tuple[bool, np.ndarray, np.ndarray]:
     """Whether a packed matrix has a set bit, plus the (row, column) of every
     set bit in its first nonzero rows, in row-major order: as many rows as
-    it takes to hold ``cap`` bits."""
+    it takes to hold ``cap`` bits.  Only their nonzero words are unpacked."""
     found = bool(mask.any())
     if not found or cap <= 0:
         return found, np.empty(0, np.intp), np.empty(0, np.intp)
-    per_row = np.bitwise_count(mask).sum(axis=1)
-    rows = np.flatnonzero(per_row)
-    rows = rows[:np.searchsorted(np.cumsum(per_row[rows]), cap) + 1]
-    bits = np.unpackbits(mask[rows].astype("<u8", copy=False).view(np.uint8),
-                         axis=1, bitorder="little")
-    r, cols = np.nonzero(bits)
-    return True, rows[r], cols
+    last = np.searchsorted(np.cumsum(np.bitwise_count(mask).sum(axis=1)), cap)
+    r, w = np.nonzero(mask[:last + 1])
+    j = np.flatnonzero(np.unpackbits(
+        mask[r, w].astype("<u8", copy=False).view(np.uint8), bitorder="little"))
+    return True, r[j >> 6], 64 * w[j >> 6] + (j & 63)
 
 
 class _ViolationLog:
@@ -368,10 +365,8 @@ def _accepts(P: Poset, members: list[np.ndarray]) -> bool:
 
 def _list_violations(P: Poset, members: list[np.ndarray],
                      log: _ViolationLog) -> None:
-    """The reject pass: list the pair violations of the blocks that fail the
-    row test, then scan the members at the rows that hold a reversed pair
-    for their order violations and for the first member that reverses each
-    listed pair."""
+    """The reject pass: the pair checks on each block that fails the row
+    test, then the member scan at the rows of the reversed pairs."""
     N = P.ground_size
     if N == 1 and not any(arr.size for arr in members):  # no pair to check
         log.add(PAIR_NEVER_CO_OCCURS, P.id_at(0), P.id_at(0))
@@ -388,21 +383,33 @@ def _list_violations(P: Poset, members: list[np.ndarray],
 
     reversed_ = []  # listed reversed pairs, whose members the scan finds
     reversing = np.zeros(N, dtype=bool)  # rows a of the reversed pairs
-    index_order = Chain(N)  # its strict up-sets: the pairs a < b by index
+    scratch = np.empty((0, 0), dtype=np.uint64)  # grows to the largest block
+    tail = ~np.uint64(0) >> np.uint64(-N % 64)  # the last word's bits < N
     for rows, earlier_b, later_b, up_b, down_b in _dirty_blocks(P, members, 2):
-        start = rows[0]
+        if len(scratch) < rows.size:
+            scratch = np.empty_like(up_b)
+        start, s = rows[0], scratch[:rows.size]
         # the pairs a < b by index that are incomparable, in place of down_b
-        incomparable = np.invert(up_b | down_b, out=down_b)
-        incomparable &= index_order.up_rows(rows)
+        down_b |= up_b
+        incomparable = np.invert(down_b, out=down_b)
+        for w in range(start >> 6, (rows[-1] >> 6) + 1):
+            incomparable[max(64 * w - start, 0):64 * w + 64 - start, :w] = 0
+        incomparable[rows - start, rows >> 6] &= (
+            ~_ONE << (rows & 63).astype(np.uint64))
+        incomparable[:, -1] &= tail
         # comparable pairs, oriented a < b in P by construction of `up_b`
-        collect(COMPARABLE_PAIR_NEVER_WITNESSED, start, up_b & ~later_b)
+        np.invert(later_b, out=s)
+        s &= up_b
+        collect(COMPARABLE_PAIR_NEVER_WITNESSED, start, s)
         up_b &= earlier_b  # the reversed pairs, in place: up_b is done
         reversing[rows] = up_b.any(axis=1)
         reversed_ += listed(start, up_b, log.cap - len(reversed_))
-        collect(PAIR_NEVER_CO_OCCURS, start,
-                incomparable & ~(earlier_b | later_b))
-        collect(INCOMPARABLE_PAIR_ONE_SIDED, start,
-                incomparable & (earlier_b ^ later_b))
+        np.invert(np.bitwise_or(earlier_b, later_b, out=s), out=s)
+        s &= incomparable
+        collect(PAIR_NEVER_CO_OCCURS, start, s)
+        np.bitwise_xor(earlier_b, later_b, out=s)
+        s &= incomparable
+        collect(INCOMPARABLE_PAIR_ONE_SIDED, start, s)
         del up_b, down_b, incomparable  # before the walk builds the next
 
     for (ai, bi), member in zip(
@@ -422,27 +429,21 @@ def verify_local_realizer(P: Poset, family,
     witnessed in order and never reversed.  Violations are reported per kind,
     canonically sorted, capped at ``max_violations_per_kind`` each.
 
-    The members are read as the family's id arrays; its tuple view is never
-    built.  Sets of elements are bit-packed: a row of W = ceil(N/64) uint64
-    words, element index j at bit j % 64 of word j // 64.  The order is read
-    only as packed strict up- and down-sets of a block of rows at a time,
-    from ``P.up_rows(block)`` and ``P.down_rows(block)``.  Row x of ``earlier``
-    is the set of elements placed at or before x in some member, row x of
-    ``later`` the set placed after x.  One builder makes a deduplicated
-    member's rows at some of its placements: it takes them in chunks of
-    ``_ROW_BLOCK``, scatters the placements up to each one into its row and
-    OR-accumulates the rows, the last row carried to the next chunk.
+    The members are read as the family's id arrays.  Sets of elements are
+    bit-packed: a row of W = ceil(N/64) uint64 words, element index j at bit
+    j % 64 of word j // 64.  The order is read only as packed strict up- and
+    down-sets of a block of rows at a time, from ``P.up_rows(block)`` and
+    ``P.down_rows(block)``.  Row x of ``earlier`` is the set of elements
+    placed at or before x in some member, row x of ``later`` the set placed
+    after x.
 
-    One tile walk serves both passes, and neither holds an N-row array.
-    It groups each member's positions by tile once and builds ``earlier``,
-    and for the reject pass also ``later``, a tile of rows at a time, the
-    tiles sharing ``_TILE_BYTES`` (at least one row each); a member's row
-    in ``later`` is its row in ``earlier`` XOR-ed with its packed element
-    set.  It yields only the blocks of 256 rows that fail the row test:
-    row x passes when ``earlier[x]`` holds every element outside the
-    strict up-set of x and none inside it, and ``later[x]`` likewise for
-    the strict down-set, x aside.  A passing row has no violation in any
-    of the pair checks below, so skipping its block is sound.
+    One tile walk serves both passes, and neither holds an N-row array.  It
+    builds ``earlier``, and for the reject pass also ``later``, a tile of
+    rows at a time, and yields only the blocks of 256 rows that fail the
+    row test: row x passes when ``earlier[x]`` holds every element outside
+    the strict up-set of x and none inside it, and ``later[x]`` likewise for
+    the strict down-set, x aside.  A passing row has no violation in any of
+    the pair checks below, so skipping its block is sound.
 
     The accept pass deduplicates each member once and counts occurrences;
     a duplicate, or an element in no member, hands over to the reject
@@ -453,17 +454,18 @@ def verify_local_realizer(P: Poset, family,
     steps.  The pair checks run on each failing block as word operations
     (never witnessed ``up & ~later``, reversed ``up & earlier``, never
     co-occurring ``incomparable & ~(earlier | later)``, one-sided
-    ``incomparable & (earlier ^ later)``), where a block's incomparable
-    pairs a < b in index order come from its up and down rows; coordinates
-    are decoded only from nonzero rows.  Last, one ordered member scan, the
-    one ``validate_ple`` runs on every row, rebuilds each member's rows at
-    the rows a that hold a reversed pair and ANDs them with their up rows:
-    a set bit b is an order violation of that member, and the first member
-    with b in its row at a is the one listed for the reversed pair (a, b).
-    Once the order violations are listed in full, it reads only the rows
-    of the pairs still without a member, and it stops when none is left.
-    The packed-byte budget is checked before anything else, so ``build``
-    and ``verify`` refuse the same posets.
+    ``incomparable & (earlier ^ later)``).  ``incomparable``, the pairs
+    a < b by index in neither the up nor the down rows, is built in place of
+    the down rows, the reversed pairs in place of the up rows, and the other
+    masks in one scratch block per call; listing reads only nonzero words.
+    Last, one ordered member scan, the one ``validate_ple`` runs on every
+    row, rebuilds each member's rows at the rows a that hold a reversed pair
+    and ANDs them with their up rows: a set bit b is an order violation of
+    that member, and the first member with b in its row at a is the one
+    listed for the reversed pair (a, b).  Once the order violations are
+    listed in full, it reads only the rows of the pairs still without a
+    member, and it stops when none is left.  The packed-byte budget of one
+    block is checked first, so ``build`` and ``verify`` refuse alike.
 
     The capped violations listed for each kind are the first ones in this
     order: duplicates by member, then element index; order violations by
@@ -473,7 +475,7 @@ def verify_local_realizer(P: Poset, family,
     """
     family = RealizerFamily(family)
     log = _ViolationLog(max_violations_per_kind)
-    P._packed_indices(None)  # build's budget too, before anything else
+    P._check_block_budget()  # build's too, before anything else
     # held through both passes, in the smallest dtype that holds an index
     index_type = np.min_scalar_type(P.ground_size - 1)
     members = [_member_indices(P, ids, i, log).astype(index_type)

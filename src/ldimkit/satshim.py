@@ -21,8 +21,9 @@ from .sat import _CHUNK_ROWS, CnfFormula
 
 def checked_clauses(cnf: CnfFormula) -> list[list[int]]:
     """The clauses of ``cnf`` with repeated literals merged and tautologies
-    dropped, as ``Solver.load_trusted`` takes them; ValueError names the
-    first literal outside the header's range, in a tautology too."""
+    dropped, as ``Solver.load_trusted`` takes them: a clause with no repeat
+    is kept as its own list, not copied.  ValueError names the first
+    literal outside the header's range, in a tautology too."""
     n = cnf.variable_count
     kept = []
     for clause in cnf.clauses:
@@ -31,7 +32,7 @@ def checked_clauses(cnf: CnfFormula) -> list[list[int]]:
                 raise ValueError(f"literal {lit} not in [-{n}, {n}] \\ {{0}}")
         unique = dict.fromkeys(clause)
         if not any(-lit in unique for lit in unique):
-            kept.append(list(unique))
+            kept.append(clause if len(unique) == len(clause) else list(unique))
     return kept
 
 

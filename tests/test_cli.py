@@ -77,12 +77,12 @@ def test_malformed_orders_is_usage_error(capsys, tmp_path):
 
 
 def test_oversize_poset_is_usage_error(capsys, tmp_path):
-    path = tmp_path / "b16.orders"
+    path = tmp_path / "b24.orders"
     path.write_text("0 1\n")
-    code, out, err = run(capsys, "verify", "--poset", "boolean:16",
+    code, out, err = run(capsys, "verify", "--poset", "boolean:24",
                          "--orders", str(path))
     assert code == 2 and out == ""
-    assert err == ("ERROR:usage: boolean:16: packed order rows would "
+    assert err == ("ERROR:usage: boolean:24: packed order rows would "
                    "need 536870912 bytes\n")
 
 
@@ -91,7 +91,8 @@ def test_build_refuses_oversize_poset_before_building(capsys):
     # counts only what the command allocates
     import ldimkit.realizers
     import ldimkit.singletons
-    for spec, need in (("boolean:16", 536870912), ("singleton:16", 536862720)):
+    # one block of 256 rows of 2^18 words each
+    for spec, need in (("boolean:24", 536870912), ("singleton:24", 536870912)):
         tracemalloc.start()
         try:
             code, out, err = run(capsys, "build", "--poset", spec)

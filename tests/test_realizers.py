@@ -219,7 +219,7 @@ def test_oversize_poset_refused_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError):
-            verify_local_realizer(BooleanLattice(16), [])
+            verify_local_realizer(BooleanLattice(24), [])
         # one packed row fits the budget, but its predicate would be
         # evaluated on all 43M columns
         with pytest.raises(ParameterError):
@@ -334,6 +334,25 @@ def test_reject_pass_holds_no_n_row_array():
     assert peak < matrix_bytes / 2  # tiles of rows, not N rows
 
 
+def test_set_bits_unpacks_only_nonzero_words():
+    """One bit in each of 100 rows of a 256-row mask 128 words wide: listing
+    them unpacks 100 words, not the 100 rows (0.8 MB at a byte a column)."""
+    mask = np.zeros((256, 128), dtype=np.uint64)
+    rows = np.arange(0, 200, 2)
+    cols = rows * 37 % (64 * 128)
+    mask[rows, cols >> 6] = realizers._ONE << (cols & 63).astype(np.uint64)
+    assert [x.tolist() for x in realizers._set_bits(mask, 50)[1:]] == [
+        rows[:50].tolist(), cols[:50].tolist()]
+    tracemalloc.start()
+    try:
+        found, r, c = realizers._set_bits(mask, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found and (r.tolist(), c.tolist()) == (rows.tolist(), cols.tolist())
+    assert peak < 100 * 128 * 64 / 4
+
+
 # ------------------------------------------------- property test vs. oracle
 
 
@@ -357,7 +376,8 @@ PROPERTY_POSETS = ("chain:1", "chain:4", "antichain:1", "antichain:5",
                    "boolean:2", "boolean:3", "boolean:4", "singleton:3",
                    "singleton:4", "multiset-singleton:2:3",
                    "relabelled-boolean:3", "relabelled-singleton:4",
-                   "antichain:65")  # 65 elements: two words, a tail tile
+                   "antichain:65",  # 65 elements: two words, a tail tile
+                   "chain:70")  # comparable pairs: two words, the last partial
 MUTATIONS = ("drop-member", "omit", "reverse", "swap", "repeat")
 
 
@@ -592,16 +612,18 @@ def test_each_reversal_read_once(monkeypatch):
 def test_reject_pass_lists_only_dirty_blocks(monkeypatch):
     """The reject pass lists pairs only in the blocks of rows that fail the
     row test: on b7-swapped, the blocks of the three elements of its
-    violations (the index order's up rows are read only there)."""
+    violations."""
     monkeypatch.setattr(realizers, "_ROW_BLOCK", 7)
     P, family = _golden_case("b7-swapped")
     asked = []
 
-    def counting(self, idx=None, rows=Chain.up_rows):
-        asked.extend(idx.tolist())
-        return rows(self, idx)
+    def counting(P, members, planes, walk=realizers._dirty_blocks):
+        for block in walk(P, members, planes):
+            if planes == 2:  # the reject pass
+                asked.extend(block[0].tolist())
+            yield block
 
-    monkeypatch.setattr(Chain, "up_rows", counting)
+    monkeypatch.setattr(realizers, "_dirty_blocks", counting)
     report = verify_local_realizer(P, family)
     assert not report.accepted
     blocks = sorted({P.index_of(x) // 7 for v in report.violations

@@ -258,6 +258,13 @@ def test_satshim_results(tmp_path, capsys):
         checked_clauses(CnfFormula(3, [[1], [0]]))
 
 
+def test_checked_clauses_copy_only_merged_ones():
+    cnf = CnfFormula(3, [[1, -2], [3, 3, -1], [2, -2], [-3]])
+    kept = checked_clauses(cnf)
+    assert kept == [[1, -2], [3, -1], [-3]]
+    assert kept[0] is cnf.clauses[0] and kept[2] is cnf.clauses[3]
+
+
 @pytest.mark.parametrize("text,code,out,err", [
     # repeated literals count once
     ("p cnf 3 3\n1 1 2 0\n-1 -1 0\n-2 3 3 0\n", 10,
