@@ -33,7 +33,7 @@ _EXPORTS = {
     "sat": [
         "VarMap", "CnfFormula", "SolverResult", "encode",
         "expected_clause_count", "decode_realizer", "solve_instance",
-        "ldim_certificate", "ldim_exact"],
+        "ldim_certificate"],
     "dimacs": [
         "write_dimacs", "parse_dimacs", "parse_model_text", "read_model",
         "run_solver"],
@@ -41,8 +41,7 @@ _EXPORTS = {
         "ConflictGraph", "BoundReport", "SignatureAuditReport",
         "conflict_graph", "independent_set", "iter_independent_sets",
         "check_ind_freq_claim", "turan_independence_floor",
-        "multiset_lower_bound", "min_m_certifying", "signature_audit",
-        "signature_audit_report"],
+        "multiset_lower_bound", "min_m_certifying", "signature_audit_report"],
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

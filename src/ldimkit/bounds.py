@@ -274,7 +274,3 @@ def signature_audit_report(n: int, m: int, family) -> SignatureAuditReport:
         interval_count=len(intervals), interval_bound=interval_bound,
         singleton_count=len(singleton_ids), mplus_count=len(mplus_ids),
         distinct_signatures=distinct, frequency=report.frequency)
-
-
-def signature_audit(n: int, m: int, family) -> bool:
-    return signature_audit_report(n, m, family).ok

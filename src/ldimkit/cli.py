@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import ceil
 from pathlib import Path
@@ -285,6 +286,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # ldimkit makes no BLAS call: load numpy without OpenBLAS's worker thread
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

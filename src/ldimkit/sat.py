@@ -611,12 +611,6 @@ def ldim_certificate(P: Poset, d_max: int | None = None,
         f"no local realizer of frequency <= {limit} found for {P.kind}")
 
 
-def ldim_exact(P: Poset, d_max: int | None = None,
-               solver_command=None) -> int:
-    """Exact local dimension of a small poset via repeated SAT queries."""
-    return ldim_certificate(P, d_max, solver_command)[0]
-
-
 def __getattr__(name: str):
     # the opt-in path's public names, from ``dimacs`` on first access
     # (PEP 562); its private names are not read through this module

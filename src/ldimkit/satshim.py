@@ -11,12 +11,17 @@ takes it, by ``checked_clauses``.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
-from .cdcl import Solver
-from .dimacs import parse_dimacs
-from .sat import _CHUNK_ROWS, CnfFormula
+if __name__ == "__main__":
+    # ldimkit makes no BLAS call: load numpy without OpenBLAS's worker thread
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .cdcl import Solver  # noqa: E402
+from .dimacs import parse_dimacs  # noqa: E402
+from .sat import _CHUNK_ROWS, CnfFormula  # noqa: E402
 
 
 def checked_clauses(cnf: CnfFormula) -> list[list[int]]:

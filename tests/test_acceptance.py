@@ -14,7 +14,7 @@ from ldimkit import (Antichain, BooleanLattice, Chain, MultisetSingletonPoset,
                      build_singleton_realizer, check_ind_freq_claim,
                      conflict_graph, default_block_width, emit_orders_text,
                      fixture_text, id_to_set, iter_independent_sets,
-                     ldim_certificate, ldim_exact, min_m_certifying,
+                     ldim_certificate, min_m_certifying,
                      multiset_lower_bound, parse_orders_text,
                      signature_audit_report, singleton_frequency_bound,
                      solve_instance, turan_independence_floor,
@@ -133,10 +133,10 @@ def test_criterion_06():
     def body():
         t0 = time.monotonic()
         for k in range(1, 7):
-            assert ldim_exact(Chain(k)) == 1, k
-        assert ldim_exact(Antichain(2)) == 2
-        assert ldim_exact(Antichain(3)) == 2
-        assert ldim_exact(BooleanLattice(2)) == 2
+            assert ldim_certificate(Chain(k))[0] == 1, k
+        assert ldim_certificate(Antichain(2))[0] == 2
+        assert ldim_certificate(Antichain(3))[0] == 2
+        assert ldim_certificate(BooleanLattice(2))[0] == 2
         B3 = BooleanLattice(3)
         v, fam = ldim_certificate(B3)
         assert v <= 3

@@ -1,5 +1,7 @@
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -462,7 +464,6 @@ def test_console_script_entry():
 
 def _imports(*argv):
     """A fresh interpreter run with ``argv``, and the modules it imported."""
-    import subprocess
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
                           capture_output=True, text=True)
     return proc, {line.rsplit("|", 1)[-1].strip()
@@ -501,6 +502,46 @@ def test_package_names_resolve_on_access():
     exec("from ldimkit import *", namespace)
     assert set(ldimkit.__all__) <= set(namespace)
     from ldimkit import sat
-    assert namespace["ldim_exact"] is sat.ldim_exact
+    assert namespace["ldim_certificate"] is sat.ldim_certificate
     with pytest.raises(AttributeError, match="no_such_name"):
         ldimkit.no_such_name
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="threads are counted in /proc/self/task")
+def test_commands_start_no_openblas_worker_unless_told(tmp_path):
+    # ldimkit makes no BLAS call, so both entry points load numpy with one
+    # OpenBLAS thread unless the user set OPENBLAS_NUM_THREADS.  Each
+    # child's env is built here: an in-process main() elsewhere may have set
+    # the variable in this process.
+    import numpy
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas["name"] or (os.cpu_count() or 1) < 2:
+        pytest.skip("numpy is not linked with a multi-threaded OpenBLAS")
+    cnf = tmp_path / "tiny.cnf"
+    cnf.write_text("p cnf 2 1\n1 -2 0\n")
+    orders = str(tmp_path / "b4.orders")
+    # `python -m ldimkit.satshim` sets the default; importing it does not
+    shim = ("import runpy\n"
+            f"sys.argv = ['satshim', {str(cnf)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('ldimkit.satshim', run_name='__main__')\n"
+            "except SystemExit:\n"
+            "    pass\n")
+    calls = [f"from ldimkit.cli import main\nmain(['tables', 'b4', '-o', "
+             f"{orders!r}])\n", shim]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    for call in calls:
+        for extra, threads in (({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import os, sys\n{call}"
+                 "print(len(os.listdir('/proc/self/task')))"],
+                env={**env, **extra}, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == str(threads), (call, extra)
+    # a library user keeps numpy's threads
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, ldimkit, ldimkit.satshim; "
+         "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        env=env, capture_output=True, text=True)
+    assert proc.stdout == "None\n", proc.stderr

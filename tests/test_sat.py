@@ -16,9 +16,9 @@ from ldimkit import (Antichain, BooleanLattice, Chain, DecodeError,
                      SolverEnvironmentError, SolverProtocolError, VarMap,
                      b4_family, b7_family, build_bn_realizer,
                      build_poset, decode_realizer, emit_orders_text, encode,
-                     expected_clause_count, ldim_certificate, ldim_exact,
-                     parse_dimacs, parse_model_text, run_solver,
-                     solve_instance, verify_local_realizer, write_dimacs)
+                     expected_clause_count, ldim_certificate, parse_dimacs,
+                     parse_model_text, run_solver, solve_instance,
+                     verify_local_realizer, write_dimacs)
 from ldimkit.cdcl import Solver
 from ldimkit.sat import CnfFormula
 from ldimkit.satshim import checked_clauses
@@ -372,7 +372,7 @@ def test_frozen_ldim_values():
         assert d == want, P.kind
         rep = verify_local_realizer(P, fam)
         assert rep.accepted and rep.frequency <= d
-    assert ldim_exact(Chain(3)) == 1
+    assert ldim_certificate(Chain(3))[0] == 1
 
 
 class _Induced(Poset):
