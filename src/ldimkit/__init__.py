@@ -25,7 +25,7 @@ _EXPORTS = {
         "build_bn_realizer"],
     "orders_io": [
         "parse_orders_text", "parse_orders_family", "emit_orders_text",
-        "read_orders_file", "read_orders_family", "write_orders_file"],
+        "read_orders_family", "write_orders_file"],
     "fixtures": ["b4_family", "b7_family", "fixture_text"],
     "singletons": [
         "default_block_width", "singleton_frequency_bound", "block_partition",

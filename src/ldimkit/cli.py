@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import ceil
 from pathlib import Path
@@ -286,8 +285,6 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    # ldimkit makes no BLAS call: load numpy without OpenBLAS's worker thread
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -6,9 +6,9 @@ blank lines are skipped, and a ``#`` starts a comment.  Each token is read
 as ``int()`` reads it, by the reader that also reads DIMACS bodies and
 solver models (``intparse.parse_ints``), and each line goes straight into
 a member's int64 id array of a ``RealizerFamily``; ``parse_orders_text``
-and ``read_orders_file`` give that family's tuple view.  Emission is
-canonical: single spaces, one member per line, trailing newline, so that
-emitted bytes are stable under reparse.
+gives that family's tuple view.  Emission is canonical: single spaces,
+one member per line, trailing newline, so that emitted bytes are stable
+under reparse.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ def emit_orders_text(ples: Iterable[Sequence[int]]) -> str:
 
 def read_orders_family(path) -> RealizerFamily:
     return parse_orders_family(Path(path).read_text(encoding="utf-8"))
-
-
-def read_orders_file(path) -> list[tuple[int, ...]]:
-    return parse_orders_text(Path(path).read_text(encoding="utf-8"))
 
 
 def write_orders_file(path, ples: Iterable[Sequence[int]]) -> None:

@@ -33,15 +33,6 @@ COMPARABLE_PAIR_REVERSED = "comparable-pair-reversed"
 COMPARABLE_PAIR_NEVER_WITNESSED = "comparable-pair-never-witnessed"
 INCOMPARABLE_PAIR_ONE_SIDED = "incomparable-pair-one-sided"
 
-VIOLATION_KINDS = (
-    DUPLICATE_IN_PLE,
-    ORDER_VIOLATION_IN_PLE,
-    PAIR_NEVER_CO_OCCURS,
-    COMPARABLE_PAIR_REVERSED,
-    COMPARABLE_PAIR_NEVER_WITNESSED,
-    INCOMPARABLE_PAIR_ONE_SIDED,
-)
-
 
 @dataclass(frozen=True)
 class Violation:

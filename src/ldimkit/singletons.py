@@ -38,7 +38,6 @@ class BlockPartition:
     """[n] split into r = ceil(n/d) consecutive blocks of width d (the last
     block may be shorter)."""
 
-    n: int
     d: int
     r: int
     blocks: tuple[tuple[int, ...], ...]
@@ -57,38 +56,20 @@ def block_partition(n: int, d: int) -> BlockPartition:
     blocks = tuple(
         tuple(x for x in range(d * i + 1, d * (i + 1) + 1) if x <= n)
         for i in range(r))
-    return BlockPartition(n=n, d=d, r=r, blocks=blocks)
+    return BlockPartition(d=d, r=r, blocks=blocks)
 
 
 @dataclass(frozen=True)
 class SingletonRealizerPlan:
-    """The full construction: global orders L and L' plus the per-block
-    orders, each tagged with its (block index, J) pair.  The orders are
-    held once, as the id arrays of ``family()``, L and L' first; ``L``,
-    ``L_prime`` and ``block_orders`` read them as tuples."""
+    """The full construction with its partition: the orders are held once,
+    as the id arrays of ``family()``, L and L' first, then the block orders
+    by block and by J's mask."""
 
     partition: BlockPartition
-    tags: tuple[tuple[int, tuple[int, ...]], ...]
-    # (block index, J as ascending ground elements) of each block order
     orders: RealizerFamily
 
     def family(self) -> RealizerFamily:
         return self.orders
-
-    @property
-    def L(self) -> tuple[int, ...]:
-        return self.orders[0]
-
-    @property
-    def L_prime(self) -> tuple[int, ...]:
-        return self.orders[1]
-
-    @property
-    def block_orders(self) -> tuple[tuple[int, tuple[int, ...],
-                                          tuple[int, ...]], ...]:
-        """(block index, J, the order) of each block order."""
-        return tuple((i, J, order) for (i, J), order
-                     in zip(self.tags, self.orders.ples[2:]))
 
 
 def build_singleton_plan(n: int, d: int | None = None) -> SingletonRealizerPlan:
@@ -100,8 +81,7 @@ def build_singleton_plan(n: int, d: int | None = None) -> SingletonRealizerPlan:
     orders = [L, np.concatenate([L[:n][::-1], L[n:][::-1]])]
     ids = np.arange(1, 1 << n)
     sets = ids[np.bitwise_count(ids) >= 2]  # by id
-    tags = []
-    for i, block in enumerate(partition.blocks, start=1):
+    for block in partition.blocks:
         low, width = block[0] - 1, len(block)  # a block is a run of elements
         # the sets grouped by their trace on the block, in id order inside
         # each group
@@ -113,14 +93,11 @@ def build_singleton_plan(n: int, d: int | None = None) -> SingletonRealizerPlan:
             # the order: the sets that meet the block in its elements
             # outside J, then the singletons of J
             rest = ((1 << width) - 1) ^ j
-            j_elems = tuple(x for x in block if j >> (x - 1 - low) & 1)
-            tags.append((i, j_elems))
             orders.append(np.concatenate([
                 grouped[starts[rest]:starts[rest + 1]],
-                [1 << (x - 1) for x in j_elems]]))
+                [1 << (x - 1) for x in block if j >> (x - 1 - low) & 1]]))
 
-    return SingletonRealizerPlan(partition=partition, tags=tuple(tags),
-                                 orders=RealizerFamily(orders))
+    return SingletonRealizerPlan(partition, RealizerFamily(orders))
 
 
 def build_singleton_realizer(n: int, d: int | None = None) -> RealizerFamily:

@@ -456,10 +456,22 @@ def test_round_trip_build_then_verify(capsys, tmp_path):
     assert code == 0 and "accepted: true" in out
 
 
-def test_console_script_entry():
-    import ldimkit.cli as cli
-    assert callable(cli.main)
-    assert cli.main(["--help"]) == 0
+def test_console_script_entry(monkeypatch, tmp_path):
+    # the `ldimkit` script's target sets the one-thread default when it is
+    # imported: here it sets it in a copy of this process's environment
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    monkeypatch.delitem(sys.modules, "ldimkit.__main__", raising=False)
+    import ldimkit.__main__ as entry
+    assert entry.main(["--help"]) == 0
+    assert "OPENBLAS_NUM_THREADS" in os.environ
+    # cli.main itself leaves the environment alone
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, ldimkit.cli; "
+         f"ldimkit.cli.main(['tables', 'b4', '-o', {str(tmp_path / 'b4')!r}]); "
+         "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        env=env, capture_output=True, text=True)
+    assert proc.stdout == "None\n", proc.stderr
 
 
 def _imports(*argv):
@@ -512,8 +524,7 @@ def test_package_names_resolve_on_access():
 def test_commands_start_no_openblas_worker_unless_told(tmp_path):
     # ldimkit makes no BLAS call, so both entry points load numpy with one
     # OpenBLAS thread unless the user set OPENBLAS_NUM_THREADS.  Each
-    # child's env is built here: an in-process main() elsewhere may have set
-    # the variable in this process.
+    # child's env is built here, without any value this process holds.
     import numpy
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if "openblas" not in blas["name"] or (os.cpu_count() or 1) < 2:
@@ -528,8 +539,8 @@ def test_commands_start_no_openblas_worker_unless_told(tmp_path):
             "    runpy.run_module('ldimkit.satshim', run_name='__main__')\n"
             "except SystemExit:\n"
             "    pass\n")
-    calls = [f"from ldimkit.cli import main\nmain(['tables', 'b4', '-o', "
-             f"{orders!r}])\n", shim]
+    calls = [f"from ldimkit.__main__ import main\nmain(['tables', 'b4', "
+             f"'-o', {orders!r}])\n", shim]
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     for call in calls:
         for extra, threads in (({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)):

@@ -9,7 +9,7 @@ import ldimkit.intparse
 from ldimkit import (FormatError, RealizerFamily, b4_family,
                      build_singleton_realizer, emit_orders_text, fixture_text,
                      parse_orders_family, parse_orders_text,
-                     read_orders_family, read_orders_file, write_orders_file)
+                     read_orders_family, write_orders_file)
 from ldimkit.cli import main
 from ldimkit.intparse import parse_ints
 
@@ -51,7 +51,7 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "orders.txt"
     rows = [(9, 8, 7), (1,)]
     write_orders_file(path, rows)
-    assert read_orders_file(path) == rows
+    assert list(read_orders_family(path)) == rows
     assert path.read_text(encoding="utf-8") == "9 8 7\n1\n"
 
 

@@ -36,12 +36,12 @@ def test_block_partition():
 
 
 def test_plan_shape():
-    plan = build_singleton_plan(4, 2)
-    # 2 blocks of width 2 -> 3 nonempty J per block
-    assert len(plan.block_orders) == 6
-    fam = plan.family()
-    assert fam.size == 8
-    assert fam[0] == plan.L and fam[1] == plan.L_prime
+    n = 4
+    fam = build_singleton_plan(n, 2).family()
+    # L and L', then 2 blocks of width 2 -> 3 nonempty J per block
+    assert fam.size == 2 + 6
+    # L' is L with its n singletons reversed, then its larger sets reversed
+    assert fam[1] == fam[0][:n][::-1] + fam[0][n:][::-1]
 
 
 def test_small_realizers_verify():
