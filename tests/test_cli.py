@@ -464,6 +464,18 @@ def test_console_script_entry(monkeypatch, tmp_path):
     import ldimkit.__main__ as entry
     assert entry.main(["--help"]) == 0
     assert "OPENBLAS_NUM_THREADS" in os.environ
+    # the script calls run(), which exits with the code that main returns
+    bad = tmp_path / "bad.orders"
+    bad.write_text("1 0\n0 1\n")
+    for argv, code in ((["--help"], 0), (["tables", "b9"], 2),
+                       (["verify", "--poset", "chain:2", "--orders", str(bad)],
+                        1)):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys\n"
+             f"sys.argv = ['ldimkit', *{argv!r}]\n"
+             "from ldimkit.__main__ import run\nrun()\n"],
+            env=_unbuffered_off(), capture_output=True, text=True)
+        assert entry.main(argv) == proc.returncode == code, proc.stderr
     # cli.main itself leaves the environment alone
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run(
@@ -472,6 +484,76 @@ def test_console_script_entry(monkeypatch, tmp_path):
          "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
         env=env, capture_output=True, text=True)
     assert proc.stdout == "None\n", proc.stderr
+
+
+def _unbuffered_off() -> dict:
+    """This process's environment without PYTHONUNBUFFERED, under which a
+    child's stdout is written through and a missing flush loses nothing."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def test_entry_point_matches_cli_main(capsys, monkeypatch, tmp_path):
+    # `python -m ldimkit` ends without interpreter teardown: its stdout,
+    # stderr, exit code and files equal those of cli.main in process
+    rejected = tmp_path / "rejected.orders"
+    lines = fixture_text("b4").splitlines()
+    lines[0] = " ".join(reversed(lines[0].split()))
+    rejected.write_text("\n".join(lines) + "\n")
+    commands = [
+        (["build", "--poset", "boolean:12"], 0),
+        (["verify", "--poset", "boolean:4", "--orders", str(rejected),
+          "--format", "json"], 1),
+        (["encode", "--poset", "chain:3", "--k", "2", "--d", "1", "-o", "F",
+          "--map", "M"], 0),
+        (["ldim", "--poset", "boolean:2", "-o", "F"], 0),
+        (["verify", "--poset", "boolean:2"], 2),
+        (["solve", "--poset", "chain:2", "--k", "1", "--d", "1",
+          "--model", str(tmp_path / "missing.model")], 3),
+    ]
+    for i, (argv, code) in enumerate(commands):
+        child, here = tmp_path / f"child{i}", tmp_path / f"here{i}"
+        child.mkdir()
+        here.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "ldimkit", *argv],
+                              cwd=child, env=_unbuffered_off(),
+                              capture_output=True)
+        monkeypatch.chdir(here)
+        assert run(capsys, *argv) == (code, proc.stdout.decode(),
+                                      proc.stderr.decode())
+        assert proc.returncode == code
+        files = sorted(path.name for path in here.iterdir())
+        assert sorted(path.name for path in child.iterdir()) == files
+        for name in files:
+            assert (child / name).read_bytes() == (here / name).read_bytes()
+
+
+def test_entry_point_keeps_teardown_under_a_profiler(tmp_path):
+    # cProfile prints its report at interpreter exit
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "ldimkit", "tables", "b4",
+         "-o", str(tmp_path / "b4")],
+        env=_unbuffered_off(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "function calls" in proc.stdout
+    assert (tmp_path / "b4").read_text() == fixture_text("b4")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_entry_point_reports_a_lost_write():
+    # a failed flush falls back to sys.exit: CPython reports the lost write
+    # and exits 120, as the same command ended by sys.exit does
+    argv = ["ldim", "--poset", "chain:1"]
+    results = []
+    for call in ("from ldimkit.__main__ import run; run()",
+                 "from ldimkit.__main__ import main; sys.exit(main())"):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import sys; sys.argv[1:] = {argv!r}; "
+                 + call], stdout=full, stderr=subprocess.PIPE,
+                env=_unbuffered_off(), text=True)
+        results.append((proc.returncode, proc.stderr))
+    assert results[0] == results[1]
+    assert results[0][0] == 120 and "[Errno 28]" in results[0][1]
 
 
 def _imports(*argv):
