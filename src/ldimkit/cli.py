@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/accepted/sat, 1 rejected/unsat/audit-failed or no
 frequency up to ``ldim --d-max`` works, 2 usage or malformed input, 3
-environment or internal failure.  Errors are printed to stderr as
+environment or internal failure, a write to stdout lost on a full disk or
+a closed pipe among them.  Errors are printed to stderr as
 ``ERROR:<category>: <message>``.  Each subcommand imports the modules it
 uses when it runs, so ``tables`` never loads the SAT layer, and only
 ``encode``, ``solve --model`` and ``--solver`` load ``dimacs``, the DIMACS
@@ -285,13 +286,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit status.  stdout is flushed
+    before any return, also after --help or a usage error, so that a write
+    lost there fails here, as an OSError, and not at interpreter exit."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except SystemExit as exc:  # argparse printed --help or a usage error
+            return int(exc.code or 0)
+        finally:
+            if sys.stdout is not None:  # None when descriptor 1 is closed
+                sys.stdout.flush()
     except (ParameterError, FormatError) as exc:
         print(f"ERROR:usage: {exc}", file=sys.stderr)
         return 2
@@ -307,7 +314,3 @@ def main(argv=None) -> int:
     except LdimkitError as exc:  # DecodeError, or a class not named above
         print(f"ERROR:internal: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

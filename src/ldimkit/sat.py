@@ -271,41 +271,33 @@ def encode(P: Poset, k: int, d: int, symmetry_break: bool = False,
 _CHUNK_ROWS = 1024
 
 
-def _open_pairs(P: Poset) -> np.ndarray:
-    """N x N bool: [a, b] is True when a != b and not b < a in P, so that
-    before(a, b) is not forced false by a reverse unit."""
-    return ~P.leq_matrix().T
+def _kept_blocks(P: Poset) -> Iterator[tuple[int, np.ndarray]]:
+    """The transitivity clause of index triple (a, b, c) is kept when b < a,
+    c < b and a < c all fail in P (a reverse unit satisfies the clause of
+    b < a or c < b, and the coupling four-clause resolved with the unit
+    -before(c, a) subsumes that of a < c).  Yields (s, keep) for a block of
+    a at a time, so no N x N x N array is held: keep[a - s, c] holds the b
+    of the kept triples (a, b, c), packed in uint64 words."""
+    open_ = ~P.leq_matrix().T  # [a, b]: a != b and not b < a
+    rows, cols = _pack(open_), _pack(open_.T)
+    n, words = rows.shape
+    step = max(1, (1 << 14) // (n * words))
+    for s in range(0, n, step):
+        keep = rows[s:s + step, None] & cols
+        keep *= open_[:, s:s + step].T[:, :, None]
+        yield s, keep
 
 
 def _open_triples(P: Poset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index triples (a, b, c), in itertools.permutations order, whose
-    transitivity clause is kept: open pairs (a, b), (b, c) and (c, a).  Built
-    a block of a at a time, so no N x N x N array is held."""
-    open_ = _open_pairs(P)
-    n = len(open_)
-    step = max(1, (1 << 20) // (n * n))
+    """The kept index triples (a, b, c), in itertools.permutations order."""
+    n = P.ground_size
     parts = []
-    for s in range(0, n, step):
-        keep = (open_[s:s + step, :, None] & open_[None]
-                & open_[:, s:s + step].T[:, None, :])
-        a, b, c = np.nonzero(keep)
+    for s, keep in _kept_blocks(P):
+        bits = np.unpackbits(keep.view(np.uint8), axis=2, count=n,
+                             bitorder="little")
+        a, b, c = np.nonzero(bits.transpose(0, 2, 1))
         parts.append((a + s, b, c))
     return tuple(np.concatenate(col) for col in zip(*parts))
-
-
-def _kept_triple_count(P: Poset) -> int:
-    """len(_open_triples(P)[0]) without listing them: for each open pair
-    (c, a), the popcount of row a of the open-pair matrix AND its column c,
-    each packed in uint64 words, a block of a at a time."""
-    open_ = _open_pairs(P)
-    n = len(open_)
-    rows, cols = _pack(open_), _pack(open_.T)
-    step = max(1, (1 << 15) // (n * rows.shape[1]))
-    total = 0
-    for s in range(0, n, step):
-        both = np.bitwise_count(rows[s:s + step, None] & cols).sum(axis=2)
-        total += int(both[open_[:, s:s + step].T].sum())
-    return total
 
 
 def _clauses(P: Poset, vm: VarMap, d: int) -> Iterator[list[int]]:
@@ -324,10 +316,8 @@ def _clauses(P: Poset, vm: VarMap, d: int) -> Iterator[list[int]]:
         for start in range(0, len(block), _CHUNK_ROWS):
             yield from lists(block[start:start + _CHUNK_ROWS])
 
-    # each used triple is ordered transitively (the reversed triple gives the
-    # mirrored clause).  A triple with b < a or c < b in P is satisfied by a
-    # reverse unit, and one with a < c is subsumed by the coupling four-clause
-    # resolved with the unit -before(c, a), so neither is emitted
+    # each used kept triple is ordered transitively (the reversed triple
+    # gives the mirrored clause)
     a, b, c = _open_triples(P)
     for i in range(k):
         zi, bi = z[:, i], before[:, :, i]
@@ -445,8 +435,9 @@ def expected_clause_count(P: Poset, k: int, d: int,
     transitivity triples and the comparable pairs of P."""
     n = P.ground_size
     comparable = int(np.count_nonzero(P.leq_matrix())) - n
-    return _clause_total(n, comparable, _kept_triple_count(P), k, d,
-                         symmetry_break)
+    kept = sum(int(np.bitwise_count(keep).sum())
+               for _, keep in _kept_blocks(P))
+    return _clause_total(n, comparable, kept, k, d, symmetry_break)
 
 
 def _clause_total(N: int, n_comparable: int, kept_triples: int, k: int,

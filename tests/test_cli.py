@@ -494,7 +494,9 @@ def _unbuffered_off() -> dict:
 
 def test_entry_point_matches_cli_main(capsys, monkeypatch, tmp_path):
     # `python -m ldimkit` ends without interpreter teardown: its stdout,
-    # stderr, exit code and files equal those of cli.main in process
+    # stderr, exit code and files equal those of cli.main in process, also
+    # where argparse ends the command (--help, usage errors)
+    monkeypatch.setenv("COLUMNS", "80")  # the width --help is wrapped to
     rejected = tmp_path / "rejected.orders"
     lines = fixture_text("b4").splitlines()
     lines[0] = " ".join(reversed(lines[0].split()))
@@ -509,6 +511,8 @@ def test_entry_point_matches_cli_main(capsys, monkeypatch, tmp_path):
         (["verify", "--poset", "boolean:2"], 2),
         (["solve", "--poset", "chain:2", "--k", "1", "--d", "1",
           "--model", str(tmp_path / "missing.model")], 3),
+        (["--help"], 0),
+        (["--no-such-option"], 2),
     ]
     for i, (argv, code) in enumerate(commands):
         child, here = tmp_path / f"child{i}", tmp_path / f"here{i}"
@@ -538,22 +542,38 @@ def test_entry_point_keeps_teardown_under_a_profiler(tmp_path):
     assert (tmp_path / "b4").read_text() == fixture_text("b4")
 
 
+def _lost_write(argv, stdout, unbuffered: bool) -> tuple:
+    env = _unbuffered_off()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.argv[1:] = {argv!r}; "
+         "from ldimkit.__main__ import run; run()"],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+    return proc.returncode, proc.stderr
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_entry_point_reports_a_lost_write():
-    # a failed flush falls back to sys.exit: CPython reports the lost write
-    # and exits 120, as the same command ended by sys.exit does
-    argv = ["ldim", "--poset", "chain:1"]
-    results = []
-    for call in ("from ldimkit.__main__ import run; run()",
-                 "from ldimkit.__main__ import main; sys.exit(main())"):
+    # cli.main flushes stdout itself: a write lost on a full disk or a
+    # closed pipe is ERROR:environment and exit 3, whether or not stdout
+    # is buffered, and no teardown retries it
+    read, closed_pipe = os.pipe()
+    os.close(read)
+    try:
         with open("/dev/full", "wb") as full:
-            proc = subprocess.run(
-                [sys.executable, "-c", f"import sys; sys.argv[1:] = {argv!r}; "
-                 + call], stdout=full, stderr=subprocess.PIPE,
-                env=_unbuffered_off(), text=True)
-        results.append((proc.returncode, proc.stderr))
-    assert results[0] == results[1]
-    assert results[0][0] == 120 and "[Errno 28]" in results[0][1]
+            for argv, stdout, errno in (
+                    (["ldim", "--poset", "chain:1"], full, 28),
+                    (["tables", "b4"], closed_pipe, 32)):
+                buffered, unbuffered = (_lost_write(argv, stdout, flag)
+                                        for flag in (False, True))
+                assert buffered == unbuffered
+                code, err = buffered
+                assert code == 3
+                assert err.startswith(f"ERROR:environment: [Errno {errno}]")
+                assert "Exception ignored" not in err
+    finally:
+        os.close(closed_pipe)
 
 
 def _imports(*argv):
