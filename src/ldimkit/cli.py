@@ -3,21 +3,26 @@
 Exit codes: 0 success/accepted/sat, 1 rejected/unsat/audit-failed or no
 frequency up to ``ldim --d-max`` works, 2 usage or malformed input, 3
 environment or internal failure, a write to stdout lost on a full disk or
-a closed pipe among them.  Errors are printed to stderr as
-``ERROR:<category>: <message>``.  Each subcommand imports the modules it
-uses when it runs, so ``tables`` never loads the SAT layer, and only
-``encode``, ``solve --model`` and ``--solver`` load ``dimacs``, the DIMACS
-and model I/O.  The SAT commands import ``sat`` first: where no bytecode
-is cached, a process compiles the modules from source, and compiling the
-largest one before numpy loads keeps that transient memory under the
-process's peak.
+a closed pipe among them, or a write while descriptor 1 is closed.
+Errors are printed to stderr as ``ERROR:<category>: <message>``.
+
+Each subcommand imports the modules it uses when it runs.  ``tables``
+never loads the SAT layer; ``encode`` never loads the verifier,
+``realizers``, which every other command does (``solve --model`` once it
+has read the model).  Only ``encode``, ``solve --model`` and ``--solver``
+load ``dimacs``, the DIMACS and model I/O, and only ``--solver`` loads the
+process machinery, ``subprocess`` and ``shlex``.  ``json`` is loaded only
+where JSON is printed: by ``--format json`` and ``analyze``.  The SAT
+commands import ``sat`` first: where no bytecode is cached, a process
+compiles the modules from source, and compiling the largest one before
+numpy loads keeps that transient memory under the process's peak.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from errno import EBADF
 from math import ceil
 from pathlib import Path
 
@@ -29,6 +34,21 @@ from .errors import (BoundExceededError, ContractError, DecodeError,
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(2, f"ERROR:usage: {message}\n")
+
+
+class _ClosedStdout:
+    """``sys.stdout`` while descriptor 1 is closed: a write fails, and so
+    does the flush after it, which argparse's swallowed write reaches."""
+
+    lost = False
+
+    def write(self, text):
+        self.lost = True
+        raise OSError(EBADF, "stdout is closed")
+
+    def flush(self):
+        if self.lost:
+            self.write("")  # raises again
 
 
 def _print_report_text(report, out=None) -> None:
@@ -120,6 +140,8 @@ def _cmd_encode(args) -> int:
 
 def _solve_output(args, family) -> None:
     if args.format == "json":
+        import json
+
         from .orders_io import write_orders_file
 
         payload = {"status": "sat", "frequency": family.frequency,
@@ -158,6 +180,8 @@ def _cmd_solve(args) -> int:
         result, family = solve_instance(P, args.k, args.d, args.solver)
     if result.status != "sat":
         if args.format == "json":
+            import json
+
             print(json.dumps({"status": result.status}, indent=2))
         else:
             print(f"status: {result.status}")
@@ -290,6 +314,9 @@ def main(argv=None) -> int:
     before any return, also after --help or a usage error, so that a write
     lost there fails here, as an OSError, and not at interpreter exit."""
     parser = _build_parser()
+    closed = sys.stdout is None  # descriptor 1 is closed
+    if closed:
+        sys.stdout = _ClosedStdout()
     try:
         try:
             args = parser.parse_args(argv)
@@ -297,8 +324,10 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # argparse printed --help or a usage error
             return int(exc.code or 0)
         finally:
-            if sys.stdout is not None:  # None when descriptor 1 is closed
-                sys.stdout.flush()
+            stdout = sys.stdout
+            if closed:
+                sys.stdout = None
+            stdout.flush()
     except (ParameterError, FormatError) as exc:
         print(f"ERROR:usage: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,9 @@
 the solver through ``run_solver``, and ``satshim`` reads a DIMACS file
 through ``parse_dimacs``.  The in-process search never imports this
 module; ``ldimkit.sat`` resolves these public names here on first access.
+Only ``run_solver`` starts a process, and it imports ``subprocess``,
+``shlex`` and ``tempfile`` when called, so ``encode`` and ``solve
+--model`` load no process machinery.
 
 A map file has one line per variable, ``role A B i var``, with var read
 from the ``VarMap`` tables: ``x``/``y`` give the pair A, B; ``z`` has
@@ -20,9 +23,6 @@ an int64 array of the true variables, as the in-process solver gives it.
 from __future__ import annotations
 
 import re
-import shlex
-import subprocess
-import tempfile
 from array import array
 from collections.abc import Iterator
 from itertools import chain, combinations, islice
@@ -259,6 +259,10 @@ def run_solver(cnf_path, solver_command) -> SolverResult:
     that exits with any other nonzero code and no status line has failed:
     SolverEnvironmentError names the code and its last stderr line.
     """
+    import shlex
+    import subprocess
+    import tempfile
+
     cmd = (shlex.split(solver_command) if isinstance(solver_command, str)
            else list(solver_command)) + [str(cnf_path)]
     # stdout goes to a temporary file, which read_model takes a slice at a

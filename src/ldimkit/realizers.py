@@ -11,7 +11,6 @@ of a family is the maximum number of members containing any one element; the
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,6 +59,8 @@ class VerificationReport:
                 "violations": [v.to_json_dict() for v in self.violations]}
 
     def to_json(self, indent: int | None = None) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), indent=indent)
 
     @property

@@ -7,7 +7,10 @@ DIMACS solver is opt-in: pass ``solver_command`` (the CLI's ``--solver``).
 The DIMACS and model I/O it needs lives in ``ldimkit.dimacs``, which the
 in-process search never imports; its public names (``write_dimacs``,
 ``parse_dimacs``, ``parse_model_text``, ``read_model``, ``run_solver``)
-are read from there on first access as attributes of this module.
+are read from there on first access as attributes of this module.  The
+verifier, ``ldimkit.realizers``, is likewise imported only by the decoder,
+so ``encode`` never loads it; ``RealizerFamily`` and
+``verify_local_realizer`` are read from there the same way.
 
 The instance encode(P, k, d) is satisfiable iff P has a local realizer with
 at most k partial linear extensions and frequency at most d.  Variables per
@@ -70,7 +73,6 @@ import numpy as np
 
 from .errors import BoundExceededError, DecodeError, ParameterError
 from .posets import Poset, _pack
-from .realizers import RealizerFamily, verify_local_realizer
 
 
 class VarMap:
@@ -472,6 +474,8 @@ def decode_realizer(model, varmap: VarMap, P: Poset) -> RealizerFamily:
     computed for its used elements only, a block of rows at a time, so no
     N x N x k table is built.
     """
+    from .realizers import RealizerFamily
+
     literals = np.asarray(model, dtype=np.int64)
     # the literals mark in place: those below 1 clip to the unused variable
     # 0, those above variable_count to a last slot that no lookup reads
@@ -508,6 +512,8 @@ def decode_verified(model, varmap: VarMap, P: Poset, d: int) -> RealizerFamily:
     A family that fails verification or exceeds frequency d raises
     DecodeError, since it signals an encoding or solver inconsistency.
     """
+    from .realizers import verify_local_realizer
+
     family = decode_realizer(model, varmap, P)
     report = verify_local_realizer(P, family)
     if not report.accepted:
@@ -603,11 +609,16 @@ def ldim_certificate(P: Poset, d_max: int | None = None,
 
 
 def __getattr__(name: str):
-    # the opt-in path's public names, from ``dimacs`` on first access
-    # (PEP 562); its private names are not read through this module
+    # the opt-in path's public names, from ``dimacs``, and the verifier's,
+    # from ``realizers``, on first access (PEP 562); private names are not
+    # read through this module
     if name in ("write_dimacs", "parse_dimacs", "parse_model_text",
                 "read_model", "run_solver"):
         from . import dimacs
 
         return getattr(dimacs, name)
+    if name in ("RealizerFamily", "verify_local_realizer"):
+        from . import realizers
+
+        return getattr(realizers, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -542,14 +542,14 @@ def test_entry_point_keeps_teardown_under_a_profiler(tmp_path):
     assert (tmp_path / "b4").read_text() == fixture_text("b4")
 
 
-def _lost_write(argv, stdout, unbuffered: bool) -> tuple:
+def _lost_write(argv, stdout, unbuffered: bool, **options) -> tuple:
     env = _unbuffered_off()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.argv[1:] = {argv!r}; "
          "from ldimkit.__main__ import run; run()"],
-        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True)
+        stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, **options)
     return proc.returncode, proc.stderr
 
 
@@ -576,6 +576,23 @@ def test_entry_point_reports_a_lost_write():
         os.close(closed_pipe)
 
 
+def test_closed_stdout_is_an_environment_error(tmp_path):
+    # with descriptor 1 closed (`>&-`) sys.stdout is None: a command that
+    # writes there fails as a lost write does, one that writes nothing to
+    # stdout succeeds; --help, whose lost write argparse ignores, fails
+    out = tmp_path / "b4"
+    for argv, code in ((["tables", "b4"], 3), (["--help"], 3),
+                       (["ldim", "--poset", "chain:1"], 3),
+                       (["build", "--poset", "boolean:2", "-o", str(out)], 3),
+                       (["tables", "b4", "-o", str(out)], 0)):
+        for unbuffered in (False, True):
+            assert _lost_write(argv, None, unbuffered,
+                               preexec_fn=lambda: os.close(1)) == (
+                code, "" if code == 0
+                else "ERROR:environment: [Errno 9] stdout is closed\n")
+    assert out.read_text() == fixture_text("b4")
+
+
 def _imports(*argv):
     """A fresh interpreter run with ``argv``, and the modules it imported."""
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
@@ -585,7 +602,7 @@ def _imports(*argv):
                   if line.startswith("import time:")}
 
 
-def test_subcommands_import_what_they_use():
+def test_subcommands_import_what_they_use(tmp_path):
     # `tables` loads neither the SAT layer nor the bounds
     proc, imported = _imports("-m", "ldimkit", "tables", "b4")
     assert proc.returncode == 0 and proc.stdout == fixture_text("b4")
@@ -602,12 +619,23 @@ def test_subcommands_import_what_they_use():
                            "ldimkit.singletons"}
     _, base = _imports("-c", "import numpy, argparse")
     assert not (imported - base) & {"subprocess", "shlex", "signal",
-                                    "selectors"}
-    # `encode` writes DIMACS and solves nothing
+                                    "selectors", "json"}
+    # `encode` writes DIMACS and solves nothing: no verifier, no process
+    # machinery, no json
     proc, imported = _imports("-m", "ldimkit", "encode", "--poset", "chain:2",
                               "--k", "1", "--d", "1")
     assert proc.returncode == 0 and proc.stdout.startswith("p cnf ")
     assert "ldimkit.dimacs" in imported and "ldimkit.cdcl" not in imported
+    assert not (imported - base) & {"ldimkit.realizers", "json",
+                                    "subprocess", "shlex"}
+    # `solve --model` in text format reads a file and starts no process
+    model = tmp_path / "chain2.model"
+    model.write_text("s SATISFIABLE\nv 1 -2 3 4 0\n")
+    proc, imported = _imports("-m", "ldimkit", "solve", "--poset", "chain:2",
+                              "--k", "1", "--d", "1", "--model", str(model))
+    assert proc.returncode == 0 and proc.stdout == "0 1\n"
+    assert {"ldimkit.dimacs", "ldimkit.realizers"} <= imported
+    assert not (imported - base) & {"subprocess", "shlex", "json"}
 
 
 def test_package_names_resolve_on_access():

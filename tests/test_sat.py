@@ -1054,6 +1054,19 @@ def test_sat_reads_the_io_names_from_dimacs(monkeypatch):
             monkeypatch.setattr(ldimkit.sat, name, 1)
 
 
+def test_sat_reads_the_verifier_names_from_realizers():
+    import ldimkit.realizers
+    import ldimkit.sat
+    for name in ("RealizerFamily", "verify_local_realizer"):
+        assert getattr(ldimkit.sat, name) is getattr(ldimkit.realizers, name)
+    # importing sat, which encode needs, leaves the verifier unloaded
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ldimkit.sat; "
+         "print('ldimkit.realizers' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.stdout == "False\n", proc.stderr
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 64])
 def test_model_reader_at_any_slice(monkeypatch, size):
     import ldimkit.dimacs
