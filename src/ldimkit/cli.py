@@ -160,6 +160,8 @@ def _cmd_solve(args) -> int:
     from .sat import VarMap, decode_verified, solve_instance
     from .posets import build_poset
 
+    if args.model and args.solver is not None:
+        raise ParameterError("--model decodes a saved output; drop --solver")
     P = build_poset(args.poset)
     if args.model:
         from .dimacs import read_model

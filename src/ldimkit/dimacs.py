@@ -4,11 +4,10 @@
 ``solve --model`` reads a saved solver output through ``read_model``,
 ``solve_instance`` with a ``solver_command`` writes the instance and runs
 the solver through ``run_solver``, and ``satshim`` reads a DIMACS file
-through ``parse_dimacs``.  The in-process search never imports this
-module; ``ldimkit.sat`` resolves these public names here on first access.
-Only ``run_solver`` starts a process, and it imports ``subprocess``,
-``shlex`` and ``tempfile`` when called, so ``encode`` and ``solve
---model`` load no process machinery.
+through ``parse_dimacs``.  Only ``run_solver`` starts a process, and it
+imports the process machinery when called.  Which command loads this
+module, and which loads the process machinery, is stated once, in
+``ldimkit.cli``.
 
 A map file has one line per variable, ``role A B i var``, with var read
 from the ``VarMap`` tables: ``x``/``y`` give the pair A, B; ``z`` has
@@ -25,6 +24,7 @@ from __future__ import annotations
 import re
 from array import array
 from collections.abc import Iterator
+from contextlib import nullcontext
 from itertools import chain, combinations, islice
 from pathlib import Path
 
@@ -36,12 +36,11 @@ from .intparse import parse_ints
 from .sat import _CHUNK_ROWS, CnfFormula, SolverResult, VarMap
 
 
-def _open_sink(sink, opened: list):
+def _sink(sink):
+    """A path opened for writing, or a file object left open."""
     if isinstance(sink, (str, Path)):
-        handle = open(sink, "w", encoding="utf-8", newline="\n")
-        opened.append(handle)
-        return handle
-    return sink
+        return open(sink, "w", encoding="utf-8", newline="\n")
+    return nullcontext(sink)
 
 
 class _ClauseTemplates(dict):
@@ -66,10 +65,8 @@ def write_dimacs(formula: CnfFormula, varmap: VarMap | None, out,
     whole.  A stream that ends at any other count raises DecodeError."""
     if map_out is not None and varmap is None:
         raise ParameterError("a VarMap is required to write a map file")
-    opened: list = []
-    try:
-        handle = _open_sink(out, opened)
-        declared = formula.clause_count
+    declared = formula.clause_count
+    with _sink(out) as handle:
         handle.write(f"p cnf {formula.variable_count} {declared}\n")
         templates = _ClauseTemplates()
         clauses, written = iter(formula.clauses), 0
@@ -77,14 +74,12 @@ def write_dimacs(formula: CnfFormula, varmap: VarMap | None, out,
             handle.write("".join([templates[len(clause)] % tuple(clause)
                                   for clause in chunk]))
             written += len(chunk)
-        if written != declared:
-            raise DecodeError(
-                f"header declares {declared} clauses, the stream gave {written}")
-        if map_out is not None:
-            _open_sink(map_out, opened).writelines(_map_lines(varmap))
-    finally:
-        for handle in opened:
-            handle.close()
+    if written != declared:
+        raise DecodeError(
+            f"header declares {declared} clauses, the stream gave {written}")
+    if map_out is not None:
+        with _sink(map_out) as handle:
+            handle.writelines(_map_lines(varmap))
 
 
 def _map_lines(vm: VarMap) -> Iterator[str]:

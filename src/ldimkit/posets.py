@@ -155,15 +155,14 @@ class Poset:
     def leq(self, a: int, b: int) -> bool:
         return bool(self._leq_index(self.index_of(a), self.index_of(b)))
 
-    def _check_cells(self) -> None:
+    def _check_cells(self, what: str) -> None:
         n = self.ground_size
         if n * n > _MATRIX_CELL_LIMIT:
-            raise ParameterError(
-                f"{self.kind}: comparability matrix would need {n * n} cells")
+            raise ParameterError(f"{self.kind}: {what} would need {n * n} cells")
 
     @cached_property
     def _leq_matrix(self) -> np.ndarray:
-        self._check_cells()
+        self._check_cells("comparability matrix")
         n = self.ground_size
         mat = np.unpackbits(self.up_rows().view(np.uint8), axis=1, count=n,
                             bitorder="little").view(bool)
@@ -205,7 +204,7 @@ class Poset:
         one packs ``_leq_index`` ``_ROW_BLOCK`` rows at a time, on int32
         indices: int64 ones double the per-block temporaries and about
         double the time of the multiset predicates."""
-        self._check_cells()
+        self._check_cells("order rows packed from the order predicate")
         cols = np.arange(self.ground_size, dtype=np.int32)
         rows = np.empty((idx.size, (self.ground_size + 63) // 64), np.uint64)
         for start in range(0, idx.size, _ROW_BLOCK):

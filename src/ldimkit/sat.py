@@ -4,13 +4,12 @@ exact search.
 By default instances are decided in-process by the CDCL solver of
 ``ldimkit.cdcl``, fed straight from the clause generator.  An external
 DIMACS solver is opt-in: pass ``solver_command`` (the CLI's ``--solver``).
-The DIMACS and model I/O it needs lives in ``ldimkit.dimacs``, which the
-in-process search never imports; its public names (``write_dimacs``,
-``parse_dimacs``, ``parse_model_text``, ``read_model``, ``run_solver``)
-are read from there on first access as attributes of this module.  The
-verifier, ``ldimkit.realizers``, is likewise imported only by the decoder,
-so ``encode`` never loads it; ``RealizerFamily`` and
-``verify_local_realizer`` are read from there the same way.
+The DIMACS and model I/O it needs lives in ``ldimkit.dimacs``, and the
+verifier in ``ldimkit.realizers``, which only the decoder imports; the
+names the package exports from ``dimacs``, and ``RealizerFamily`` and
+``verify_local_realizer``, are read from there on each access as
+attributes of this module.  Which command loads which module is stated
+once, in ``ldimkit.cli``.
 
 The instance encode(P, k, d) is satisfiable iff P has a local realizer with
 at most k partial linear extensions and frequency at most d.  Variables per
@@ -68,6 +67,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from importlib import import_module
 
 import numpy as np
 
@@ -124,9 +124,9 @@ class VarMap:
 
     def _pair_var(self, lo, hi, i0, reverse):
         # x (reverse 0) or y (reverse 1) of index pair lo < hi in 0-based
-        # order i0; ints or broadcasting int64 arrays alike
+        # order i0, and 0 where lo == hi; ints or broadcasting int64 arrays
         p = lo * (2 * self.n - lo - 1) // 2 + (hi - lo - 1)
-        return 2 * (p * self.k + i0) + 1 + reverse
+        return (2 * (p * self.k + i0) + 1 + reverse) * (lo != hi)
 
     def _z_var(self, ai, i0):
         return self.pair_block + ai * self.k + i0 + 1
@@ -157,9 +157,7 @@ class VarMap:
         ai, bi = self.P.index_of(a), self.P.index_of(b)
         if ai == bi:
             raise ParameterError(f"pair variables need distinct elements, got {a}")
-        if ai < bi:
-            return self._pair_var(ai, bi, i - 1, 0)
-        return self._pair_var(bi, ai, i - 1, 1)
+        return self._pair_var(min(ai, bi), max(ai, bi), i - 1, ai > bi)
 
     def z(self, a: int, i: int) -> int:
         self._check_order(i)
@@ -180,10 +178,9 @@ class VarMap:
     def before_table(self) -> np.ndarray:
         idx = np.arange(self.n, dtype=np.int64)
         a, b = idx[:, None, None], idx[None, :, None]
-        table = self._pair_var(np.minimum(a, b), np.maximum(a, b),
-                               np.arange(self.k, dtype=np.int64), a > b)
-        table[idx, idx] = 0
-        return _read_only(table)
+        return _read_only(self._pair_var(np.minimum(a, b), np.maximum(a, b),
+                                         np.arange(self.k, dtype=np.int64),
+                                         a > b))
 
     @cached_property
     def z_table(self) -> np.ndarray:
@@ -323,10 +320,8 @@ def _clauses(P: Poset, vm: VarMap, d: int) -> Iterator[list[int]]:
     a, b, c = _open_triples(P)
     for i in range(k):
         zi, bi = z[:, i], before[:, :, i]
-        for s in range(0, len(a), _CHUNK_ROWS):
-            ta, tb, tc = (t[s:s + _CHUNK_ROWS] for t in (a, b, c))
-            yield from lists(np.stack((-zi[ta], -zi[tb], -zi[tc], -bi[ta, tb],
-                                       -bi[tb, tc], bi[ta, tc]), axis=1))
+        yield from rows(np.stack((-zi[a], -zi[b], -zi[c], -bi[a, b], -bi[b, c],
+                                  bi[a, c]), axis=1))
 
     # index pairs lo < hi in itertools.combinations order
     lo, hi = np.triu_indices(n, 1)
@@ -367,15 +362,10 @@ def _clauses(P: Poset, vm: VarMap, d: int) -> Iterator[list[int]]:
         for comp, pair_twos, pair_fours, pair_pairs in zip(
                 comparable[s:s + step].tolist(), lists(twos[s:s + step]),
                 lists(fours[s:s + step]), lists(pairs[s:s + step])):
-            if comp:
-                for two, four in zip(pair_twos, pair_fours):
-                    yield two[0]
-                    yield two[1]
-                    yield four
-            else:
-                for two, four, pair in zip(pair_twos, pair_fours, pair_pairs):
-                    yield from two
-                    yield four
+            for two, four, pair in zip(pair_twos, pair_fours, pair_pairs):
+                yield from two[:2] if comp else two
+                yield four
+                if not comp:
                     yield pair
 
     # frequency cap: no element is used in d+1 distinct orders, by Sinz's
@@ -491,10 +481,9 @@ def decode_realizer(model, varmap: VarMap, P: Poset) -> RealizerFamily:
         step = max(1, _DECODE_ENTRIES // max(1, used.size))
         for s in range(0, used.size, step):
             a = used[s:s + step, None]
-            var = varmap._pair_var(np.minimum(a, used), np.maximum(a, used),
-                                   i, a > used)
-            np.fill_diagonal(var[:, s:], 0)  # variable 0 is never true
-            rel[s:s + step] = true[var]
+            # a diagonal cell reads variable 0, which is never true
+            rel[s:s + step] = true[varmap._pair_var(
+                np.minimum(a, used), np.maximum(a, used), i, a > used)]
         # most elements after it first; ties keep id order, like sorted()
         rank = np.argsort(-rel.sum(axis=1), kind="stable")
         if np.triu(~rel[rank[:, None], rank], 1).any():
@@ -609,16 +598,13 @@ def ldim_certificate(P: Poset, d_max: int | None = None,
 
 
 def __getattr__(name: str):
-    # the opt-in path's public names, from ``dimacs``, and the verifier's,
-    # from ``realizers``, on first access (PEP 562); private names are not
-    # read through this module
-    if name in ("write_dimacs", "parse_dimacs", "parse_model_text",
-                "read_model", "run_solver"):
-        from . import dimacs
+    # the opt-in path's public names, those the package exports from
+    # ``dimacs``, and two of the verifier's, read from their module on each
+    # access (PEP 562); private names are not read through this module
+    from . import _MODULE_OF
 
-        return getattr(dimacs, name)
-    if name in ("RealizerFamily", "verify_local_realizer"):
-        from . import realizers
-
-        return getattr(realizers, name)
+    module = _MODULE_OF.get(name)
+    if module == "dimacs" or name in ("RealizerFamily",
+                                      "verify_local_realizer"):
+        return getattr(import_module(f".{module}", __package__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

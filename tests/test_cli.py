@@ -88,6 +88,18 @@ def test_oversize_poset_is_usage_error(capsys, tmp_path):
                    "need 536870912 bytes\n")
 
 
+def test_row_refusal_names_the_rows(capsys, tmp_path):
+    # verify packs the order rows from the predicate and never builds the
+    # comparability matrix, so the refusal names the rows
+    path = tmp_path / "one.orders"
+    path.write_text("0 1\n")
+    code, out, err = run(capsys, "verify", "--poset", "multiset:10:3",
+                         "--orders", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("ERROR:usage: multiset:10:3: order rows packed from the "
+                   "order predicate would need 3486784401 cells\n")
+
+
 def test_build_refuses_oversize_poset_before_building(capsys):
     # the modules the command imports are loaded first, so that the peak
     # counts only what the command allocates
@@ -325,6 +337,19 @@ def test_solve_model_refuses_d_below_one(capsys, tmp_path):
     code, out, err = run(capsys, "solve", "--poset", "chain:2",
                          "--k", "1", "--d", "1", "--model", str(model))
     assert code == 0 and "frequency: 1" in err
+
+
+def test_solve_model_refuses_a_solver(capsys, tmp_path):
+    # refused before the model is read: a missing file is not reached
+    model = tmp_path / "model.txt"
+    model.write_text("s UNSATISFIABLE\n")
+    for path in (model, tmp_path / "missing.txt"):
+        code, out, err = run(capsys, "solve", "--poset", "boolean:2", "--k",
+                             "2", "--d", "2", "--model", str(path),
+                             "--solver", "nonexistent")
+        assert (code, out) == (2, "")
+        assert err == ("ERROR:usage: --model decodes a saved output; "
+                       "drop --solver\n")
 
 
 def test_solve_model_with_non_integer_literal(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import random
@@ -5,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from itertools import islice, product
 
@@ -522,7 +524,7 @@ def test_varmap_tables_match_scalar_lookups():
                 assert z[x, i - 1] == vm.z(a, i)
                 for y, b in enumerate(P.element_ids()):
                     want = 0 if a == b else vm.before(a, b, i)
-                    assert before[x, y, i - 1] == want
+                    assert type(want) is int and before[x, y, i - 1] == want
             for i in range(1, k):
                 for j in range(1, width + 1):
                     assert s[x, i - 1, j - 1] == vm.s(a, i, j)
@@ -1129,15 +1131,28 @@ class _Discard:
         pass
 
 
-def test_write_dimacs_checks_the_declared_count():
+def test_write_dimacs_checks_the_declared_count(tmp_path):
     formula, vm = encode(BooleanLattice(2), 3, 2, True)
     count = formula.clause_count
     for declared in (count - 1, count + 1):
         short = CnfFormula(formula.variable_count, iter(formula.clauses),
                            declared)
+        sink = io.StringIO()
         with pytest.raises(DecodeError, match=(
                 f"declares {declared} clauses, the stream gave {count}")):
-            write_dimacs(short, vm, io.StringIO())
+            write_dimacs(short, vm, sink, io.StringIO())
+        # a file object is the caller's: it stays open
+        sink.write("c still open\n")
+    # a path is closed on the refusal, and the map file is never opened
+    cnf, map_path = tmp_path / "f.cnf", tmp_path / "f.map"
+    short = CnfFormula(formula.variable_count, iter(formula.clauses), count + 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DecodeError):
+            write_dimacs(short, vm, cnf, map_path)
+        gc.collect()  # an unclosed handle would warn when collected
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert cnf.exists() and not map_path.exists()
     # the streamed formula writes the list's bytes, and holds no list:
     # the list of this instance takes about 10 MB
     for spec, k, d, brk in (("boolean:2", 3, 2, True), ("chain:1", 2, 1, True),
