@@ -51,8 +51,8 @@ class _ClosedStdout:
             self.write("")  # raises again
 
 
-def _print_report_text(report, out=None) -> None:
-    out = out or sys.stdout
+def _print_report_text(report) -> None:
+    out = sys.stdout
     out.write(f"accepted: {'true' if report.accepted else 'false'}\n")
     out.write(f"frequency: {report.frequency}\n")
     out.write(f"size: {report.size}\n")

@@ -226,69 +226,43 @@ def _positions(arr: np.ndarray, values: np.ndarray) -> np.ndarray:
                  .clip(max=arr.size - 1)]
 
 
-def _log_order_violations(P: Poset, arr: np.ndarray, i: int,
-                          block: np.ndarray, hits: np.ndarray,
-                          log: _ViolationLog) -> None:
-    """Log the order violations of member i (placements ``arr``) in
-    ``hits``: bit b of row q is set when b is placed before block[q]
-    although block[q] < b in P."""
-    room = log.room(ORDER_VIOLATION_IN_PLE)
-    found, q, b = _set_bits(hits, room)
-    log.clean &= not found
-    if q.size:
-        p = _positions(arr, b)
-        for k in np.lexsort((p, q))[:room]:
-            log.add(ORDER_VIOLATION_IN_PLE, P.id_at(int(block[q[k]])),
-                    P.id_at(int(b[k])), i)
-
-
 def _scan_members(P: Poset, members: list[np.ndarray], wanted: np.ndarray,
-                  log: _ViolationLog, pairs=()) -> list[int]:
-    """Log the order violations of the deduplicated ``members``, in order,
-    from their rows at the ``wanted`` elements AND-ed with the up rows of
-    those elements, and return, for each index pair (a, b) of ``pairs``, the
-    first member whose row at a holds b, or -1.  Once the log is not clean
-    and lists no more order violations, only the rows of the pairs without
-    a member are read, and the scan stops when every pair has one."""
-    W = (P.ground_size + 63) // 64
-    buf = np.empty((min(np.count_nonzero(wanted), _ROW_BLOCK), W + 1),
-                   dtype=np.uint64)
-    a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    first = np.full(a.size, -1)
-
-    def settled() -> bool:
-        """Whether only the pairs' members are left to find."""
-        return not (log.clean or log.room(ORDER_VIOLATION_IN_PLE))
-
+                  log: _ViolationLog) -> None:
+    """Log the order violations of the deduplicated ``members``, in order:
+    bit b of a member's row at a ``wanted`` element x, AND-ed with the up
+    row of x, is set when b is placed before x although x < b in P.  The
+    buffer holds the most wanted rows of any one member, at most
+    ``_ROW_BLOCK``, and an oversize P is refused before it is allocated.
+    Returns once the log is not clean and lists no more order violations."""
+    most = min(max((np.count_nonzero(wanted[arr]) for arr in members),
+                   default=0), _ROW_BLOCK)
+    P._packed_indices(range(most))
+    P.up_rows([])  # refuses the kinds that can build no row
+    buf = np.empty((most, (P.ground_size + 63) // 64 + 1), dtype=np.uint64)
     for i, arr in enumerate(members):
-        if settled():
-            if (first >= 0).all():
-                break
-            wanted = np.zeros(P.ground_size, dtype=bool)
-            wanted[a[first < 0]] = True
         for x, rows in _prefix_rows(arr, np.flatnonzero(wanted[arr]), buf):
-            hits = P.up_rows(x) & rows
-            _log_order_violations(P, arr, i, x, hits, log)
-            k = np.flatnonzero(first < 0)
-            q = _positions(x, a[k])
-            bit = hits[q, b[k] >> 6] >> (b[k] & 63).astype(np.uint64)
-            first[k[(x[q] == a[k]) & (bit & _ONE != 0)]] = i
-            if settled() and (first >= 0).all():
-                break
-    return first.tolist()
+            hits = P.up_rows(x)
+            hits &= rows
+            room = log.room(ORDER_VIOLATION_IN_PLE)
+            found, q, b = _set_bits(hits, room)
+            log.clean &= not found
+            if q.size:
+                p = _positions(arr, b)
+                for k in np.lexsort((p, q))[:room]:
+                    log.add(ORDER_VIOLATION_IN_PLE, P.id_at(int(x[q[k]])),
+                            P.id_at(int(b[k])), i)
+            if not (log.clean or log.room(ORDER_VIOLATION_IN_PLE)):
+                return
 
 
 def validate_ple(P: Poset, ple: Sequence[int],
                  max_violations_per_kind: int = 100) -> VerificationReport:
-    """Check one sequence for duplicates and order consistency with P."""
+    """Check one sequence for duplicates and, by the member scan at each of
+    its elements, order consistency with P."""
     ple = tuple(ple)
     log = _ViolationLog(max_violations_per_kind)
     if ple:
         arr = _member_indices(P, ple, 0, log)
-        # refuse an oversize P before the scan allocates: the budget of its
-        # first block, and the kinds that cannot build any row
-        P._packed_indices(arr[:_ROW_BLOCK])
-        P.up_rows(arr[:0])
         _scan_members(P, [arr], np.broadcast_to(True, P.ground_size), log)
     return VerificationReport(
         accepted=log.clean,
@@ -373,7 +347,7 @@ def _list_violations(P: Poset, members: list[np.ndarray],
         for ai, bi in listed(start, mask, log.room(kind)):
             log.add(kind, P.id_at(ai), P.id_at(bi))
 
-    reversed_ = []  # listed reversed pairs, whose members the scan finds
+    reversed_ = []  # listed reversed pairs, whose members come last
     reversing = np.zeros(N, dtype=bool)  # rows a of the reversed pairs
     scratch = np.empty((0, 0), dtype=np.uint64)  # grows to the largest block
     tail = ~np.uint64(0) >> np.uint64(-N % 64)  # the last word's bits < N
@@ -404,8 +378,18 @@ def _list_violations(P: Poset, members: list[np.ndarray],
         collect(INCOMPARABLE_PAIR_ONE_SIDED, start, s)
         del up_b, down_b, incomparable  # before the walk builds the next
 
-    for (ai, bi), member in zip(
-            reversed_, _scan_members(P, members, reversing, log, reversed_)):
+    _scan_members(P, members, reversing, log)
+    # each listed pair's first member: one that places b before a
+    a, b = np.array(reversed_, dtype=np.intp).reshape(-1, 2).T
+    first = np.full(a.size, -1)
+    for i, arr in enumerate(members):
+        if (first >= 0).all():
+            break
+        if arr.size:
+            p = _positions(arr, np.stack((a, b)))
+            first[(first < 0) & (arr[p[0]] == a) & (arr[p[1]] == b)
+                  & (p[1] < p[0])] = i
+    for ai, bi, member in zip(a.tolist(), b.tolist(), first.tolist()):
         log.add(COMPARABLE_PAIR_REVERSED, P.id_at(ai), P.id_at(bi), member)
 
 
@@ -450,13 +434,13 @@ def verify_local_realizer(P: Poset, family,
     a < b by index in neither the up nor the down rows, is built in place of
     the down rows, the reversed pairs in place of the up rows, and the other
     masks in one scratch block per call; listing reads only nonzero words.
-    Last, one ordered member scan, the one ``validate_ple`` runs on every
-    row, rebuilds each member's rows at the rows a that hold a reversed pair
-    and ANDs them with their up rows: a set bit b is an order violation of
-    that member, and the first member with b in its row at a is the one
-    listed for the reversed pair (a, b).  Once the order violations are
-    listed in full, it reads only the rows of the pairs still without a
-    member, and it stops when none is left.  The packed-byte budget of one
+    Then one ordered member scan, the one ``validate_ple`` runs on every
+    element, rebuilds each member's rows at the rows a that hold a reversed
+    pair and ANDs them with their up rows: a set bit b is an order
+    violation of that member.  It stops once the order violations are
+    listed in full.  Last, the member listed for a reversed pair (a, b) is
+    the first one that holds both and places b before a, read from each
+    member's positions of the listed pairs.  The packed-byte budget of one
     block is checked first, so ``build`` and ``verify`` refuse alike.
 
     The capped violations listed for each kind are the first ones in this

@@ -233,6 +233,24 @@ def test_oversize_poset_refused_before_allocating():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("ple, accepted, order_violations",
+                         [([0, 1, 3], True, 0), ([3, 1], False, 1)])
+def test_member_scan_buffer_fits_the_member(ple, accepted, order_violations):
+    """On 4M elements a packed row is 512 KiB: the scan's buffer holds the
+    member's rows, not a block of 256."""
+    P = BooleanLattice(22)
+    tracemalloc.start()
+    try:
+        report = validate_ple(P, ple)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.accepted is accepted
+    assert [v.kind for v in report.violations] == (
+        [ORDER_VIOLATION_IN_PLE] * order_violations)
+    assert peak < 8 << 20
+
+
 def _faulty_variants(family):
     """The family as it is, without its last member, and with its first
     member reversed and one of its elements repeated."""
