@@ -12,10 +12,16 @@ never loads the SAT layer; ``encode`` never loads the verifier,
 has read the model).  Only ``encode``, ``solve --model`` and ``--solver``
 load ``dimacs``, the DIMACS and model I/O, and only ``--solver`` loads the
 process machinery, ``subprocess`` and ``shlex``.  ``json`` is loaded only
-where JSON is printed: by ``--format json`` and ``analyze``.  The SAT
-commands import ``sat`` first: where no bytecode is cached, a process
-compiles the modules from source, and compiling the largest one before
-numpy loads keeps that transient memory under the process's peak.
+where JSON is printed: by ``--format json`` and ``analyze``.
+
+Where no bytecode is cached, a module compiles when its import starts,
+and a compile before numpy loads stays under the process's peak.  Each
+command compiles these before numpy, in order: ``verify`` ``orders_io``,
+``realizers`` and ``posets``, each importing the next first; ``tables``
+``fixtures`` and those three; ``build`` ``posets``; ``analyze``
+``bounds`` and ``posets``; ``encode``, ``solve`` and ``ldim`` ``sat``,
+which imports numpy first (``posets`` first read no lower on ``encode``).
+Every other module compiles after numpy.
 """
 
 from __future__ import annotations

@@ -4,19 +4,21 @@
 ``solve --model`` reads a saved solver output through ``read_model``,
 ``solve_instance`` with a ``solver_command`` writes the instance and runs
 the solver through ``run_solver``, and ``satshim`` reads a DIMACS file
-through ``parse_dimacs``.  Only ``run_solver`` starts a process, and it
-imports the process machinery when called.  Which command loads this
-module, and which loads the process machinery, is stated once, in
-``ldimkit.cli``.
+through ``parse_dimacs`` and exits 3 on a write to stdout that is lost.
+Only ``run_solver`` starts a process, and it imports the process
+machinery when called.  Which command loads this module, and which loads
+the process machinery, is stated once, in ``ldimkit.cli``.
 
 A map file has one line per variable, ``role A B i var``, with var read
 from the ``VarMap`` tables: ``x``/``y`` give the pair A, B; ``z`` has
 ``-`` for B; ``s`` gives A and the count j as B; ``e`` has ``-`` for A and
 the index bound j as B.
 
-Solver output, a saved file or a subprocess's stdout alike, is read a
-slice of text at a time, keeping only the positive literals: the model is
-an int64 array of the true variables, as the in-process solver gives it.
+Both text readers hold one slice of text at a time.  Solver output, a
+saved file or a subprocess's stdout alike, is read keeping only the
+positive literals: the model is an int64 array of the true variables, as
+the in-process solver gives it.  DIMACS text is read keeping the clauses,
+with each slice's comment and header lines cut out.
 """
 
 from __future__ import annotations
@@ -103,6 +105,9 @@ def _map_lines(vm: VarMap) -> Iterator[str]:
             yield f"e - {j} {i} {var}\n"
 
 
+# characters of text that parse_dimacs and read_model take at a time
+_MODEL_SLICE = 1 << 16
+
 # a line whose first non-blank character is 'c' (comment) or 'p' (header),
 # with the newline before it: a leading literal lets the regex engine skip
 # to each newline instead of trying every position
@@ -113,43 +118,107 @@ def parse_dimacs(source) -> CnfFormula:
     """Read a DIMACS CNF formula from a ``Path``, a file object, or a
     ``str``, which is always the text itself.
 
-    Comment and header lines are cut out and the remaining tokens are read
-    in one numpy parse; a clause may span lines, and a last clause without
-    its 0 still counts.  A missing or malformed header, a clause count that
-    differs from the header's, or a token that is not an integer raises
-    FormatError."""
+    A clause may span lines, and a last clause without its 0 still counts.
+    A missing or malformed header, a clause count that differs from the
+    header's, or a token that is not an integer raises FormatError; a bad
+    header is named before a bad token, wherever each stands.
+
+    The text is read ``_MODEL_SLICE`` characters at a time.  Each slice's
+    comment and header lines are cut out and the rest read in one numpy
+    parse; the unfinished line (a header whole, a clause line from its
+    unfinished token) and the unfinished clause are carried over, so the
+    reader holds one slice of text besides the clauses."""
     if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    elif hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
-    if not text.isascii() or any(c in text for c in "\r\v\f\x1c\x1d\x1e"):
-        # the other line boundaries of str.splitlines, as newlines
-        text = "\n".join(text.splitlines())
-    text = "\n" + text
-    variable_count = declared_clauses = None
-    body, end = [], 0
-    for line in _DIMACS_LINE.finditer(text):
-        body.append(text[end:line.start()])
-        end = line.end()
-        if line[1] == "p":
-            parts = line[0].split()
-            if (len(parts) != 4 or parts[1] != "cnf"
-                    or not all(map(_COUNT.fullmatch, parts[2:]))):
-                raise FormatError(f"bad DIMACS header: {line[0][1:]!r}")
-            variable_count, declared_clauses = int(parts[2]), int(parts[3])
-    body.append(text[end:])
+        try:
+            with open(source, encoding="utf-8") as handle:
+                return _parse_slices(_slices(handle))
+        except UnicodeDecodeError:
+            # raised again with its position in the file, not in the slice
+            source.read_text(encoding="utf-8")
+            raise
+    return _parse_slices(_slices(
+        source if hasattr(source, "read") else str(source)))
+
+
+def _slices(source) -> Iterator[str]:
+    """A text file object, or a string, ``_MODEL_SLICE`` characters at a
+    time."""
+    if hasattr(source, "read"):
+        return iter(lambda: source.read(_MODEL_SLICE), "")
+    return (source[start:start + _MODEL_SLICE]
+            for start in range(0, len(source), _MODEL_SLICE))
+
+
+def _parse_slices(slices: Iterator[str]) -> CnfFormula:
+    variable_count = declared_clauses = bad = None
+    clauses, clause = [], []  # the finished clauses and the open one
+    # carry: the open line from its newline while it is blank or a header,
+    # or the unfinished token of a clause line; a comment line is dropped
+    carry, comment = "\n", False
+    for chunk in chain(slices, [None]):
+        if chunk is None:  # the end of the text ends the open line
+            text = carry
+        else:
+            if not chunk.isascii() or any(c in chunk
+                                          for c in "\r\v\f\x1c\x1d\x1e"):
+                # the other line boundaries of str.splitlines, as newlines
+                # (the "." keeps one that ends the slice); a "\r\n" split
+                # between two slices reads as two, an empty line more
+                chunk = "\n".join((chunk + ".").splitlines())[:-1]
+            if comment:
+                cut = chunk.find("\n")
+                if cut < 0:
+                    continue
+                chunk, comment = chunk[cut:], False
+            cut = chunk.rfind("\n")
+            if cut < 0:
+                text, carry = "", carry + chunk
+            else:
+                text, carry = carry + chunk[:cut], chunk[cut:]
+            line = _DIMACS_LINE.match(carry)
+            if line and line[1] == "c":
+                carry, comment = "", True
+            elif not (line or carry.isspace()):
+                # a clause line: read up to its unfinished token
+                body, carry = carry, ""
+                if not body[-1].isspace():
+                    body, carry = ["", *body.rsplit(None, 1)][-2:]
+                text += body
+        pieces, end = [], 0
+        for line in _DIMACS_LINE.finditer(text):
+            pieces.append(text[end:line.start()])
+            end = line.end()
+            if line[1] == "p":
+                parts = line[0].split()
+                if (len(parts) != 4 or parts[1] != "cnf"
+                        or not all(map(_COUNT.fullmatch, parts[2:]))):
+                    raise FormatError(f"bad DIMACS header: {line[0][1:]!r}")
+                variable_count, declared_clauses = int(parts[2]), int(parts[3])
+        pieces.append(text[end:])
+        if bad is not None:
+            continue  # only a bad header can still be named first
+        try:
+            literals = parse_ints(" ".join(pieces), lambda token: (
+                FormatError(f"DIMACS token {token!r} is not an integer "
+                            "literal")))
+        except FormatError as exc:
+            bad = exc
+            continue
+        flat = literals.tolist()
+        ends = np.flatnonzero(literals == 0).tolist()
+        if not ends:
+            clause += flat
+            continue
+        clause += flat[:ends[0]]
+        clauses.append(clause)
+        clauses += [flat[start + 1:end] for start, end in zip(ends, ends[1:])]
+        clause = flat[ends[-1] + 1:]
     if variable_count is None:
         raise FormatError("missing DIMACS 'p cnf' header")
-    literals = parse_ints(" ".join(body), lambda token: (
-        FormatError(f"DIMACS token {token!r} is not an integer literal")))
-    flat = literals.tolist()
-    ends = np.flatnonzero(literals == 0).tolist()
-    if flat and flat[-1] != 0:
-        ends.append(len(flat))
-    starts = [0] + [end + 1 for end in ends[:-1]]
-    clauses = [flat[start:end] for start, end in zip(starts, ends)]
+    if bad is not None:
+        raise bad
+    if clause:
+        clauses.append(clause)
     if declared_clauses != len(clauses):
         raise FormatError(
             f"header declares {declared_clauses} clauses, found {len(clauses)}")
@@ -158,12 +227,7 @@ def parse_dimacs(source) -> CnfFormula:
 
 def parse_model_text(text: str) -> SolverResult | None:
     """``read_model`` of solver output held as a string."""
-    return _read_slices(text[start:start + _MODEL_SLICE]
-                        for start in range(0, len(text), _MODEL_SLICE))
-
-
-# characters of solver output that read_model takes at a time
-_MODEL_SLICE = 1 << 16
+    return _read_slices(_slices(text))
 
 
 def read_model(handle) -> SolverResult | None:
@@ -177,7 +241,7 @@ def read_model(handle) -> SolverResult | None:
     them.  A line that ends in the slice is read whole; a longer 'v' line is
     read a slice at a time, with the unfinished token carried over, so the
     reader holds one slice of text and the positive literals so far."""
-    return _read_slices(iter(lambda: handle.read(_MODEL_SLICE), ""))
+    return _read_slices(_slices(handle))
 
 
 def _read_slices(slices: Iterator[str]) -> SolverResult | None:

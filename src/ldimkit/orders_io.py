@@ -16,11 +16,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Sequence
 
+# realizers before numpy: the compile order of ldimkit.cli's docstring
+from .realizers import RealizerFamily
+
 import numpy as np
 
 from .errors import FormatError
 from .intparse import _INT64, parse_ints
-from .realizers import RealizerFamily
 
 
 def parse_orders_family(text: str) -> RealizerFamily:

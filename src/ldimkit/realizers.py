@@ -17,11 +17,13 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
+# posets before numpy: the compile order of ldimkit.cli's docstring
+from .posets import (_ONE, _ROW_BLOCK, _TILE_BYTES, BooleanLattice, Poset,
+                     _clear_diagonal, _index_prefix, canonical_linear_extension)
+
 import numpy as np
 
 from .errors import ParameterError
-from .posets import (_ONE, _ROW_BLOCK, _TILE_BYTES, BooleanLattice, Poset,
-                     _clear_diagonal, _index_prefix, canonical_linear_extension)
 
 Ple = tuple[int, ...]
 

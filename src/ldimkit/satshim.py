@@ -5,14 +5,17 @@ competition result lines and exit code: ``s SATISFIABLE`` with one ``v``
 line holding every variable signed, then ``0`` (exit 10), or
 ``s UNSATISFIABLE`` (exit 20).  The ``v`` line is written ``_CHUNK_ROWS``
 literals at a time.  Exit 2 is a usage error, exit 3 an unreadable or
-malformed file.  The whole file is checked before ``Solver.load_trusted``
-takes it, by ``checked_clauses``.
+malformed file, or a write to stdout lost on a full disk, a closed pipe
+or a closed descriptor 1; each exit 3 prints one ``satshim:`` line to
+stderr.  The whole file is checked before ``Solver.load_trusted`` takes
+it, by ``checked_clauses``.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from errno import EBADF
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -54,19 +57,34 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     solver = Solver(cnf.variable_count)
     solver.load_trusted(clauses)
-    if not solver.solve():
-        print("s UNSATISFIABLE")
-        return 20
-    signed = list(range(-1, -cnf.variable_count - 1, -1))
-    for v in solver.model:
+    sat = solver.solve()
+    out = sys.stdout
+    try:
+        if out is None:  # descriptor 1 is closed
+            raise OSError(EBADF, os.strerror(EBADF))
+        if not sat:
+            out.write("s UNSATISFIABLE\n")
+        else:
+            _write_model(out, solver.model, cnf.variable_count)
+        out.flush()  # a lost write fails here, not at interpreter exit
+    except OSError as exc:
+        # what the failed flush left buffered is dropped, not retried at
+        # exit, where CPython would report it again and exit 120
+        sys.stdout = None
+        print(f"satshim: stdout: {exc}", file=sys.stderr)
+        return 3
+    return 10 if sat else 20
+
+
+def _write_model(out, model, variable_count: int) -> None:
+    signed = list(range(-1, -variable_count - 1, -1))
+    for v in model:
         signed[v - 1] = v
-    write = sys.stdout.write
-    write("s SATISFIABLE\nv ")
+    out.write("s SATISFIABLE\nv ")
     for start in range(0, len(signed), _CHUNK_ROWS):
-        write((" " if start else "")
-              + " ".join(map(str, signed[start:start + _CHUNK_ROWS])))
-    write(" 0\n")
-    return 10
+        out.write((" " if start else "")
+                  + " ".join(map(str, signed[start:start + _CHUNK_ROWS])))
+    out.write(" 0\n")
 
 
 if __name__ == "__main__":

@@ -618,6 +618,35 @@ def test_closed_stdout_is_an_environment_error(tmp_path):
     assert out.read_text() == fixture_text("b4")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_satshim_reports_a_lost_write(tmp_path):
+    # `python -m ldimkit.satshim` flushes stdout itself: a write lost on a
+    # full disk, a closed pipe or a closed descriptor 1 is one satshim:
+    # line and exit 3, buffered or not, and no teardown retries it
+    cnf = tmp_path / "tiny.cnf"
+    cnf.write_text("p cnf 2 1\n1 -2 0\n")
+    read, closed_pipe = os.pipe()
+    os.close(read)
+    try:
+        with open("/dev/full", "wb") as full:
+            for stdout, options, errno in (
+                    (full, {}, 28), (closed_pipe, {}, 32),
+                    (None, {"preexec_fn": lambda: os.close(1)}, 9)):
+                for unbuffered in (False, True):
+                    env = _unbuffered_off()
+                    if unbuffered:
+                        env["PYTHONUNBUFFERED"] = "1"
+                    proc = subprocess.run(
+                        [sys.executable, "-m", "ldimkit.satshim", str(cnf)],
+                        stdout=stdout, stderr=subprocess.PIPE, env=env,
+                        text=True, **options)
+                    assert (proc.returncode, proc.stderr) == (
+                        3, f"satshim: stdout: [Errno {errno}] "
+                        f"{os.strerror(errno)}\n")
+    finally:
+        os.close(closed_pipe)
+
+
 def _imports(*argv):
     """A fresh interpreter run with ``argv``, and the modules it imported."""
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
@@ -661,6 +690,30 @@ def test_subcommands_import_what_they_use(tmp_path):
     assert proc.returncode == 0 and proc.stdout == "0 1\n"
     assert {"ldimkit.dimacs", "ldimkit.realizers"} <= imported
     assert not (imported - base) & {"subprocess", "shlex", "json"}
+
+
+def test_verify_starts_its_modules_before_numpy(tmp_path):
+    # where no bytecode is cached, a module compiles when its import
+    # starts; verify starts orders_io, realizers and posets before numpy.
+    # sys.modules cannot tell: importlib moves a module to its end once the
+    # module has run, so a finder that finds nothing logs the starts
+    orders = tmp_path / "b2.orders"
+    orders.write_text("0 1 2 3\n0 2 1 3\n")
+    watched = ["ldimkit.orders_io", "ldimkit.realizers", "ldimkit.posets",
+               "numpy"]
+    proc = subprocess.run([sys.executable, "-c", (
+        "import sys\n"
+        "started = []\n"
+        "class Log:\n"
+        "    def find_spec(name, path=None, target=None):\n"
+        "        started.append(name)\n"
+        "sys.meta_path.insert(0, Log)\n"
+        "from ldimkit.cli import main\n"
+        "code = main(['verify', '--poset', 'boolean:2', '--orders', "
+        f"{str(orders)!r}])\n"
+        f"print(code, [name for name in started if name in {watched!r}])")],
+        capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == f"0 {watched!r}", proc.stderr
 
 
 def test_package_names_resolve_on_access():

@@ -967,6 +967,70 @@ def test_parse_dimacs_names_a_bad_token(tmp_path):
         assert formula.clauses == [[1, -2**63, 2**63 - 1]]
 
 
+def _formula_or_error(parse, source):
+    try:
+        formula = parse(source)
+    except ValueError as exc:  # FormatError is a ValueError
+        return "error", str(exc)
+    return formula.variable_count, formula.clauses
+
+
+# the errors of parse_dimacs, whatever its slice size; long tokens and
+# the padding comment put a token, a clause and the two errors of one text
+# in different slices
+_PAD = "c " + "pad " * 20 + "\n"
+_DIMACS_ERRORS = [
+    ("p cnf 2 1\n1 x 0\n", "DIMACS token 'x' is not an integer literal"),
+    ("p cnf 2 1\n1 x 0\n" + _PAD + "p cnf two 1\n",
+     "bad DIMACS header: 'p cnf two 1'"),
+    ("p cnf two 1\n" + _PAD + "1 x 0\n", "bad DIMACS header: 'p cnf two 1'"),
+    ("1 x 0\n" + _PAD, "missing DIMACS 'p cnf' header"),
+    (_PAD + "p cnf 3 2\n1 2 3 0\n", "header declares 2 clauses, found 1"),
+]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 64])
+def test_dimacs_reader_at_any_slice(monkeypatch, tmp_path, size):
+    import ldimkit.dimacs
+    monkeypatch.setattr(ldimkit.dimacs, "_MODEL_SLICE", size)
+    rng = random.Random(size)
+    texts = [_random_dimacs(rng)[0] for _ in range(150)] + [
+        "p cnf 0 0", "p cnf 2 1\r1 2 0\r", "p cnf 2 1\r\n-1 2 0\r\n",
+        "c crlf\r\n p cnf 1000 2\r\n1000 -999\r\n 0 -1000\r\n12 0",
+        "p cnf 123456 1\n" + " ".join(map(str, range(-123456, 123456, 9876)))]
+    for text in texts:
+        want = oracle.parse_dimacs(text)
+        assert _formula_or_error(parse_dimacs, text) == want, text
+        assert _formula_or_error(parse_dimacs, io.StringIO(
+            text, newline="")) == want, text
+    for text, message in _DIMACS_ERRORS:
+        assert _formula_or_error(parse_dimacs, text) == ("error", message)
+    # a file that is not UTF-8 is named at the byte's position in the file
+    path = tmp_path / "latin1.cnf"
+    path.write_bytes(b"p cnf 1 1\n" + b"c pad\n" * 2000 + b"1 0\n\xff\n")
+    with pytest.raises(UnicodeDecodeError, match="0xff in position 12014:"):
+        parse_dimacs(path)
+
+
+def test_dimacs_reader_holds_one_slice():
+    # the whole text, its joined body and the literal list took 18.2 MB
+    # here against the formula's 9.5 MB
+    formula, vm = encode(BooleanLattice(4), 24, 3, symmetry_break=True)
+    buf = io.StringIO()
+    write_dimacs(formula, vm, buf)
+    text, count = buf.getvalue(), formula.clause_count
+    del formula, buf
+    gc.collect()
+    tracemalloc.start()
+    try:
+        back = parse_dimacs(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.clause_count == count
+    assert peak < 1.2 * kept
+
+
 def test_lone_sign_across_slices(monkeypatch):
     import ldimkit.intparse
     texts = ["1 -2 0 +3 0", "1 - 2 0", "1 2 0 -", "-1 +", "+ 1", "-10 -20 0"]
