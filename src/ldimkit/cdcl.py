@@ -5,6 +5,13 @@ per clause, first-UIP conflict analysis with learnt-clause minimisation,
 activity-based branching with phase saving, and Luby restarts.  Binary
 clauses live in implication lists instead of watched clause objects.
 
+The branching heap holds (-activity, variable) entries and skips the
+assigned variables it pops.  It holds at most one entry per variable and
+key: a backjump pushes a variable only when its freshest entry is not
+queued at its current key already.  Every unassigned variable keeps an
+entry at its current key, and a stale entry carries a lower activity, so
+each decision pops the variable that one push per backjump would.
+
 Literals are DIMACS integers.  Every per-literal table has 2V+1 slots and is
 indexed by the literal itself: a negative literal -v lands in slot 2V+1-v by
 Python's negative indexing, so negation is plain ``-lit``.
@@ -60,6 +67,9 @@ class Solver:
         self.phase = [False] * (n + 1)
         self.seen = bytearray(n + 1)
         self.heap = [(0.0, v) for v in range(1, n + 1)]
+        # per variable: the key of its freshest entry in the heap, or None
+        # once that entry has popped
+        self.queued = [0.0] * (n + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -234,8 +244,10 @@ class Solver:
         self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
-        value, activity = self.value, self.activity
-        self.heap[:] = [(-activity[v], v)
+        value, activity, queued = self.value, self.activity, self.queued
+        queued[:] = [None if value[v] else -activity[v]
+                     for v in range(self.variable_count + 1)]
+        self.heap[:] = [(queued[v], v)
                         for v in range(1, self.variable_count + 1)
                         if not value[v]]
         heapify(self.heap)
@@ -245,13 +257,16 @@ class Solver:
             return
         start = self.trail_lim[target]
         value, reason, phase = self.value, self.reason, self.phase
-        heap, activity = self.heap, self.activity
+        heap, activity, queued = self.heap, self.activity, self.queued
         for lit in self.trail[start:]:
             v = lit if lit > 0 else -lit
             value[lit] = value[-lit] = 0
             reason[v] = None
             phase[v] = lit > 0
-            heappush(heap, (-activity[v], v))
+            key = -activity[v]
+            if queued[v] != key:
+                queued[v] = key
+                heappush(heap, (key, v))
         del self.trail[start:]
         del self.trail_lim[target:]
         self.qhead = start
@@ -294,6 +309,7 @@ class Solver:
             self.ok = False
             return False
         value, heap, phase = self.value, self.heap, self.phase
+        queued = self.queued
         max_learnts = LEARNT_LIMIT
         budget = RESTART_UNIT * luby(self.restarts)
         while True:
@@ -319,7 +335,10 @@ class Solver:
                 continue
             v = 0
             while heap:
+                # u's later entries carry more activity and pop first, so
+                # this entry is u's freshest, or none of u's is queued
                 u = heappop(heap)[1]
+                queued[u] = None
                 if not value[u]:
                     v = u
                     break

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -5,7 +6,8 @@ import pytest
 
 from ldimkit import cdcl
 from ldimkit.cdcl import Solver, luby
-from ldimkit.sat import CnfFormula
+from ldimkit.posets import build_poset
+from ldimkit.sat import CnfFormula, encode
 from ldimkit.satshim import checked_clauses
 
 
@@ -111,6 +113,31 @@ def test_pigeonhole_unsat(schedule):
                         for q in range(p + 1, pigeons))
     assert solver.solve() is False
     assert solver.restarts >= 1
+
+
+@pytest.mark.parametrize("spec, d, conflicts, decisions, restarts, digest", [
+    ("boolean:4", 2, 70, 638, 0, None),
+    ("boolean:4", 3, 108, 587, 1,
+     "42a52e4e4a5538b5b792238af64a41462cf02360fbc187ac3f983959b5d1ec63"),
+    ("multiset:3:3", 2, 78, 744, 0, None),
+])
+def test_search_is_pinned(spec, d, conflicts, decisions, restarts, digest):
+    # ldim's queries (symmetry break, k = floor(dN/2)) take these very
+    # steps; a change to the solver's bookkeeping must leave them alone.
+    # digest: sha256 of the model's true variables, space-separated
+    P = build_poset(spec)
+    formula, vm = encode(P, d * P.ground_size // 2, d, symmetry_break=True,
+                         stream=True)
+    solver = Solver(vm.total_count)
+    solver.load_trusted(formula.clauses)
+    assert solver.solve() is (digest is not None)
+    assert (solver.conflicts, solver.decisions, solver.restarts) == (
+        conflicts, decisions, restarts)
+    if digest is not None:
+        text = " ".join(map(str, solver.model))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # the heap holds one entry per variable and key
+    assert len(set(solver.heap)) == len(solver.heap)
 
 
 def test_luby_prefix():
