@@ -14,7 +14,10 @@ each decision pops the variable that one push per backjump would.
 
 Literals are DIMACS integers.  Every per-literal table has 2V+1 slots and is
 indexed by the literal itself: a negative literal -v lands in slot 2V+1-v by
-Python's negative indexing, so negation is plain ``-lit``.
+Python's negative indexing, so negation is plain ``-lit``.  The watch and
+implication tables start with one shared empty tuple in every slot; a slot
+gets a list of its own when its first clause or implication lands there,
+so literals that nothing watches cost one pointer each.
 
 Usage: ``Solver(V)``, then ``load_trusted(clauses)``, then ``solve()``,
 which returns True (the model is in ``model``) or False.  ``load_trusted``
@@ -56,9 +59,10 @@ class Solver:
         self.variable_count = n
         self.value = [0] * (2 * n + 1)      # per literal: 1 true, -1 false, 0
         # watches[p]: clauses watching -p; implied[p]: literals that binary
-        # clauses force once p is true
-        self.watches = [[] for _ in range(2 * n + 1)]
-        self.implied = [[] for _ in range(2 * n + 1)]
+        # clauses force once p is true.  Each slot holds the shared empty
+        # tuple until its first entry lands, then a list of its own
+        self.watches = [()] * (2 * n + 1)
+        self.implied = [()] * (2 * n + 1)
         self.level = [0] * (n + 1)
         # per variable: its clause, the other literal of a binary clause,
         # or None for a decision or a unit
@@ -91,12 +95,28 @@ class Solver:
         value, implied, watches = self.value, self.implied, self.watches
         for c in clauses:
             if len(c) > 2:
-                watches[-c[0]].append(c)
-                watches[-c[1]].append(c)
+                ws = watches[-c[0]]
+                if ws:
+                    ws.append(c)
+                else:
+                    watches[-c[0]] = [c]
+                ws = watches[-c[1]]
+                if ws:
+                    ws.append(c)
+                else:
+                    watches[-c[1]] = [c]
             elif len(c) == 2:
                 a, b = c
-                implied[-a].append(b)
-                implied[-b].append(a)
+                ws = implied[-a]
+                if ws:
+                    ws.append(b)
+                else:
+                    implied[-a] = [b]
+                ws = implied[-b]
+                if ws:
+                    ws.append(a)
+                else:
+                    implied[-b] = [a]
             elif not c:
                 self.ok = False
             elif not value[c[0]]:
@@ -143,6 +163,8 @@ class Solver:
                     self.qhead = len(trail)
                     return [q, false_lit]
             ws = watches[p]               # compacted in place: ws[:j] stay
+            if not ws:
+                continue
             i = j = 0
             end = len(ws)
             while i < end:
@@ -161,7 +183,11 @@ class Solver:
                     if value[lit] != -1:
                         c[1] = lit
                         c[k] = false_lit
-                        watches[-lit].append(c)
+                        moved = watches[-lit]
+                        if moved:
+                            moved.append(c)
+                        else:
+                            watches[-lit] = [c]
                         break
                 else:
                     ws[j] = c
@@ -280,12 +306,20 @@ class Solver:
             self._assign(lit, None)
         elif len(learnt) == 2:
             other = learnt[1]
-            self.implied[-lit].append(other)
-            self.implied[-other].append(lit)
+            implied = self.implied
+            for p, q in (-lit, other), (-other, lit):
+                if implied[p]:
+                    implied[p].append(q)
+                else:
+                    implied[p] = [q]
             self._assign(lit, other)
         else:
-            self.watches[-lit].append(learnt)
-            self.watches[-learnt[1]].append(learnt)
+            watches = self.watches
+            for p in -lit, -learnt[1]:
+                if watches[p]:
+                    watches[p].append(learnt)
+                else:
+                    watches[p] = [learnt]
             self.learnts.append(learnt)
             self._assign(lit, learnt)
 
