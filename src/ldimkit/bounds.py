@@ -1,6 +1,9 @@
 """Lower-bound machinery: the conflict-graph/Turán route for singleton
 orders and the counting bound for multiset lattices, plus the signature
 audit that certifies the interval argument on concrete realizers.
+
+The formulas load no numpy; the functions that read a family import the
+posets and the verifier when they run.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from itertools import combinations, groupby
 from math import ceil, log2
 
 from .errors import ContractError, ParameterError, RangeError
-from .posets import MultisetSingletonPoset, SingletonPoset
-from .realizers import RealizerFamily, verify_local_realizer
 
 CERTIFY_SLACK = 1e-9
 
@@ -38,6 +39,8 @@ def conflict_graph(family, n: int) -> ConflictGraph:
     joining the two greatest singletons it places (the last two in member
     order).
     """
+    from .realizers import RealizerFamily
+
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     family = RealizerFamily(family)
@@ -106,6 +109,9 @@ def iter_independent_sets(G: ConflictGraph, max_size: int | None = None):
 def check_ind_freq_claim(n: int, family, independent) -> bool:
     """Check the occurrence claim: for an independent set I of size at most
     n - 2, the complement element [n] \\ I appears in at least |I| members."""
+    from .posets import SingletonPoset
+    from .realizers import RealizerFamily, verify_local_realizer
+
     fam = RealizerFamily(family)
     ind = sorted(set(independent))
     if any(not 1 <= v <= n for v in ind):
@@ -242,6 +248,9 @@ def signature_audit_report(n: int, m: int, family) -> SignatureAuditReport:
     pairwise-distinct set of intervals, and the interval count must respect
     k <= 2 * frequency * #singleton-types.
     """
+    from .posets import MultisetSingletonPoset
+    from .realizers import RealizerFamily, verify_local_realizer
+
     if n > 8 or m ** n > 256:  # 2^9 > 256: m^n is not computed for large n
         raise ParameterError(
             f"signature audit is limited to m^n <= 256, got {m}^{n}")

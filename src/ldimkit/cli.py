@@ -9,19 +9,19 @@ Errors are printed to stderr as ``ERROR:<category>: <message>``.
 Each subcommand imports the modules it uses when it runs.  ``tables``
 never loads the SAT layer; ``encode`` never loads the verifier,
 ``realizers``, which every other command does (``solve --model`` once it
-has read the model).  Only ``encode``, ``solve --model`` and ``--solver``
-load ``dimacs``, the DIMACS and model I/O, and only ``--solver`` loads the
-process machinery, ``subprocess`` and ``shlex``.  ``json`` is loaded only
-where JSON is printed: by ``--format json`` and ``analyze``.
+has read the model) but the ``analyze`` formulas, which load no numpy.
+Only ``encode``, ``solve --model`` and ``--solver`` load ``dimacs``, and
+only ``--solver`` loads ``subprocess`` and ``shlex``.  ``json`` is loaded
+only where JSON is printed: by ``--format json`` and ``analyze``.
 
 Where no bytecode is cached, a module compiles when its import starts,
 and a compile before numpy loads stays under the process's peak.  Each
 command compiles these before numpy, in order: ``verify`` ``orders_io``,
 ``realizers`` and ``posets``, each importing the next first; ``tables``
 ``fixtures`` and those three; ``build`` ``posets``; ``analyze``
-``bounds`` and ``posets``; ``encode``, ``solve`` and ``ldim`` ``sat``,
-which imports numpy first (``posets`` first read no lower on ``encode``).
-Every other module compiles after numpy.
+``bounds``, then on ``signature`` those three; ``encode``, ``solve`` and
+``ldim`` ``sat``, which imports numpy first.  Every other module compiles
+after numpy.
 """
 
 from __future__ import annotations
@@ -220,7 +220,6 @@ def _require(args, what: str, *names: str) -> None:
 def _cmd_analyze(args) -> int:
     from .bounds import (min_m_certifying, multiset_lower_bound,
                          signature_audit_report, turan_independence_floor)
-    from .orders_io import read_orders_family
 
     what = args.what
     if what == "multiset-bound":
@@ -238,6 +237,8 @@ def _cmd_analyze(args) -> int:
         return 0
     # signature
     _require(args, what, "n", "m", "orders")
+    from .orders_io import read_orders_family
+
     report = signature_audit_report(args.n, args.m,
                                     read_orders_family(args.orders))
     print(report.to_json(indent=2))

@@ -121,7 +121,7 @@ def test_pigeonhole_unsat(schedule):
     ("boolean:4", 3, 108, 587, 1,
      "42a52e4e4a5538b5b792238af64a41462cf02360fbc187ac3f983959b5d1ec63"),
     ("multiset:3:3", 2, 78, 744, 0, None),
-])
+], ids=["boolean:4-d2", "boolean:4-d3", "multiset:3:3-d2"])
 def test_search_is_pinned(spec, d, conflicts, decisions, restarts, digest):
     # ldim's queries (symmetry break, k = floor(dN/2)) take these very
     # steps; a change to the solver's bookkeeping must leave them alone.

@@ -690,15 +690,28 @@ def test_subcommands_import_what_they_use(tmp_path):
     assert proc.returncode == 0 and proc.stdout == "0 1\n"
     assert {"ldimkit.dimacs", "ldimkit.realizers"} <= imported
     assert not (imported - base) & {"subprocess", "shlex", "json"}
+    # the `analyze` formulas load neither numpy nor the posets and verifier
+    for argv in (("multiset-bound", "--n", "3", "--m", "2"),
+                 ("min-m", "--n", "3"), ("turan", "--n", "5", "--size", "9")):
+        proc, imported = _imports("-m", "ldimkit", "analyze", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert "ldimkit.bounds" in imported
+        assert not imported & {"numpy", "ldimkit.posets", "ldimkit.realizers"}
 
 
-def test_verify_starts_its_modules_before_numpy(tmp_path):
+@pytest.mark.parametrize("argv, text", [
+    (["verify", "--poset", "boolean:2"], "0 1 2 3\n0 2 1 3\n"),
+    (["analyze", "signature", "--n", "2", "--m", "2"],
+     "1 2 3\n2 1 3\n1\n2\n"),
+], ids=["verify", "analyze-signature"])
+def test_commands_start_their_modules_before_numpy(tmp_path, argv, text):
     # where no bytecode is cached, a module compiles when its import
-    # starts; verify starts orders_io, realizers and posets before numpy.
-    # sys.modules cannot tell: importlib moves a module to its end once the
-    # module has run, so a finder that finds nothing logs the starts
-    orders = tmp_path / "b2.orders"
-    orders.write_text("0 1 2 3\n0 2 1 3\n")
+    # starts; verify and analyze signature start orders_io, realizers and
+    # posets before numpy.  sys.modules cannot tell: importlib moves a
+    # module to its end once the module has run, so a finder that finds
+    # nothing logs the starts
+    orders = tmp_path / "family.orders"
+    orders.write_text(text)
     watched = ["ldimkit.orders_io", "ldimkit.realizers", "ldimkit.posets",
                "numpy"]
     proc = subprocess.run([sys.executable, "-c", (
@@ -709,8 +722,7 @@ def test_verify_starts_its_modules_before_numpy(tmp_path):
         "        started.append(name)\n"
         "sys.meta_path.insert(0, Log)\n"
         "from ldimkit.cli import main\n"
-        "code = main(['verify', '--poset', 'boolean:2', '--orders', "
-        f"{str(orders)!r}])\n"
+        f"code = main({argv + ['--orders', str(orders)]!r})\n"
         f"print(code, [name for name in started if name in {watched!r}])")],
         capture_output=True, text=True)
     assert proc.stdout.splitlines()[-1] == f"0 {watched!r}", proc.stderr
