@@ -21,9 +21,11 @@ so literals that nothing watches cost one pointer each.
 
 Usage: ``Solver(V)``, then ``load_trusted(clauses)``, then ``solve()``,
 which returns True (the model is in ``model``) or False.  ``load_trusted``
-is the one way clauses enter and files them unchecked: the encoder of
-``ldimkit.sat`` writes well-formed clauses, and ``satshim`` checks DIMACS
-input before loading it.
+is the one way clauses enter, learnt clauses too, and files them
+unchecked: the encoder of ``ldimkit.sat`` writes well-formed clauses, and
+``satshim`` checks DIMACS input before loading it.  ``solve()`` propagates
+the whole level-0 trail again at entry, so clauses filed after a solve
+see the units found before them.
 """
 
 from __future__ import annotations
@@ -123,9 +125,6 @@ class Solver:
                 self._assign(c[0], None)
             elif value[c[0]] < 0:
                 self.ok = False
-        # a watched literal may already be false: propagate the whole
-        # level-0 trail again, so every clause sees it
-        self.qhead = 0
         return self.ok
 
     def _assign(self, lit: int, reason) -> None:
@@ -301,27 +300,12 @@ class Solver:
             self._rebuild_heap()
 
     def _learn(self, learnt: list[int]) -> None:
-        lit = learnt[0]
-        if len(learnt) == 1:
-            self._assign(lit, None)
-        elif len(learnt) == 2:
-            other = learnt[1]
-            implied = self.implied
-            for p, q in (-lit, other), (-other, lit):
-                if implied[p]:
-                    implied[p].append(q)
-                else:
-                    implied[p] = [q]
-            self._assign(lit, other)
-        else:
-            watches = self.watches
-            for p in -lit, -learnt[1]:
-                if watches[p]:
-                    watches[p].append(learnt)
-                else:
-                    watches[p] = [learnt]
+        self.load_trusted((learnt,))        # assigns a unit itself
+        if len(learnt) > 2:
             self.learnts.append(learnt)
-            self._assign(lit, learnt)
+            self._assign(learnt[0], learnt)
+        elif len(learnt) == 2:
+            self._assign(learnt[0], learnt[1])
 
     def _reduce_learnts(self) -> None:
         """At level 0: forget the longer half of the learnt clauses."""
@@ -339,6 +323,9 @@ class Solver:
         """Decide the clauses added so far; on True, ``model`` lists the
         true variables in ascending order."""
         self.model = None
+        # a watched literal may already be false: propagate the whole
+        # level-0 trail again, so every clause sees it
+        self.qhead = 0
         if not self.ok or self._propagate() is not None:
             self.ok = False
             return False

@@ -316,7 +316,7 @@ def run_solver(cnf_path, solver_command) -> SolverResult:
     status line is printed.  Any other status line raises
     SolverProtocolError, so the result is always sat or unsat.  A solver
     that exits with any other nonzero code and no status line has failed:
-    SolverEnvironmentError names the code and its last stderr line.
+    SolverEnvironmentError names the code and its last stderr line, if any.
     """
     import shlex
     import subprocess
@@ -341,11 +341,10 @@ def run_solver(cnf_path, solver_command) -> SolverResult:
                 "solver exited 10 (sat) but printed no model")
         if proc.returncode == 20:
             return SolverResult("unsat")
-        stderr_tail = proc.stderr.strip().splitlines()[-1:] or [""]
+        lines = proc.stderr.strip().splitlines()
+        tail = f": {lines[-1]}" if lines else ""
         if proc.returncode != 0:
             raise SolverEnvironmentError(
-                f"solver {cmd[0]!r} failed (exit {proc.returncode}): "
-                f"{stderr_tail[0]}")
-        raise SolverProtocolError(
-            f"unparsable solver output (exit 0): {stderr_tail[0]}")
+                f"solver {cmd[0]!r} failed (exit {proc.returncode}){tail}")
+        raise SolverProtocolError(f"unparsable solver output (exit 0){tail}")
     return result

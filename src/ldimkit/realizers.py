@@ -201,10 +201,11 @@ class _ViolationLog:
             self.listed[kind] += 1
             self.items.append(Violation(kind, a, b, ple))
 
-    def sorted_items(self) -> tuple[Violation, ...]:
-        return tuple(sorted(
+    def report(self, frequency: int, size: int) -> VerificationReport:
+        """Accepted while clean; the listed violations sorted."""
+        return VerificationReport(self.clean, frequency, size, tuple(sorted(
             self.items,
-            key=lambda v: (v.kind, v.a, v.b, -1 if v.ple is None else v.ple)))
+            key=lambda v: (v.kind, v.a, v.b, -1 if v.ple is None else v.ple))))
 
 
 def _member_indices(P: Poset, ple: Sequence[int], i: int,
@@ -266,12 +267,7 @@ def validate_ple(P: Poset, ple: Sequence[int],
     if ple:
         arr = _member_indices(P, ple, 0, log)
         _scan_members(P, [arr], np.broadcast_to(True, P.ground_size), log)
-    return VerificationReport(
-        accepted=log.clean,
-        frequency=1 if ple else 0,
-        size=1,
-        violations=log.sorted_items(),
-    )
+    return log.report(1 if ple else 0, 1)
 
 
 def _dirty_blocks(P: Poset, members: list[np.ndarray], planes: int):
@@ -463,12 +459,7 @@ def verify_local_realizer(P: Poset, family,
         occurrences[arr] += 1
     if not (log.clean and occurrences.all() and _accepts(P, members)):
         _list_violations(P, members, log)
-    return VerificationReport(
-        accepted=log.clean,
-        frequency=int(occurrences.max(initial=0)),
-        size=family.size,
-        violations=log.sorted_items(),
-    )
+    return log.report(int(occurrences.max(initial=0)), family.size)
 
 
 def lift_product(P: Poset, Q: Poset, family_p, family_q) -> RealizerFamily:

@@ -64,24 +64,37 @@ def test_trusted_load_against_brute_force(schedule):
     # well-formed clauses, as the encoder writes them, filed unchecked:
     # repeated and conflicting units, and watched literals that a later
     # unit falsifies before solve() propagates anything
-    rng = random.Random(20032)
+    rng, cuts = random.Random(20032), random.Random(20033)
     verdicts = {True: 0, False: 0}
+    turned_unsat = 0
     for trial in range(400):
         n = rng.randint(1, 10)
         clauses = []
         for c in random_cnf(rng, n, rng.randint(1, 5 * n)):
             if not any(-lit in c for lit in c):
                 clauses.append(list(dict.fromkeys(c)))
+        expected = brute_force_sat(n, clauses)
         solver = Solver(n)
         solver.load_trusted([list(c) for c in clauses])
-        expected = brute_force_sat(n, clauses)
         assert solver.solve() == expected, (n, clauses)
+        # the same clauses in two batches with a solve() between: the
+        # second batch may watch literals that the first solve set false
+        cut = cuts.randint(0, len(clauses))
+        first = brute_force_sat(n, clauses[:cut])
+        batched = Solver(n)
+        batched.load_trusted([list(c) for c in clauses[:cut]])
+        assert batched.solve() == first, (n, clauses, cut)
+        batched.load_trusted([list(c) for c in clauses[cut:]])
+        assert batched.solve() == expected, (n, clauses, cut)
         if expected:
-            true = set(solver.model)
-            for c in clauses:
-                assert any((abs(l) in true) == (l > 0) for l in c), (c, true)
+            for true in set(solver.model), set(batched.model):
+                for c in clauses:
+                    assert any((abs(l) in true) == (l > 0) for l in c), (
+                        c, true)
         verdicts[expected] += 1
+        turned_unsat += first and not expected
     assert verdicts[True] > 50 and verdicts[False] > 50
+    assert turned_unsat > 50
     solver = Solver(2)
     assert not solver.load_trusted([[1, 2], [1], [-1]])
     assert solver.solve() is False
@@ -117,11 +130,19 @@ def test_pigeonhole_unsat(schedule):
 
 
 @pytest.mark.parametrize("spec, d, conflicts, decisions, restarts, digest", [
+    ("boolean:3", 2, 39, 87, 0, None),
+    ("boolean:3", 3, 19, 103, 0,
+     "6eae874073980697270f22293fc64d4a8656c75b876132985b8d6be02c5eb13b"),
+    ("multiset-singleton:2:3", 2, 19, 24, 0, None),
+    ("multiset-singleton:2:3", 3, 20, 107, 0,
+     "3974937c1f3ce40b11d0028af44e5300d6e34eddbe20bada3bda166112d19cc4"),
     ("boolean:4", 2, 70, 638, 0, None),
     ("boolean:4", 3, 108, 587, 1,
      "42a52e4e4a5538b5b792238af64a41462cf02360fbc187ac3f983959b5d1ec63"),
     ("multiset:3:3", 2, 78, 744, 0, None),
-], ids=["boolean:4-d2", "boolean:4-d3", "multiset:3:3-d2"])
+], ids=["boolean:3-d2", "boolean:3-d3", "multiset-singleton:2:3-d2",
+        "multiset-singleton:2:3-d3", "boolean:4-d2", "boolean:4-d3",
+        "multiset:3:3-d2"])
 def test_search_is_pinned(spec, d, conflicts, decisions, restarts, digest):
     # ldim's queries (symmetry break, k = floor(dN/2)) take these very
     # steps; a change to the solver's bookkeeping must leave them alone.
@@ -139,6 +160,11 @@ def test_search_is_pinned(spec, d, conflicts, decisions, restarts, digest):
         assert hashlib.sha256(text.encode()).hexdigest() == digest
     # the heap holds one entry per variable and key
     assert len(set(solver.heap)) == len(solver.heap)
+    # every learnt clause is watched on its first two literals
+    watches = solver.watches
+    for c in solver.learnts:
+        assert any(w is c for w in watches[-c[0]])
+        assert any(w is c for w in watches[-c[1]])
 
 
 def test_solver_tables_are_lean():

@@ -209,14 +209,19 @@ def test_run_solver_environment_errors(tmp_path):
     cnf.write_text("p cnf 1 1\n1 0\n")
     with pytest.raises(SolverEnvironmentError):
         run_solver(cnf, ["/nonexistent/solver-binary"])
-    with pytest.raises(SolverProtocolError):
+    # a silent solver's message ends at the exit code, with no ': '
+    with pytest.raises(SolverProtocolError) as exc:
         run_solver(cnf, [sys.executable, "-c", "print('hello')"])
+    assert str(exc.value) == "unparsable solver output (exit 0)"
     with pytest.raises(SolverProtocolError, match="exited 10"):
         run_solver(cnf, [sys.executable, "-c", "import sys; sys.exit(10)"])
     crash = "import sys; sys.stderr.write('no backend here\\n'); sys.exit(7)"
     with pytest.raises(SolverEnvironmentError,
                        match=r"exit 7\): no backend here"):
         run_solver(cnf, [sys.executable, "-c", crash])
+    with pytest.raises(SolverEnvironmentError) as exc:
+        run_solver(cnf, [sys.executable, "-c", "import sys; sys.exit(7)"])
+    assert str(exc.value) == f"solver {sys.executable!r} failed (exit 7)"
 
 
 def test_satshim_cli(tmp_path):
