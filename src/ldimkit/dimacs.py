@@ -14,11 +14,14 @@ from the ``VarMap`` tables: ``x``/``y`` give the pair A, B; ``z`` has
 ``-`` for B; ``s`` gives A and the count j as B; ``e`` has ``-`` for A and
 the index bound j as B.
 
-Both text readers hold one slice of text at a time.  Solver output, a
-saved file or a subprocess's stdout alike, is read keeping only the
-positive literals: the model is an int64 array of the true variables, as
-the in-process solver gives it.  DIMACS text is read keeping the clauses,
-with each slice's comment and header lines cut out.
+Both text readers take ``_MODEL_SLICE`` characters at a time through one
+line reader, ``_lines``, driven by one regex per format: it cuts DIMACS
+comment and header lines out of the clause text, keeping the headers,
+and every line of solver output but the values of its 'v' lines,
+keeping the status lines.  Solver output, a saved file or a subprocess's
+stdout alike, is read keeping only the positive literals: the model is an
+int64 array of the true variables, as the in-process solver gives it.
+DIMACS text is read keeping the clauses.
 """
 
 from __future__ import annotations
@@ -108,10 +111,19 @@ def _map_lines(vm: VarMap) -> Iterator[str]:
 # characters of text that parse_dimacs and read_model take at a time
 _MODEL_SLICE = 1 << 16
 
-# a line whose first non-blank character is 'c' (comment) or 'p' (header),
-# with the newline before it: a leading literal lets the regex engine skip
-# to each newline instead of trying every position
-_DIMACS_LINE = re.compile(r"\n[^\S\n]*([cp])[^\n]*")
+# a line from its newline and blanks: a header ("p") kept whole, a comment
+# ("c") dropped; any other line is clause text.  The leading newline lets
+# the regex engine skip to each newline instead of trying every position
+_DIMACS_LINE = re.compile(r"\n[^\S\n]*(?:(?P<keep>p)|c)[^\n]*")
+
+# a status line ("s", then a space or blanks to the line's end) kept
+# whole, a value line ("v" likewise) cut up to its "v", so that its values
+# are body, and any other line dropped
+_MODEL_LINE = re.compile(r"\n[^\S\n]*(?:(?P<keep>(?:s|(?P<v>v))"
+                         r"(?= |[^\S\n]*(?:\n|\Z))(?(v)|[^\n]*))|[^\n]*)")
+
+# an open line with fewer than two non-blank characters, whose kind waits
+_UNDECIDED = re.compile(r"\n\s*(?:\S\s*)?\Z")
 
 
 def parse_dimacs(source) -> CnfFormula:
@@ -121,13 +133,9 @@ def parse_dimacs(source) -> CnfFormula:
     A clause may span lines, and a last clause without its 0 still counts.
     A missing or malformed header, a clause count that differs from the
     header's, or a token that is not an integer raises FormatError; a bad
-    header is named before a bad token, wherever each stands.
-
-    The text is read ``_MODEL_SLICE`` characters at a time.  Each slice's
-    comment and header lines are cut out and the rest read in one numpy
-    parse; the unfinished line (a header whole, a clause line from its
-    unfinished token) and the unfinished clause are carried over, so the
-    reader holds one slice of text besides the clauses."""
+    header is named before a bad token, wherever each stands.  The text
+    is read as ``_lines`` splits it, so the reader holds one slice of text
+    besides the clauses."""
     if isinstance(source, Path):
         try:
             with open(source, encoding="utf-8") as handle:
@@ -149,15 +157,19 @@ def _slices(source) -> Iterator[str]:
             for start in range(0, len(source), _MODEL_SLICE))
 
 
-def _parse_slices(slices: Iterator[str]) -> CnfFormula:
-    variable_count = declared_clauses = bad = None
-    clauses, clause = [], []  # the finished clauses and the open one
-    # carry: the open line from its newline while it is blank or a header,
-    # or the unfinished token of a clause line; a comment line is dropped
-    carry, comment = "\n", False
+def _lines(slices: Iterator[str],
+           line_re: re.Pattern) -> Iterator[tuple[list[str], str]]:
+    """Each slice's kept lines, from their newline, and its body text, with
+    lines split as ``str.splitlines`` has them.  ``line_re`` matches a line
+    from its newline: the match is cut out, and kept if its ``keep`` group
+    is set; text that no match cuts is body.  The open line at a slice's
+    end waits until a second non-blank character decides its kind: a line
+    matched to its end then waits whole if kept and is skipped if not, and
+    a body line is read up to its unfinished token, which waits."""
+    carry, skip = "\n", False  # the text that waits; whether it is dropped
     for chunk in chain(slices, [None]):
         if chunk is None:  # the end of the text ends the open line
-            text = carry
+            text, carry = carry, ""
         else:
             if not chunk.isascii() or any(c in chunk
                                           for c in "\r\v\f\x1c\x1d\x1e"):
@@ -165,40 +177,48 @@ def _parse_slices(slices: Iterator[str]) -> CnfFormula:
                 # (the "." keeps one that ends the slice); a "\r\n" split
                 # between two slices reads as two, an empty line more
                 chunk = "\n".join((chunk + ".").splitlines())[:-1]
-            if comment:
+            if skip:
                 cut = chunk.find("\n")
                 if cut < 0:
                     continue
-                chunk, comment = chunk[cut:], False
-            cut = chunk.rfind("\n")
-            if cut < 0:
-                text, carry = "", carry + chunk
-            else:
-                text, carry = carry + chunk[:cut], chunk[cut:]
-            line = _DIMACS_LINE.match(carry)
-            if line and line[1] == "c":
-                carry, comment = "", True
-            elif not (line or carry.isspace()):
-                # a clause line: read up to its unfinished token
-                body, carry = carry, ""
-                if not body[-1].isspace():
-                    body, carry = ["", *body.rsplit(None, 1)][-2:]
-                text += body
-        pieces, end = [], 0
-        for line in _DIMACS_LINE.finditer(text):
+                chunk, skip = chunk[cut:], False
+            text, carry = carry + chunk, ""
+            cut = max(text.rfind("\n"), 0)  # the open line's newline, if any
+            line = line_re.match(text, cut)
+            if _UNDECIDED.match(text, cut):
+                text, carry = text[:cut], text[cut:]
+            elif line and line.end() == len(text):
+                # kept whole, it waits for its end; dropped, it is skipped
+                skip = not line["keep"]
+                text, carry = text[:cut], "" if skip else text[cut:]
+            elif not text[-1].isspace():
+                # a body line: its unfinished token waits
+                *head, carry = text[cut:].rsplit(None, 1)
+                text = text[:cut] + "".join(head)
+        kept, pieces, end = [], [], 0
+        for line in line_re.finditer(text):
             pieces.append(text[end:line.start()])
             end = line.end()
-            if line[1] == "p":
-                parts = line[0].split()
-                if (len(parts) != 4 or parts[1] != "cnf"
-                        or not all(map(_COUNT.fullmatch, parts[2:]))):
-                    raise FormatError(f"bad DIMACS header: {line[0][1:]!r}")
-                variable_count, declared_clauses = int(parts[2]), int(parts[3])
+            if line["keep"]:
+                kept.append(line[0])
         pieces.append(text[end:])
+        yield kept, " ".join(pieces)
+
+
+def _parse_slices(slices: Iterator[str]) -> CnfFormula:
+    variable_count = declared_clauses = bad = None
+    clauses, clause = [], []  # the finished clauses and the open one
+    for headers, body in _lines(slices, _DIMACS_LINE):
+        for line in headers:
+            parts = line.split()
+            if (len(parts) != 4 or parts[1] != "cnf"
+                    or not all(map(_COUNT.fullmatch, parts[2:]))):
+                raise FormatError(f"bad DIMACS header: {line[1:]!r}")
+            variable_count, declared_clauses = int(parts[2]), int(parts[3])
         if bad is not None:
             continue  # only a bad header can still be named first
         try:
-            literals = parse_ints(" ".join(pieces), lambda token: (
+            literals = parse_ints(body, lambda token: (
                 FormatError(f"DIMACS token {token!r} is not an integer "
                             "literal")))
         except FormatError as exc:
@@ -225,68 +245,43 @@ def _parse_slices(slices: Iterator[str]) -> CnfFormula:
     return CnfFormula(variable_count, clauses)
 
 
-def parse_model_text(text: str) -> SolverResult | None:
-    """``read_model`` of solver output held as a string."""
-    return _read_slices(_slices(text))
-
-
-def read_model(handle) -> SolverResult | None:
+def read_model(source) -> SolverResult | None:
     """Parse solver output in the standard 's'/'v' line format from a text
-    file object, ``_MODEL_SLICE`` characters at a time; returns None when
-    no status line is present.  A status other than SATISFIABLE or
-    UNSATISFIABLE (an UNKNOWN from a timeout, say), or a 'v' line token
-    that is not an integer, raises SolverProtocolError.
+    file object or a ``str``, which is always the text itself; returns
+    None when no status line is present.  A status other than SATISFIABLE
+    or UNSATISFIABLE (an UNKNOWN from a timeout, say), a 'v' line token
+    that is not an integer, or text that is not UTF-8 raises
+    SolverProtocolError, which names the byte.  Lines strip as
+    ``str.strip`` has them.  The text is read as ``_lines`` splits it, so
+    the reader holds one slice of text and the positive literals so far.
+    ``parse_model_text`` is this function."""
+    try:
+        return _read_slices(_slices(source))
+    except UnicodeDecodeError as exc:
+        raise SolverProtocolError("solver output is not UTF-8: byte "
+                                  f"{exc.object[exc.start]:#x}") from None
 
-    Lines split and strip as ``str.splitlines`` and ``str.strip`` have
-    them.  A line that ends in the slice is read whole; a longer 'v' line is
-    read a slice at a time, with the unfinished token carried over, so the
-    reader holds one slice of text and the positive literals so far."""
-    return _read_slices(_slices(handle))
+
+parse_model_text = read_model
 
 
 def _read_slices(slices: Iterator[str]) -> SolverResult | None:
     status = bad = None
     has_values = False
     kept = array("q")  # the positive literals so far, grown in place
-    mode, carry = "head", ""  # the open line: "head", "v" or "skip"
-    for chunk in chain(slices, [""]):  # the empty slice ends the last line
-        values = []
-        for piece in chunk.splitlines(keepends=True) or [""]:
-            line = (piece.splitlines() or [""])[0]
-            text, ends = carry + line, line != piece or not chunk
-            carry = ""
-            if mode == "head" and not ends:
-                # the line runs on: a 'v ' line is read as it comes, an 's'
-                # line or a 'v' with other blank after it waits for its end
-                head = text.lstrip()
-                if head.startswith("v "):
-                    has_values, mode, text = True, "v", head[1:]
-                elif len(head) > 1 and not (head[0] in "sv"
-                                            and head[1].isspace()):
-                    mode = "skip"
-                else:
-                    carry = head
-                    continue
-            if mode == "v":
-                if not ends and text and not text[-1].isspace():
-                    parts = text.rsplit(None, 1)
-                    text, carry = ["", *parts][-2:]
-                values.append(text)
-            elif mode == "head":
-                line = text.strip()
-                if line.startswith("s ") or line == "s":
-                    status = _STATUS.get(line[1:].strip().upper())
-                    if status is None:
-                        raise SolverProtocolError(
-                            f"solver answered neither sat nor unsat: {line!r}")
-                elif line.startswith("v ") or line == "v":
-                    has_values = True
-                    values.append(line[1:])
-            if ends:
-                mode = "head"
-        if values and bad is None:
+    for heads, values in _lines(slices, _MODEL_LINE):
+        for line in heads:
+            line = line.strip()
+            if line == "v":
+                has_values = True
+                continue
+            status = _STATUS.get(line[1:].strip().upper())
+            if status is None:
+                raise SolverProtocolError(
+                    f"solver answered neither sat nor unsat: {line!r}")
+        if bad is None:
             try:
-                literals = parse_ints(" ".join(values), lambda token: (
+                literals = parse_ints(values, lambda token: (
                     SolverProtocolError(
                         f"model value {token!r} is not an integer literal")))
                 kept.frombytes(literals[literals > 0].tobytes())

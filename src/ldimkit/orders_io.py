@@ -6,7 +6,8 @@ blank lines are skipped, and a ``#`` starts a comment.  Each token is read
 as ``int()`` reads it, by the reader that also reads DIMACS bodies and
 solver models (``intparse.parse_ints``), and each line goes straight into
 a member's int64 id array of a ``RealizerFamily``; ``parse_orders_text``
-gives that family's tuple view.  Emission is canonical: single spaces,
+gives that family's tuple view, and a file that is not UTF-8 is a
+FormatError that names the byte.  Emission is canonical: single spaces,
 one member per line, trailing newline, so that emitted bytes are stable
 under reparse.
 """
@@ -67,7 +68,11 @@ def emit_orders_text(ples: Iterable[Sequence[int]]) -> str:
 
 
 def read_orders_family(path) -> RealizerFamily:
-    return parse_orders_family(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return parse_orders_family(text)
 
 
 def write_orders_file(path, ples: Iterable[Sequence[int]]) -> None:

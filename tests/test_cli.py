@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from ldimkit import fixture_text, parse_orders_text
+from ldimkit import build_poset, fixture_text, parse_orders_text
 from ldimkit.cli import main
 from ldimkit.satshim import main as satshim_main
 
@@ -373,6 +373,51 @@ def test_solver_answering_unknown(capsys, tmp_path):
         assert (code, out, err) == (3, "", (
             "ERROR:environment: solver answered neither sat nor unsat: "
             "'s UNKNOWN'\n")), argv
+
+
+@pytest.mark.parametrize("argv", [("verify", "--poset", "boolean:2"),
+                                  ("analyze", "signature", "--n", "2",
+                                   "--m", "2")])
+def test_orders_file_that_is_not_utf8(capsys, tmp_path, argv):
+    # malformed input, not a rejection: the message names the byte
+    orders = tmp_path / "bad.orders"
+    orders.write_bytes(b"0 1\xff\n")
+    assert run(capsys, *argv, "--orders", str(orders)) == (2, "", (
+        f"ERROR:usage: {orders}: 'utf-8' codec can't decode byte 0xff "
+        "in position 3: invalid start byte\n"))
+
+
+def _chain2_model():
+    """The in-process solver's model of chain:2 at k = 1, d = 1."""
+    from ldimkit.cdcl import Solver
+    from ldimkit.sat import encode
+    formula, vm = encode(build_poset("chain:2"), 1, 1, stream=True)
+    solver = Solver(vm.variable_count)
+    solver.load_trusted(formula.clauses)
+    assert solver.solve()
+    return " ".join(map(str, solver.model)).encode()
+
+
+@pytest.mark.parametrize("live", [False, True])
+def test_solver_output_that_is_not_utf8(capsys, tmp_path, live):
+    # unusable solver output, saved or live, as a bad 'v' token is: a
+    # comment in Latin-1 before a valid model names the byte
+    argv = ("solve", "--poset", "chain:2", "--k", "1", "--d", "1")
+    for comment, code, line in (
+            (b"c resolu", 0, "status: sat"),
+            (b"c r\xe9solu", 3,
+             "ERROR:environment: solver output is not UTF-8: byte 0xe9")):
+        output = (comment + b"\ns SATISFIABLE\nv " + _chain2_model()
+                  + b" 0\n")
+        if live:
+            script = f"import sys; sys.stdout.buffer.write({output!r})"
+            got = run(capsys, *argv, "--solver", " ".join(
+                map(shlex.quote, (sys.executable, "-c", script))))
+        else:
+            model = tmp_path / "model.txt"
+            model.write_bytes(output)
+            got = run(capsys, *argv, "--model", str(model))
+        assert (got[0], got[2].splitlines()[0]) == (code, line), comment
 
 
 def test_solver_environment_error(capsys):

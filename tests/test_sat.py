@@ -1294,3 +1294,23 @@ def test_model_reader_holds_the_literals_once(tmp_path):
     # one array per slice joined at the end held the 1.14 MB model twice,
     # a 2.35 MB peak here; the one growing buffer peaks at 1.71 MB
     assert peak < model.nbytes + 2**20
+
+
+@pytest.mark.parametrize("read, text, want", [
+    (parse_dimacs, "p cnf 2 1\nc {}\n1 -2 0\n", [[1, -2]]),
+    (parse_model_text, "c {}\ns SATISFIABLE\nv 1 -2 0\n", [1]),
+    (parse_model_text, "s SATISFIABLE\nvalue {}\nv 1 -2 0\n", [1]),
+], ids=["dimacs-comment", "model-comment", "model-value"])
+def test_long_dropped_lines_are_read_a_slice_at_a_time(read, text, want):
+    # an 8 MiB line that is dropped whole is skipped a slice at a time,
+    # never held; a long header or status line is carried whole instead
+    source = io.StringIO(text.format("1 " * (4 << 20)))
+    tracemalloc.start()
+    try:
+        result = read(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    got = result.clauses if read is parse_dimacs else result.model.tolist()
+    assert got == want
+    assert peak < 2**20
